@@ -128,13 +128,19 @@ def parse_config(path: str | Path) -> Config:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{path}: {exc}") from exc
+    seed = _int("seed")
+    if not 0 <= seed < 2**64:  # the Philox key is a uint64
+        raise ConfigError(f"{path}: seed must be in [0, 2**64), got {seed}")
+    n_rollouts = _int("n_rollouts")
+    if n_rollouts < 1:
+        raise ConfigError(f"{path}: n_rollouts must be >= 1, got {n_rollouts}")
     return Config(
         params=params,
         delta_max=delta_max,
         n_points=n_points,
         quad=quad,
-        seed=_int("seed"),
-        n_rollouts=_int("n_rollouts"),
+        seed=seed,
+        n_rollouts=n_rollouts,
     )
 
 
@@ -176,8 +182,9 @@ def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) ->
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    # repr of a numpy scalar is "np.float64(...)" under numpy 2, so go via float.
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
@@ -369,7 +376,10 @@ def cmd_oracle(
     mode: str = "auto",
 ) -> int:
     params = cfg.params
-    chain = quantize(params, n_delta, noise_points, delta_q)
+    try:
+        chain = quantize(params, n_delta, noise_points, delta_q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = brute_force_optimal(chain, mode=mode)
     checks: list[tuple[str, bool, str]] = []
 
@@ -457,10 +467,13 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
     if not values:
         print("error: empty sweep value list", file=sys.stderr)
         return 1
+    field = {"gamma": "gamma", "lambda": "lam"}[axis]
+    try:
+        points = [(v, dataclasses.replace(cfg.params, **{field: v})) for v in values]
+    except ValueError as exc:
+        raise ConfigError(f"sweep value: {exc}") from exc
     rows = []
-    for v in values:
-        field = {"gamma": "gamma", "lambda": "lam"}[axis]
-        params = dataclasses.replace(cfg.params, **{field: v})
+    for v, params in points:
         sub = dataclasses.replace(cfg, params=params)
         rep = check_feasibility(params)
         if not rep.feasible:
@@ -566,13 +579,18 @@ def main(argv: list[str] | None = None) -> int:
                 c0 = int(args.c0)
             else:
                 raise ConfigError(f"--c0 must be 0, 1 or 'stationary', got {args.c0!r}")
+            if not math.isfinite(args.delta0):
+                raise ConfigError(f"--delta0 must be finite, got {args.delta0}")
             return cmd_simulate(
                 cfg, out, args.policy_source, args.threshold_file, args.delta0, c0
             )
         if args.command == "oracle":
             return cmd_oracle(cfg, out, args.n_delta, args.noise_points, args.delta_q, args.mode)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+            except ValueError as exc:
+                raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from exc
             return cmd_sweep(cfg, out, args.axis, values)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

@@ -11,6 +11,7 @@ Everything here is a pure function; all randomness lives in callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
 class ModelParams:
     """Problem constants.
 
-    a        source gain (any real)
+    a        source gain (any finite real)
     sigma2   process-noise variance, > 0
     lam      per-transmission energy price, > 0
     gamma    risk-sensitivity parameter, > 0
@@ -51,6 +52,11 @@ class ModelParams:
     p10: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "sigma2", "lam", "gamma"):  # p01, p10: range-checked below
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                label = "lambda" if name == "lam" else name
+                raise ValueError(f"{label} must be finite, got {value}")
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
         if not self.lam > 0:

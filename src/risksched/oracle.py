@@ -116,8 +116,8 @@ def quantize(
         raise ValueError(f"noise_points must be 2, 3 or 5, got {noise_points}")
     if delta_q is None:
         delta_q = 4.0 * params.sigma
-    if not delta_q > 0:
-        raise ValueError("delta_q must be > 0")
+    if not 0 < delta_q < np.inf:
+        raise ValueError(f"delta_q must be finite and > 0, got {delta_q}")
     states = np.linspace(-delta_q, delta_q, n_delta)
     values, probs = _noise_atoms(params.sigma, noise_points)
     drift_to = _snap(params.a * states[:, None] + values[None, :], states)

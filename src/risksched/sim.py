@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelParams, SimTrace, stage_cost, step_channel, step_error, step_source, update_estimate
+from .solver import _logsumexp
 
 __all__ = [
     "CHUNK_SIZE",
@@ -170,17 +171,16 @@ def estimate_risk_objective(
     for chunk, m in enumerate(_chunk_sizes(n_rollouts)):
         g = _generator(seed, chunk)
         gs = gamma * _simulate_chunk(params, policy, m, g, delta0, c0)
-        mx = gs.max()
-        lse1.append(mx + math.log(np.exp(gs - mx).sum()))
-        lse2.append(2.0 * mx + math.log(np.exp(2.0 * (gs - mx)).sum()))
+        lse1.append(_logsumexp(gs, axis=0))
+        lse2.append(_logsumexp(2.0 * gs, axis=0))
         top = np.sort(np.concatenate([top, gs]))[-k_top:]
     log_n = math.log(n_rollouts)
-    lse1_all = _logsumexp_list(lse1)
-    lse2_all = _logsumexp_list(lse2)
+    lse1_all = float(_logsumexp(np.asarray(lse1), axis=0))
+    lse2_all = float(_logsumexp(np.asarray(lse2), axis=0))
     l1 = lse1_all - log_n
     l2 = lse2_all - log_n
     se = math.sqrt(max(math.expm1(l2 - 2.0 * l1), 0.0) / n_rollouts)
-    tail_share = math.exp(_logsumexp_list(list(top)) - lse1_all)
+    tail_share = math.exp(float(_logsumexp(top, axis=0)) - lse1_all)
     tail_ok = tail_share <= TAIL_SHARE_LIMIT
     if not tail_ok:
         warnings.warn(
@@ -190,14 +190,6 @@ def estimate_risk_objective(
             stacklevel=2,
         )
     return RiskEstimate(float(l1), float(se), n_rollouts, float(tail_share), tail_ok)
-
-
-def _logsumexp_list(vals: list[float]) -> float:
-    arr = np.asarray(vals, dtype=float)
-    mx = arr.max()
-    if not np.isfinite(mx):
-        return float(mx)
-    return float(mx + np.log(np.exp(arr - mx).sum()))
 
 
 def estimate_mean_variance(

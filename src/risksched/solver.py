@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .model import ModelParams
 
@@ -71,8 +70,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.delta_max > 0:
-            raise ValueError(f"delta_max must be > 0, got {self.delta_max}")
+        if not 0 < self.delta_max < math.inf:
+            raise ValueError(f"delta_max must be finite and > 0, got {self.delta_max}")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError(f"n_points must be odd and >= 3, got {self.n_points}")
 
@@ -292,7 +291,7 @@ def truncation_report(
     if not rep.feasible:
         raise InfeasibleModelError(rep.first_violation_stage)
     std = _tilted_visit_std(params, rep.beta)
-    coverage_tail = float(2.0 * ndtr(-grid.delta_max / std))
+    coverage_tail = math.erfc(grid.delta_max / (std * math.sqrt(2.0)))
     T = params.horizon
     # Linear-in-z extrapolation of the stage-T closed form from the last
     # two grid nodes, probed at 1.5 * delta_max.
@@ -315,6 +314,20 @@ def truncation_report(
         ok=bool(coverage_tail <= TRUNCATION_TOL or err <= TRUNCATION_TOL),
         gh_cap_active=bool(cap < 6.5 * std),
     )
+
+
+def _logsumexp(a: np.ndarray, axis) -> np.ndarray:
+    """log(sum(exp(a))) over axis (an int or a tuple of ints).
+
+    The max is subtracted for stability; where it is not finite 0 stands in
+    for it, so all -inf slices give -inf and +inf entries propagate.
+    """
+    mx = np.max(a, axis=axis, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
+    e = a - mx
+    np.exp(e, out=e)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(e, axis=axis)) + np.squeeze(mx, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +412,10 @@ class _BellmanStage:
             self.fold_idx = np.abs(np.arange(grid.n_points) - grid.n_points // 2)
 
     def _integrate_hermite(self, w_t: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """log of sum_{c+} p[c][c+] * int N(x; center, sigma2) exp(W_t(x, c+)) dx.
-
-        Returns an array (2, len(centers)) indexed by the current channel c.
-        """
         interp = _ZInterp(self.grid, self.space, w_t)
         x = centers[:, None] + math.sqrt(2.0) * self.params.sigma * self.y[None, :]
         vals = interp(x)  # (2, n_centers, n_quad) over c+
-        terms = self.logw[None, None, :] + vals
-        out = np.empty((2, len(centers)))
-        for c in (0, 1):
-            out[c] = logsumexp(self.logp[c][:, None, None] + terms, axis=(0, 2))
-        return out
+        return _logsumexp(self.logw + vals, axis=2)
 
     def _integrate_trapezoid(self, w_t: np.ndarray, centers: np.ndarray) -> np.ndarray:
         s2 = self.params.sigma2
@@ -424,15 +429,20 @@ class _BellmanStage:
         else:
             w_vals = w_t[:, self.fold_idx]
         terms = logw[None, None, :] + log_kernel[None, :, :] + w_vals[:, None, :]
-        out = np.empty((2, len(centers)))
-        for c in (0, 1):
-            out[c] = logsumexp(self.logp[c][:, None, None] + terms, axis=(0, 2))
-        return out
+        return _logsumexp(terms, axis=2)
 
     def _integrate(self, w_t: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """log of sum_{c+} p[c][c+] * int N(x; center, sigma2) exp(W_t(x, c+)) dx.
+
+        The rule integrates each next-channel table; the channel mix is a
+        second, 2-term reduction.  Returns (2, len(centers)) over the
+        current channel c.
+        """
         if self.quad.rule == RULE_HERMITE:
-            return self._integrate_hermite(w_t, centers)
-        return self._integrate_trapezoid(w_t, centers)
+            per_next = self._integrate_hermite(w_t, centers)
+        else:
+            per_next = self._integrate_trapezoid(w_t, centers)
+        return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
 
     def q_values(
         self, w_t: np.ndarray, deltas: np.ndarray | None = None

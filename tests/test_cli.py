@@ -2,10 +2,15 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import risksched
 from risksched import GridSpec, ModelParams, QuadratureSpec, extract_thresholds, value_iterate
 from risksched.cli import ConfigError, load_threshold_csv, main, parse_config
 
@@ -101,6 +106,119 @@ class TestCheck:
         header, rows = read_csv(out / "feasibility.csv")
         assert "# feasible = 0" in header
         assert rows[1]["ok"] == "0"  # beta_1 = 0.6 already violates
+
+    def test_out_cells_are_numbers(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", gamma="0.6")  # nan cells past the violation
+        out = tmp_path / "out"
+        main(["check", "--config", str(cfg), "--out", str(out)])
+        _, rows = read_csv(out / "feasibility.csv")
+        assert rows
+        for row in rows:
+            for cell in row.values():
+                float(cell)
+
+    @pytest.mark.parametrize("key,value", [("a", "nan"), ("a", "inf"), ("sigma2", "inf")])
+    def test_non_finite_parameter_exit_1(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.cfg", **{key: value})
+        assert main(["check", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert f"{key} must be finite" in captured.err
+        assert "feasible" not in captured.out
+
+
+def assert_error_exit_1(code, capsys):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+class TestBadInputs:
+    def test_sweep_non_numeric_values(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=2)
+        code = main(
+            ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--axis", "gamma", "--values", "abc"]
+        )
+        assert_error_exit_1(code, capsys)
+
+    def test_sweep_out_of_range_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=2)
+        code = main(
+            ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--axis", "lambda", "--values", "1.0,-1.0"]
+        )
+        assert_error_exit_1(code, capsys)
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    def test_oracle_even_n_delta(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=2)
+        code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "4"])
+        assert_error_exit_1(code, capsys)
+
+    @pytest.mark.parametrize("delta_q", ["-1", "inf"])
+    def test_oracle_bad_delta_q(self, tmp_path, capsys, delta_q):
+        cfg = write_config(tmp_path / "c.cfg", T=2)
+        code = main(
+            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "5",
+             "--delta-q", delta_q]
+        )
+        assert_error_exit_1(code, capsys)
+
+    @pytest.mark.parametrize("delta0", ["nan", "inf"])
+    def test_non_finite_delta0(self, tmp_path, capsys, delta0):
+        cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--policy-source", "builtin:idle", "--delta0", delta0]
+        )
+        assert_error_exit_1(code, capsys)
+
+    def test_zero_rollouts(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=0)
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--policy-source", "builtin:idle"]
+        )
+        assert_error_exit_1(code, capsys)
+
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=2, seed=-1, n_rollouts=100)
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--policy-source", "builtin:idle"]
+        )
+        assert_error_exit_1(code, capsys)
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    """Every command runs with scipy unimportable: the runtime is numpy-only."""
+    cfg = write_config(tmp_path / "c.cfg", T=2, n_points=81, n_rollouts=1000)
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        from risksched.cli import main
+        cfg, out = {str(cfg)!r}, {str(tmp_path / "out")!r}
+        commands = [
+            ["check"],
+            ["solve"],
+            ["simulate", "--policy-source", "solved"],
+            ["sweep", "--axis", "gamma", "--values", "0.02,0.05"],
+            ["oracle", "--n-delta", "5"],
+        ]
+        codes = [main([c[0], "--config", cfg, "--out", out, *c[1:]]) for c in commands]
+        print("codes", codes)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(risksched.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "codes [0, 0, 0, 0, 0]" in proc.stdout, proc.stdout + proc.stderr
 
 
 class TestSolve:

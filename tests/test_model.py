@@ -1,5 +1,7 @@
 """Unit tests for the closed-loop model primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -42,6 +44,12 @@ class TestModelParams:
             ("p01", -0.01),
             ("p01", 1.01),
             ("p10", 1.5),
+            ("a", math.nan),
+            ("a", math.inf),
+            ("a", -math.inf),
+            ("sigma2", math.inf),
+            ("lam", math.inf),
+            ("gamma", math.inf),
         ],
     )
     def test_rejects_bad_values(self, field, value):

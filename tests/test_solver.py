@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import dblquad, quad
+from scipy.special import logsumexp, ndtr
 from scipy.stats import norm
 
 from risksched import (
@@ -24,6 +25,7 @@ from risksched import (
     truncation_report,
     value_iterate,
 )
+from risksched.solver import _log_channel, _logsumexp
 
 HERMITE = QuadratureSpec()
 TRAPEZOID = QuadratureSpec(rule="trapezoid-on-grid")
@@ -50,7 +52,9 @@ class TestGridSpec:
     def test_spacing(self):
         assert GridSpec(2.0, 17).spacing == 0.25
 
-    @pytest.mark.parametrize("dmax,n", [(0.0, 11), (-1.0, 11), (2.0, 10), (2.0, 1)])
+    @pytest.mark.parametrize(
+        "dmax,n", [(0.0, 11), (-1.0, 11), (math.inf, 11), (math.nan, 11), (2.0, 10), (2.0, 1)]
+    )
     def test_rejects_bad_grids(self, dmax, n):
         with pytest.raises(ValueError):
             GridSpec(dmax, n)
@@ -340,6 +344,47 @@ class TestNormalization:
             assert np.max(np.abs(tu.w[j] - tn.w[j] - j * shift)) <= 1e-10
         tie = np.abs(pn.q_margin) <= 1e-9
         assert np.all((pn.u_star == pu.u_star) | tie)
+
+
+class TestLogSumExp:
+    """The numpy reduction against scipy.special.logsumexp as reference."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, (0, 2), (1, 2), (0, 1, 2)])
+    def test_matches_scipy_on_finite_input(self, axis):
+        a = np.random.default_rng(3).normal(0.0, 30.0, size=(2, 7, 64))
+        assert_allclose(_logsumexp(a, axis), logsumexp(a, axis=axis), rtol=1e-13)
+
+    def test_non_finite_entries(self):
+        a = np.array(
+            [
+                [-np.inf, -np.inf, -np.inf],  # all -inf row gives -inf
+                [np.inf, 0.0, -np.inf],  # +inf propagates
+                [-np.inf, 1.0, 2.0],
+                [np.inf, np.inf, 5.0],
+            ]
+        )
+        with np.errstate(invalid="ignore"):
+            want = logsumexp(a, axis=1)
+        got = _logsumexp(a, axis=1)
+        assert np.array_equal(got[:2], [-np.inf, np.inf])
+        assert got[3] == np.inf
+        assert_allclose(got, want, rtol=1e-13)
+
+    def test_zero_transition_log_channel(self):
+        # p01 = 0 puts -inf log-probabilities into the Bellman reduction.
+        logp = _log_channel(mk(p01=0.0))
+        assert np.isneginf(logp[0, 1])
+        terms = np.random.default_rng(4).normal(0.0, 5.0, size=(2, 9, 16))
+        for c in (0, 1):
+            a = logp[c][:, None, None] + terms
+            assert_allclose(_logsumexp(a, (0, 2)), logsumexp(a, axis=(0, 2)), rtol=1e-13)
+
+    @pytest.mark.parametrize("dmax", [0.5, 3.0, 8.0, 20.0])
+    def test_coverage_tail_matches_ndtr(self, dmax):
+        p = mk(gamma=0.05, horizon=5)
+        rep = truncation_report(p, GridSpec(dmax, 11), HERMITE)
+        want = 2.0 * ndtr(-dmax / rep.tilted_std)
+        assert rep.coverage_tail == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestAutoGrid:
