@@ -61,7 +61,6 @@ from .oracle import (
 )
 from .sim import (
     RiskEstimate,
-    estimate_mean_variance,
     estimate_risk_objective,
     rollout,
     write_trace_csv,

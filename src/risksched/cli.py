@@ -20,9 +20,11 @@ import numpy as np
 
 from .model import ModelParams
 from .oracle import (
+    ENUM_BUDGET,
     EnumerationBudgetError,
     brute_force_optimal,
     chain_policy,
+    enumeration_size,
     exact_policy_cost,
     quantize,
 )
@@ -33,7 +35,7 @@ from .policy import (
     idle_policy,
     threshold_policy,
 )
-from .sim import estimate_mean_variance, estimate_risk_objective, rollout, write_trace_csv
+from .sim import estimate_risk_objective, rollout, write_trace_csv
 from .solver import (
     GridSpec,
     InfeasibleModelError,
@@ -337,7 +339,6 @@ def cmd_simulate(
         return 2
     policy, grid = _policy_from_source(cfg, source, threshold_file)
     est = estimate_risk_objective(cfg.params, policy, cfg.n_rollouts, cfg.seed, delta0, c0)
-    mean, var = estimate_mean_variance(cfg.params, policy, cfg.n_rollouts, cfg.seed, delta0, c0)
     header = _header_lines(
         cfg, grid, {"policy_source": source, "delta0": delta0, "c0": "stationary" if c0 is None else c0}
     )
@@ -351,8 +352,8 @@ def cmd_simulate(
                 est.n,
                 _fmt(est.log_estimate),
                 _fmt(est.se_log),
-                _fmt(mean),
-                _fmt(var),
+                _fmt(est.mean_cost),
+                _fmt(est.var_cost),
                 _fmt(est.tail_share),
                 int(est.tail_ok),
             )
@@ -362,9 +363,44 @@ def cmd_simulate(
     write_trace_csv(trace, out / "trace.csv")
     print(
         f"simulate[{source}]: log_objective={est.log_estimate:.6g} se={est.se_log:.3g} "
-        f"mean={mean:.6g} var={var:.6g} tail_ok={est.tail_ok}"
+        f"mean={est.mean_cost:.6g} var={est.var_cost:.6g} tail_ok={est.tail_ok}"
     )
     return 0
+
+
+def _oracle_chains(params: ModelParams, n_delta: int, noise_points: int, delta_q, mode: str):
+    """(label, chain, mode) of each enumeration cmd_oracle runs: the requested
+    chain, then its 2*n_delta-1 refinement with 5 noise points."""
+    return (
+        ("requested", quantize(params, n_delta, noise_points, delta_q), mode),
+        ("refinement", quantize(params, 2 * n_delta - 1, 5, delta_q), "threshold"),
+    )
+
+
+def _budget_overflow(chain, mode: str) -> str | None:
+    """Why enumerating chain under mode overflows ENUM_BUDGET, or None if it fits."""
+    mode, base, exponent = enumeration_size(chain, mode)
+    if base**exponent <= ENUM_BUDGET:
+        return None
+    return f"needs {base}**{exponent} policies in {mode} mode (> {ENUM_BUDGET})"
+
+
+def _largest_fitting_n_delta(
+    params: ModelParams, noise_points: int, delta_q, mode: str
+) -> int | None:
+    """Largest odd n_delta whose oracle enumerations all fit ENUM_BUDGET, or None.
+
+    Needs horizon >= 1, which holds whenever an enumeration overflows.
+    """
+    best = None
+    n = 3
+    # the refinement's 2n-1 states have at least n magnitudes, so n+1 cuts
+    while (n + 1) ** (2 * params.horizon) <= ENUM_BUDGET:
+        chains = _oracle_chains(params, n, noise_points, delta_q, mode)
+        if not any(_budget_overflow(ch, m) for _, ch, m in chains):
+            best = n
+        n += 2
+    return best
 
 
 def cmd_oracle(
@@ -377,9 +413,18 @@ def cmd_oracle(
 ) -> int:
     params = cfg.params
     try:
-        chain = quantize(params, n_delta, noise_points, delta_q)
+        chains = _oracle_chains(params, n_delta, noise_points, delta_q, mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    (_, chain, _), (_, fine, _) = chains
+    for label, ch, m in chains:
+        overflow = _budget_overflow(ch, m)
+        if overflow:
+            best = _largest_fitting_n_delta(params, noise_points, delta_q, mode)
+            hint = "no odd n_delta >= 3 fits" if best is None else f"the largest n_delta that fits is {best}"
+            raise EnumerationBudgetError(
+                f"{label} chain (n_delta={ch.n_states}) {overflow}; with --mode {mode}, {hint}"
+            )
     result = brute_force_optimal(chain, mode=mode)
     checks: list[tuple[str, bool, str]] = []
 
@@ -421,7 +466,6 @@ def cmd_oracle(
         w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
         mid = chain.n_states // 2
         disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
-        fine = quantize(params, 2 * n_delta - 1, 5, delta_q)
         fine_result = brute_force_optimal(fine, mode="threshold")
         disc_fine = float(
             np.max(np.abs(np.log(fine_result.value[fine.n_states // 2]) - w0))
@@ -473,17 +517,22 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
     except ValueError as exc:
         raise ConfigError(f"sweep value: {exc}") from exc
     rows = []
+    n_infeasible = 0
     for v, params in points:
         sub = dataclasses.replace(cfg, params=params)
-        rep = check_feasibility(params)
-        if not rep.feasible:
+        T = params.horizon
+        if check_feasibility(params).feasible:
+            grid = _resolve_grid(sub)
+            table, pol = value_iterate(params, grid, sub.quad, space="folded")
+            rn_table, _ = risk_neutral_value_iterate(params, grid, sub.quad, space="folded")
+            threshold = extract_thresholds(pol, grid).threshold
+            w, rn_v = table.w[:, :, 0], rn_table.v[:, :, 0]
+        else:
+            print(f"{axis} = {v}:", file=sys.stderr)
             _print_beta_trace(sub)
-            return 2
-        grid = _resolve_grid(sub)
-        table, pol = value_iterate(params, grid, sub.quad, space="folded")
-        rn_table, _ = risk_neutral_value_iterate(params, grid, sub.quad, space="folded")
-        schedule = extract_thresholds(pol, grid)
-        for j in range(params.horizon + 1):
+            n_infeasible += 1
+            threshold = w = rn_v = np.full((T + 1, 2), math.nan)
+        for j in range(T + 1):
             for c in (0, 1):
                 rows.append(
                     (
@@ -491,9 +540,9 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
                         _fmt(float(v)),
                         j,
                         c,
-                        _fmt(float(schedule.threshold[j, c])),
-                        _fmt(float(table.w[j, c, 0])),
-                        _fmt(float(rn_table.v[j, c, 0])),
+                        _fmt(float(threshold[j, c])),
+                        _fmt(float(w[j, c])),
+                        _fmt(float(rn_v[j, c])),
                     )
                 )
     _write_csv(
@@ -503,6 +552,9 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
         rows,
     )
     print(f"sweep over {axis}: {len(values)} points -> {out / 'sweep.csv'}")
+    if n_infeasible:
+        print(f"{n_infeasible} of {len(values)} points infeasible (nan rows)", file=sys.stderr)
+        return 2
     return 0
 
 

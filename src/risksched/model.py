@@ -139,15 +139,16 @@ def step_channel(c, uniform_draw, params: ModelParams):
     """Advance the two-state channel using one uniform draw in [0, 1).
 
     From c=0 the chain moves to 1 iff draw < p01; from c=1 it moves to 0 iff
-    draw < p10.
+    draw < p10.  Draws that are NaN or outside [0, 1) raise ValueError.  The
+    result is an integer array (never bool: callers index tables with it),
+    or a Python int for scalar input.
     """
     draw = np.asarray(uniform_draw)
-    if np.any(draw < 0.0) or np.any(draw >= 1.0):
+    # NaN propagates through min/max and fails both comparisons; initial=0.0
+    # lets an empty batch through.
+    if not (draw.min(initial=0.0) >= 0.0 and draw.max(initial=0.0) < 1.0):
         raise ValueError("uniform_draw must lie in [0, 1)")
-    c = np.asarray(c)
-    next_from_bad = np.where(draw < params.p01, 1, 0)
-    next_from_good = np.where(draw < params.p10, 0, 1)
-    out = np.where(c == 1, next_from_good, next_from_bad)
+    out = np.where(np.asarray(c) == 1, draw >= params.p10, draw < params.p01).astype(np.int_)
     return out if out.ndim else int(out)
 
 

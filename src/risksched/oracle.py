@@ -24,6 +24,7 @@ __all__ = [
     "exact_policy_cost",
     "brute_force_optimal",
     "chain_policy",
+    "enumeration_size",
 ]
 
 # Full enumeration walks 2**(n_states * 2 * stages) policies; threshold
@@ -206,35 +207,50 @@ def _backward_induction(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
     return v, u
 
 
+def _threshold_cuts(chain: QuantizedChain) -> np.ndarray:
+    """Cut options per (stage, c): every ladder magnitude, then never transmit."""
+    return np.append(np.unique(np.abs(chain.delta_states)), np.inf)
+
+
+def enumeration_size(chain: QuantizedChain, mode: str) -> tuple[str, int, int]:
+    """(mode, base, exponent) such that brute_force_optimal(chain, mode)
+    walks base**exponent policies.
+
+    mode 'auto' resolves to 'full' when that fits ENUM_BUDGET, else to
+    'threshold'; the resolved mode is returned.
+    """
+    T = chain.params.horizon
+    full_bits = chain.n_states * 2 * T
+    if mode == "auto":
+        mode = "full" if 2**full_bits <= ENUM_BUDGET else "threshold"
+    if mode == "full":
+        return mode, 2, full_bits
+    if mode == "threshold":
+        return mode, len(_threshold_cuts(chain)), 2 * T
+    raise ValueError(f"unknown enumeration mode {mode!r}")
+
+
 def _enumerate_policies(chain: QuantizedChain, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-policy action tables (P, T, n, 2) and their value at every start.
 
     mode 'full' sweeps every deterministic Markov policy; 'threshold'
     sweeps every even magnitude-threshold policy (one cut per (stage, c)).
-    Returns (actions, values) with values shaped (P, n, 2).
+    The caller has checked the count against ENUM_BUDGET.  Returns
+    (actions, values) with values shaped (P, n, 2).
     """
     T = chain.params.horizon
     n = chain.n_states
     if mode == "full":
         bits = n * 2 * T
         count = 2**bits
-        if count > ENUM_BUDGET:
-            raise EnumerationBudgetError(
-                f"full enumeration needs 2**{bits} policies (> {ENUM_BUDGET})"
-            )
         codes = np.arange(count, dtype=np.int64)
         shifts = np.arange(bits, dtype=np.int64)
         flat = (codes[:, None] >> shifts[None, :]) & 1
         actions = flat.reshape(count, T, n, 2).astype(np.int8)
-    elif mode == "threshold":
-        mags = np.unique(np.abs(chain.delta_states))
-        cuts = np.append(mags, np.inf)  # last option: never transmit
+    else:
+        cuts = _threshold_cuts(chain)
         k = len(cuts)
         count = k ** (2 * T)
-        if count > ENUM_BUDGET:
-            raise EnumerationBudgetError(
-                f"threshold enumeration needs {k}**{2 * T} policies (> {ENUM_BUDGET})"
-            )
         codes = np.arange(count, dtype=np.int64)
         choice = np.empty((count, T, 2), dtype=np.int64)
         rem = codes
@@ -245,8 +261,6 @@ def _enumerate_policies(chain: QuantizedChain, mode: str) -> tuple[np.ndarray, n
         actions = (abs_states[None, None, :, None] >= cuts[choice][:, :, None, :]).astype(
             np.int8
         )
-    else:
-        raise ValueError(f"unknown enumeration mode {mode!r}")
 
     values = np.ones((len(actions), n, 2))
     drift = chain.drift_matrix()
@@ -300,8 +314,11 @@ def brute_force_optimal(chain: QuantizedChain, mode: str = "auto") -> BruteForce
     full sweep is affordable).
     """
     T = chain.params.horizon
-    if mode == "auto":
-        mode = "full" if 2 ** (chain.n_states * 2 * T) <= ENUM_BUDGET else "threshold"
+    mode, base, exponent = enumeration_size(chain, mode)
+    if base**exponent > ENUM_BUDGET:
+        raise EnumerationBudgetError(
+            f"{mode} enumeration needs {base}**{exponent} policies (> {ENUM_BUDGET})"
+        )
     actions, values = _enumerate_policies(chain, mode)
     enum_value = values.min(axis=0)
     v_dp, u_dp = _backward_induction(chain)

@@ -1,11 +1,15 @@
 """Monte Carlo evaluation of scheduling policies on the continuous model.
 
-exp(gamma * total cost) spans hundreds of orders of magnitude, so the risk
-objective is aggregated purely in the log domain: per-chunk log-sum-exp
-partials are merged by one final log-sum-exp, and the linear-domain mean is
-never formed.  Noise comes from counter-based Philox streams keyed by
-(seed, chunk index), so results are bit-identical for a given seed and
-independent of how work is chunked across the fixed chunk size.
+One estimator, estimate_risk_objective, simulates every rollout once and
+reads five figures from the total costs S: the log risk objective
+log E[exp(gamma * S)], its standard error, the tail share of the top 0.1%
+of samples, and the mean and variance of S.  exp(gamma * S) spans hundreds
+of orders of magnitude, so the risk objective is aggregated purely in the
+log domain: per-chunk log-sum-exp partials are merged by one final
+log-sum-exp, and the linear-domain mean is never formed.  Noise comes from
+counter-based Philox streams keyed by (seed, chunk index), so results are
+bit-identical for a given seed and independent of how work is chunked
+across the fixed chunk size.
 
 Decision functions follow the package convention (delta, c, stages_to_go)
 and must accept equal-length arrays for delta and c.
@@ -28,7 +32,6 @@ __all__ = [
     "RiskEstimate",
     "rollout",
     "estimate_risk_objective",
-    "estimate_mean_variance",
     "write_trace_csv",
 ]
 
@@ -46,6 +49,8 @@ class RiskEstimate(NamedTuple):
     n: int
     tail_share: float
     tail_ok: bool
+    mean_cost: float
+    var_cost: float
 
 
 def _generator(seed: int, chunk: int) -> np.random.Generator:
@@ -155,66 +160,39 @@ def estimate_risk_objective(
     delta0: float = 0.0,
     c0: int | None = None,
 ) -> RiskEstimate:
-    """log of the sample mean of exp(gamma * total cost), with delta-method SE.
+    """Risk objective and moments of the total cost, from one pass of rollouts.
 
-    The standard error of the log is sqrt(expm1(L2 - 2*L1) / n) where L1,
-    L2 are the log first and second sample moments of exp(gamma * S).  A
-    heavy-tail warning fires when the top 0.1% of samples carry more than
-    half the estimated mean.
+    Each chunk of rollouts is simulated once, and its totals S feed every
+    figure:
+    - log_estimate: log of the sample mean of exp(gamma * S);
+    - se_log: its delta-method standard error sqrt(expm1(L2 - 2*L1) / n),
+      where L1, L2 are the log first and second sample moments of
+      exp(gamma * S);
+    - tail_share: the share of that mean carried by the top 0.1% of samples
+      (a heavy-tail warning fires, and tail_ok is False, above one half);
+    - mean_cost, var_cost: the mean and sample variance of S, merged across
+      chunks with Chan's pairwise update.
     """
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
     gamma = params.gamma
     k_top = max(1, int(TAIL_QUANTILE * n_rollouts))
     lse1, lse2 = [], []
-    top = np.full(0, -np.inf)
-    for chunk, m in enumerate(_chunk_sizes(n_rollouts)):
-        g = _generator(seed, chunk)
-        gs = gamma * _simulate_chunk(params, policy, m, g, delta0, c0)
-        lse1.append(_logsumexp(gs, axis=0))
-        lse2.append(_logsumexp(2.0 * gs, axis=0))
-        top = np.sort(np.concatenate([top, gs]))[-k_top:]
-    log_n = math.log(n_rollouts)
-    lse1_all = float(_logsumexp(np.asarray(lse1), axis=0))
-    lse2_all = float(_logsumexp(np.asarray(lse2), axis=0))
-    l1 = lse1_all - log_n
-    l2 = lse2_all - log_n
-    se = math.sqrt(max(math.expm1(l2 - 2.0 * l1), 0.0) / n_rollouts)
-    tail_share = math.exp(float(_logsumexp(top, axis=0)) - lse1_all)
-    tail_ok = tail_share <= TAIL_SHARE_LIMIT
-    if not tail_ok:
-        warnings.warn(
-            f"risk estimate is tail-dominated: top {TAIL_QUANTILE:.1%} of samples "
-            f"carry {tail_share:.1%} of the mean",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return RiskEstimate(float(l1), float(se), n_rollouts, float(tail_share), tail_ok)
-
-
-def estimate_mean_variance(
-    params: ModelParams,
-    policy,
-    n_rollouts: int,
-    seed: int,
-    delta0: float = 0.0,
-    c0: int | None = None,
-) -> tuple[float, float]:
-    """Streaming mean and (sample) variance of the additive total cost.
-
-    Shares the noise streams of estimate_risk_objective, so the pair is
-    computed on exactly the samples the risk estimate saw.
-    """
-    if n_rollouts < 1:
-        raise ValueError("n_rollouts must be >= 1")
-    n_acc = 0
-    mean_acc = 0.0
-    m2_acc = 0.0
+    top = np.full(0, -np.inf)  # the k_top largest gamma*S so far, unordered
+    n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
     for chunk, m in enumerate(_chunk_sizes(n_rollouts)):
         g = _generator(seed, chunk)
         s = _simulate_chunk(params, policy, m, g, delta0, c0)
         mean_c = float(s.mean())
         m2_c = float(np.square(s - mean_c).sum())
+        gs = gamma * s
+        del s
+        lse1.append(_logsumexp(gs, axis=0))
+        lse2.append(_logsumexp(2.0 * gs, axis=0))
+        top = np.concatenate([top, gs])
+        del gs
+        if top.size > k_top:
+            top = np.partition(top, top.size - k_top)[-k_top:]
         if n_acc == 0:
             n_acc, mean_acc, m2_acc = m, mean_c, m2_c
         else:
@@ -223,8 +201,26 @@ def estimate_mean_variance(
             m2_acc += m2_c + delta * delta * n_acc * m / tot
             mean_acc += delta * m / tot
             n_acc = tot
+    log_n = math.log(n_rollouts)
+    lse1_all = float(_logsumexp(np.asarray(lse1), axis=0))
+    lse2_all = float(_logsumexp(np.asarray(lse2), axis=0))
+    l1 = lse1_all - log_n
+    l2 = lse2_all - log_n
+    se = math.sqrt(max(math.expm1(l2 - 2.0 * l1), 0.0) / n_rollouts)
+    # sorted, so the reduction sums in the same order for any chunking
+    tail_share = math.exp(float(_logsumexp(np.sort(top), axis=0)) - lse1_all)
+    tail_ok = tail_share <= TAIL_SHARE_LIMIT
+    if not tail_ok:
+        warnings.warn(
+            f"risk estimate is tail-dominated: top {TAIL_QUANTILE:.1%} of samples "
+            f"carry {tail_share:.1%} of the mean",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     var = m2_acc / (n_acc - 1) if n_acc > 1 else 0.0
-    return mean_acc, var
+    return RiskEstimate(
+        float(l1), float(se), n_rollouts, float(tail_share), tail_ok, mean_acc, var
+    )
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:

@@ -12,7 +12,9 @@ import pytest
 
 import risksched
 from risksched import GridSpec, ModelParams, QuadratureSpec, extract_thresholds, value_iterate
+from risksched import sim
 from risksched.cli import ConfigError, load_threshold_csv, main, parse_config
+from risksched.sim import CHUNK_SIZE
 
 BASE = {
     "a": "0.9",
@@ -300,6 +302,25 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_each_rollout_simulated_once(self, tmp_path, monkeypatch):
+        n = CHUNK_SIZE + 7
+        calls = []
+        real = sim._simulate_chunk
+
+        def counting(params, policy, m, *args):
+            calls.append(m)
+            return real(params, policy, m, *args)
+
+        monkeypatch.setattr(sim, "_simulate_chunk", counting)
+        cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=n)
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--policy-source", "builtin:idle"]
+        )
+        assert code == 0
+        assert len(calls) == len(sim._chunk_sizes(n)) == 2
+        assert sum(calls) == n
+
     def test_solved_source_infeasible_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", gamma="0.6")
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -316,6 +337,27 @@ class TestOracle:
         assert all(r["pass"] == "1" for r in rows)
         assert any(h.startswith("# noise_values") for h in header)
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "n_delta,chain", [("9", "requested chain (n_delta=9)"), ("5", "refinement chain (n_delta=9)")]
+    )
+    def test_budget_message_names_largest_fitting_n_delta(self, tmp_path, capsys, n_delta, chain):
+        cfg = write_config(tmp_path / "c.cfg", T=5)  # the README example config
+        code = main(
+            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", n_delta]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert chain in err
+        assert "the largest n_delta that fits is 3" in err
+
+    def test_budget_message_when_nothing_fits(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=20, gamma="0.01")
+        code = main(
+            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "3"]
+        )
+        assert code == 3
+        assert "no odd n_delta >= 3 fits" in capsys.readouterr().err
 
     def test_budget_exit_3(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg")  # T=3
@@ -353,6 +395,27 @@ class TestSweep:
              "--axis", "gamma", "--values", "0.05,0.6"]
         )
         assert code == 2
+
+    def test_infeasible_value_gets_nan_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=2, n_points=161)
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--config", str(cfg), "--out", str(out),
+             "--axis", "gamma", "--values", "0.05,0.6,0.1"]
+        )
+        assert code == 2
+        assert "beta[0]" in capsys.readouterr().err
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r["value"] for r in rows] == ["0.05"] * 6 + ["0.6"] * 6 + ["0.1"] * 6
+        for r in rows[6:12]:
+            assert (r["threshold"], r["w_at_zero"], r["rn_value_at_zero"]) == ("nan", "nan", "nan")
+        feasible_out = tmp_path / "feasible"
+        assert main(
+            ["sweep", "--config", str(cfg), "--out", str(feasible_out),
+             "--axis", "gamma", "--values", "0.05,0.1"]
+        ) == 0
+        _, feasible_rows = read_csv(feasible_out / "sweep.csv")
+        assert rows[:6] + rows[12:] == feasible_rows
 
     def test_unknown_axis_exit_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg")

@@ -93,10 +93,29 @@ class TestTransitions:
         draw = np.array([0.0, 0.9, 0.0, 0.9])
         assert_allclose(step_channel(c, draw, p), [1, 0, 0, 1])
 
-    @pytest.mark.parametrize("draw", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("draw", [-0.1, 1.0, 1.5, math.nan])
     def test_step_channel_rejects_bad_draws(self, draw):
         with pytest.raises(ValueError):
             step_channel(0, draw, mk())
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.0])
+    def test_step_channel_rejects_bad_draws_in_arrays(self, bad):
+        with pytest.raises(ValueError):
+            step_channel(np.array([1, 0]), np.array([0.5, bad]), mk())
+        with pytest.raises(ValueError):
+            step_channel(np.array([1, 0]), np.array([bad, bad]), mk())
+
+    def test_step_channel_matches_three_where_formula(self):
+        p = mk(p01=0.3, p10=0.2)
+        rng = np.random.default_rng(0)
+        draw = rng.random(4096)
+        for c in (np.zeros(4096, dtype=np.int8), np.ones(4096, dtype=np.int8), rng.integers(0, 2, 4096)):
+            expected = np.where(c == 1, np.where(draw < p.p10, 0, 1), np.where(draw < p.p01, 1, 0))
+            out = step_channel(c, draw, p)
+            assert np.array_equal(out, expected)
+            assert out.dtype == expected.dtype
+            assert np.issubdtype(out.dtype, np.integer)
+        assert type(step_channel(1, 0.5, p)) is int
 
     def test_update_estimate(self):
         p = mk(a=0.9)

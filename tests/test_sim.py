@@ -10,15 +10,18 @@ from numpy.testing import assert_allclose
 
 from risksched import (
     ModelParams,
+    ThresholdSchedule,
     always_transmit_policy,
-    estimate_mean_variance,
     estimate_risk_objective,
     idle_policy,
     rollout,
     stage_cost,
+    threshold_policy,
     write_trace_csv,
 )
+from risksched import sim
 from risksched.sim import CHUNK_SIZE
+from risksched.solver import _logsumexp
 
 
 def mk(**kw):
@@ -134,32 +137,94 @@ class TestRiskEstimate:
 class TestMeanVariance:
     def test_degenerate_cases(self):
         p = mk(horizon=1, lam=1.4)
-        mean, var = estimate_mean_variance(p, always_transmit_policy(), 1000, seed=0)
-        assert mean == pytest.approx(1.4, rel=1e-13)
-        assert var == pytest.approx(0.0, abs=1e-24)
-        mean, var = estimate_mean_variance(p, idle_policy(), 1000, seed=0, delta0=3.0)
-        assert mean == pytest.approx(9.0, rel=1e-13)
-        assert var == pytest.approx(0.0, abs=1e-22)
+        est = estimate_risk_objective(p, always_transmit_policy(), 1000, seed=0)
+        assert est.mean_cost == pytest.approx(1.4, rel=1e-13)
+        assert est.var_cost == pytest.approx(0.0, abs=1e-24)
+        est = estimate_risk_objective(p, idle_policy(), 1000, seed=0, delta0=3.0)
+        assert est.mean_cost == pytest.approx(9.0, rel=1e-13)
+        assert est.var_cost == pytest.approx(0.0, abs=1e-22)
 
     def test_idle_two_stage_moments(self):
         # cost = w0^2 with w0 ~ N(0, 1): mean 1, variance 2
         p = mk(horizon=2)
         n = 1 << 17
-        mean, var = estimate_mean_variance(p, idle_policy(), n, seed=4)
-        assert abs(mean - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+        est = estimate_risk_objective(p, idle_policy(), n, seed=4)
+        assert abs(est.mean_cost - 1.0) <= 5.0 * math.sqrt(2.0 / n)
         # var(s^2) ~= (mu4 - var^2)/n with mu4 = E[(w^2-1)^4] = 60
-        assert abs(var - 2.0) <= 5.0 * math.sqrt((60.0 - 4.0) / n)
+        assert abs(est.var_cost - 2.0) <= 5.0 * math.sqrt((60.0 - 4.0) / n)
 
     def test_chunk_merge_matches_single_chunk_statistics(self):
         # crossing the chunk boundary must not change determinism
         p = mk(horizon=2)
-        a = estimate_mean_variance(p, idle_policy(), CHUNK_SIZE + 5, seed=6)
-        b = estimate_mean_variance(p, idle_policy(), CHUNK_SIZE + 5, seed=6)
-        assert a == b
+        a = estimate_risk_objective(p, idle_policy(), CHUNK_SIZE + 5, seed=6)
+        b = estimate_risk_objective(p, idle_policy(), CHUNK_SIZE + 5, seed=6)
+        assert (a.mean_cost, a.var_cost) == (b.mean_cost, b.var_cost)
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
-            estimate_mean_variance(mk(), idle_policy(), 0, seed=0)
+            estimate_risk_objective(mk(), idle_policy(), 0, seed=0)
+
+
+def _two_pass_reference(params, policy, n, seed, delta0, c0):
+    """The estimator as two passes over sim._simulate_chunk: one for the risk
+    objective with a full sort for the tail, one for Chan-merged moments."""
+    gamma = params.gamma
+    k_top = max(1, int(sim.TAIL_QUANTILE * n))
+    lse1, lse2 = [], []
+    top = np.full(0, -np.inf)
+    for chunk, m in enumerate(sim._chunk_sizes(n)):
+        gs = gamma * sim._simulate_chunk(params, policy, m, sim._generator(seed, chunk), delta0, c0)
+        lse1.append(_logsumexp(gs, axis=0))
+        lse2.append(_logsumexp(2.0 * gs, axis=0))
+        top = np.sort(np.concatenate([top, gs]))[-k_top:]
+    lse1_all = float(_logsumexp(np.asarray(lse1), axis=0))
+    l1 = lse1_all - math.log(n)
+    l2 = float(_logsumexp(np.asarray(lse2), axis=0)) - math.log(n)
+    se = math.sqrt(max(math.expm1(l2 - 2.0 * l1), 0.0) / n)
+    tail_share = math.exp(float(_logsumexp(top, axis=0)) - lse1_all)
+
+    n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
+    for chunk, m in enumerate(sim._chunk_sizes(n)):
+        s = sim._simulate_chunk(params, policy, m, sim._generator(seed, chunk), delta0, c0)
+        mean_c = float(s.mean())
+        m2_c = float(np.square(s - mean_c).sum())
+        if n_acc == 0:
+            n_acc, mean_acc, m2_acc = m, mean_c, m2_c
+        else:
+            d = mean_c - mean_acc
+            tot = n_acc + m
+            m2_acc += m2_c + d * d * n_acc * m / tot
+            mean_acc += d * m / tot
+            n_acc = tot
+    var = m2_acc / (n_acc - 1) if n_acc > 1 else 0.0
+    return l1, se, tail_share, mean_acc, var
+
+
+class TestOnePass:
+    @pytest.mark.filterwarnings("ignore:risk estimate is tail-dominated")
+    @pytest.mark.parametrize("n", [1, 2, CHUNK_SIZE, CHUNK_SIZE + 7])
+    @pytest.mark.parametrize("c0", [None, 1])
+    def test_matches_two_pass_reference_bit_for_bit(self, n, c0):
+        p = mk(horizon=3)
+        policy = threshold_policy(ThresholdSchedule(np.array([[np.inf, np.inf]] + [[np.inf, 1.0]] * 3)))
+        est = estimate_risk_objective(p, policy, n, seed=17, delta0=0.75, c0=c0)
+        ref = _two_pass_reference(p, policy, n, 17, 0.75, c0)
+        got = (est.log_estimate, est.se_log, est.tail_share, est.mean_cost, est.var_cost)
+        assert got == ref
+        assert est.n == n
+
+    def test_tail_share_sums_the_top_k_in_sorted_order(self):
+        # k = 327; in this run the unsorted top-k set sums to a different last bit
+        p = mk(horizon=3)
+        policy = threshold_policy(ThresholdSchedule(np.array([[np.inf, np.inf]] + [[np.inf, 1.0]] * 3)))
+        n = 5 * CHUNK_SIZE + 3
+        est = estimate_risk_objective(p, policy, n, seed=1, delta0=0.75)
+        assert est.tail_share == _two_pass_reference(p, policy, n, 1, 0.75, None)[2]
+
+    def test_fields_extend_the_tuple(self):
+        est = estimate_risk_objective(mk(horizon=1), idle_policy(), 10, seed=0)
+        assert est[:5] == (est.log_estimate, est.se_log, est.n, est.tail_share, est.tail_ok)
+        assert est[5:] == (est.mean_cost, est.var_cost)
 
 
 class TestTraceCsv:
