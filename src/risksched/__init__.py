@@ -9,10 +9,8 @@ oracles.
 """
 
 from .model import (
-    MdpState,
     ModelParams,
     SimTrace,
-    SystemState,
     stage_cost,
     stage_cost_raw,
     step_channel,
@@ -20,7 +18,6 @@ from .model import (
     step_source,
     update_estimate,
 )
-from .densities import ChannelMatrix, folded_density, gauss, psi, trans_density, varphi
 from .solver import (
     FeasibilityReport,
     GridSpec,
@@ -33,8 +30,6 @@ from .solver import (
     auto_delta_max,
     check_feasibility,
     closed_form_never_transmit,
-    log_q_idle,
-    log_q_transmit,
     risk_neutral_value_iterate,
     truncation_report,
     value_iterate,
@@ -47,7 +42,6 @@ from .policy import (
     extract_thresholds,
     idle_policy,
     threshold_policy,
-    unfold_policy,
 )
 from .oracle import (
     BruteForceResult,

@@ -18,8 +18,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "SystemState",
-    "MdpState",
     "SimTrace",
     "step_source",
     "step_channel",
@@ -90,23 +88,6 @@ class ModelParams:
         if s == 0.0:
             return 0.5
         return self.p01 / s
-
-
-@dataclass
-class SystemState:
-    """Physical-layer state: source, previous estimate, channel."""
-
-    x: float
-    x_hat_prev: float
-    c: int
-
-
-@dataclass
-class MdpState:
-    """Scheduling state: error delta = x - a*x_hat_prev and channel c."""
-
-    delta: float
-    c: int
 
 
 @dataclass

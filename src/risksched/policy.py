@@ -18,7 +18,6 @@ __all__ = [
     "NonThresholdPolicyError",
     "ThresholdSchedule",
     "extract_thresholds",
-    "unfold_policy",
     "decide",
     "threshold_policy",
     "idle_policy",
@@ -118,28 +117,6 @@ def decide(schedule: ThresholdSchedule, delta, c, t):
     thr = schedule.threshold[t, np.asarray(c)]
     out = (np.abs(delta) >= thr).astype(np.int8)
     return out if out.ndim else int(out)
-
-
-def unfold_policy(folded: PolicyTable):
-    """Decision function (delta, c, stages_to_go) from a folded policy table.
-
-    Looks up the folded node nearest below |delta| and clamps beyond
-    delta_max; even in delta by construction, and exact wherever the
-    transmit sets are up-sets.
-    """
-    if folded.space != "folded":
-        raise ValueError("unfold_policy expects a folded-space PolicyTable")
-    pos = folded.grid.folded_nodes()
-    u_star = folded.u_star
-
-    def rule(delta, c, t: int):
-        if not 0 <= t <= folded.horizon:
-            raise ValueError(f"t must lie in [0, {folded.horizon}], got {t}")
-        idx = np.clip(np.searchsorted(pos, np.abs(delta), side="right") - 1, 0, len(pos) - 1)
-        out = u_star[t, np.asarray(c), idx].astype(np.int8)
-        return out if out.ndim else int(out)
-
-    return rule
 
 
 def threshold_policy(schedule: ThresholdSchedule):

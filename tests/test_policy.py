@@ -15,7 +15,6 @@ from risksched import (
     extract_thresholds,
     idle_policy,
     threshold_policy,
-    unfold_policy,
 )
 
 GRID = GridSpec(4.0, 9)  # folded nodes 0, 1, 2, 3, 4
@@ -116,15 +115,10 @@ class TestDecide:
 
 
 class TestUnfold:
-    def test_requires_folded_table(self):
-        u = np.zeros((1, 2, GRID.n_points), dtype=np.int8)
-        table = PolicyTable(u_star=u, q_margin=np.full_like(u, np.inf, dtype=float),
-                            grid=GRID, space="original")
-        with pytest.raises(ValueError):
-            unfold_policy(table)
+    """A folded table read as a rule on signed delta, through its thresholds."""
 
     def test_nearest_below_lookup(self):
-        rule = unfold_policy(folded_table([(None, None), (None, 2)]))
+        rule = threshold_policy(extract_thresholds(folded_table([(None, None), (None, 2)]), GRID))
         # transmit from node 2 on; node spacing is 1
         assert rule(1.999, 1, 1) == 0
         assert rule(2.0, 1, 1) == 1
@@ -138,13 +132,14 @@ class TestUnfold:
         c=st.integers(0, 1),
     )
     def test_matches_threshold_rule_for_upsets(self, cut, delta, c):
-        # For up-set tables the node-below lookup and the >=-threshold rule
-        # are the same function of delta.
+        # For up-set tables the >=-threshold rule is the table read at the
+        # folded node nearest below |delta|, clamped beyond delta_max.
         cut_idx = None if cut == GRID.n_folded else cut
         table = folded_table([(None, None), (cut_idx, cut_idx)])
-        rule = unfold_policy(table)
+        pos = GRID.folded_nodes()
+        idx = min(max(int(np.searchsorted(pos, abs(delta), side="right")) - 1, 0), len(pos) - 1)
         schedule = extract_thresholds(table, GRID)
-        assert rule(delta, c, 1) == decide(schedule, delta, c, 1)
+        assert decide(schedule, delta, c, 1) == table.u_star[1, c, idx]
 
 
 class TestBuiltinPolicies:

@@ -19,13 +19,11 @@ from risksched import (
     check_feasibility,
     closed_form_never_transmit,
     extract_thresholds,
-    log_q_idle,
-    log_q_transmit,
     risk_neutral_value_iterate,
     truncation_report,
     value_iterate,
 )
-from risksched.solver import _log_channel, _logsumexp
+from risksched.solver import _BellmanStage, _iterate, _log_channel, _logsumexp
 
 HERMITE = QuadratureSpec()
 TRAPEZOID = QuadratureSpec(rule="trapezoid-on-grid")
@@ -193,38 +191,39 @@ class TestSingleStageTables:
         assert np.all(schedule.threshold[0] == np.inf)
 
 
+def stages_with_tables(p, grid, j):
+    """(stage, table at j stages to go, transmit price) for both domains."""
+    table, _ = value_iterate(p, grid, HERMITE)
+    rn, _ = risk_neutral_value_iterate(p, grid, HERMITE)
+    return [
+        (_BellmanStage(p, grid, HERMITE, "original", True), table.w[j], p.gamma * p.lam),
+        (_BellmanStage(p, grid, HERMITE, "original", True, risk_neutral=True), rn.v[j], p.lam),
+    ]
+
+
 class TestQValues:
     def test_bad_channel_transmit_is_idle_plus_price(self):
         p = mk()
-        grid = GridSpec(6.0, 121)
-        table, _ = value_iterate(p, grid, HERMITE)
-        nodes = grid.nodes()
-        q0 = log_q_idle(3, nodes, 0, table.w[2], p, grid, HERMITE)
-        q1 = log_q_transmit(3, nodes, 0, table.w[2], p, grid, HERMITE)
-        # bitwise: the transmit branch is computed as price + idle branch
-        assert np.array_equal(q1, p.gamma * p.lam + q0)
+        for stage, w, price in stages_with_tables(p, GridSpec(6.0, 121), 2):
+            q0, q1 = stage.q_values(w)
+            # bitwise: the transmit branch is computed as price + idle branch
+            assert np.array_equal(q1[0], price + q0[0])
 
     def test_good_channel_transmit_is_flat(self):
         p = mk()
-        grid = GridSpec(6.0, 121)
-        table, _ = value_iterate(p, grid, HERMITE)
-        q1 = log_q_transmit(2, grid.nodes(), 1, table.w[1], p, grid, HERMITE)
-        assert np.ptp(q1) == 0.0
-
-    def test_scalar_mode(self):
-        p = mk()
-        grid = GridSpec(6.0, 121)
-        w0 = np.zeros((2, grid.n_points))
-        val = log_q_idle(1, 1.5, 1, w0, p, grid, HERMITE)
-        assert isinstance(val, float)
-        assert val == pytest.approx(p.gamma * 1.5**2, abs=1e-12)
+        for stage, w, _ in stages_with_tables(p, GridSpec(6.0, 121), 1):
+            _, q1 = stage.q_values(w)
+            assert np.ptp(q1[1]) == 0.0
 
     def test_overflow_raises_infeasible(self):
-        p = mk()
-        grid = GridSpec(6.0, 121)
-        huge = np.full((2, grid.n_points), 1e308)
-        with pytest.raises(InfeasibleModelError):
-            log_q_idle(1, grid.nodes(), 0, huge, p, grid, HERMITE)
+        # gamma * delta^2 overflows at stage 1.  value_iterate refuses this
+        # model up front, so the shared recursion is driven directly.
+        stage = _BellmanStage(mk(gamma=1e308), GridSpec(6.0, 121), HERMITE, "original", True)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InfeasibleModelError, match="value table overflowed at stage 1"
+        ) as err:
+            _iterate(stage, None)
+        assert err.value.stage == 1
 
 
 class TestQuadratureRules:
@@ -271,14 +270,18 @@ class TestQuadratureRules:
         p = mk(gamma=0.02, horizon=2)
         grid = GridSpec(12.0, 961)
         table, _ = value_iterate(p, grid, HERMITE)
-        nodes = grid.nodes()
         mid = grid.n_points // 2
         k = int(2.0 / grid.spacing)
         inner = slice(mid - k, mid + k + 1)
-        ref = log_q_idle(2, nodes, 1, table.w[1], p, grid, TRAPEZOID)
+
+        def q_idle_good(quad):
+            q0, _ = _BellmanStage(p, grid, quad, "original", True).q_values(table.w[1])
+            return q0[1]
+
+        ref = q_idle_good(TRAPEZOID)
         errs = []
         for n_gh in (16, 64):
-            q = log_q_idle(2, nodes, 1, table.w[1], p, grid, QuadratureSpec(n_nodes=n_gh))
+            q = q_idle_good(QuadratureSpec(n_nodes=n_gh))
             errs.append(np.max(np.abs(q - ref)[inner]))
         assert errs[1] < errs[0]
 
@@ -438,3 +441,25 @@ class TestRiskNeutral:
             table, _ = value_iterate(ModelParams(gamma=gamma, **base), grid, HERMITE, space="folded")
             d.append(np.max(np.abs(table.w[2] / gamma - rn.v[2])))
         assert d[1] < d[0]
+
+    @pytest.mark.parametrize(
+        "quad,tol", [(HERMITE, 1e-2), (TRAPEZOID, 1e-5)], ids=["hermite", "trapezoid"]
+    )
+    def test_two_stage_value_at_zero_both_spaces(self, quad, tol):
+        # V_2(0, c) = P[c][0] * E[w^2] + P[c][1] * E[min(w^2, lam)] with
+        # w ~ N(0, sigma2): one idle step from 0, then the one-stage values.
+        # Hermite carries the kink at sqrt(lam) (7.1e-3 measured); the
+        # trapezoid rule gives 4.3e-6.
+        p = mk(horizon=2)
+        grid = GridSpec(auto_delta_max(p), 401)
+        orig, opol = risk_neutral_value_iterate(p, grid, quad)
+        fold, fpol = risk_neutral_value_iterate(p, grid, quad, space="folded")
+        mid = grid.n_points // 2
+        assert_allclose(fold.v, orig.v[:, :, mid:], rtol=0, atol=1e-12)
+        assert np.array_equal(fpol.u_star, opol.u_star[:, :, mid:])
+        r = math.sqrt(p.lam) / p.sigma
+        e_min = p.sigma2 * (2 * ndtr(r) - 1 - 2 * r * norm.pdf(r)) + p.lam * 2 * ndtr(-r)
+        P = p.channel_matrix()
+        exact = P[:, 0] * p.sigma2 + P[:, 1] * e_min
+        assert_allclose(orig.v[2, :, mid], exact, rtol=0, atol=tol)
+        assert_allclose(fold.v[2, :, 0], exact, rtol=0, atol=tol)
