@@ -174,13 +174,16 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
 
 
 def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            for line in header_lines:
+                fh.write(line + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -212,19 +215,13 @@ def cmd_check(cfg: Config, out: Path | None) -> int:
     return 0 if rep.feasible else 2
 
 
-def _print_beta_trace(cfg: Config) -> None:
-    rep = check_feasibility(cfg.params)
-    for t, b in enumerate(rep.beta):
+def _print_beta_trace(params: ModelParams) -> None:
+    for t, b in enumerate(check_feasibility(params).beta):
         print(f"  beta[{t}] = {b:.6g}", file=sys.stderr)
-    print(f"infeasible at stage {rep.first_violation_stage}", file=sys.stderr)
 
 
 def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
-    rep = check_feasibility(cfg.params)
-    if not rep.feasible:
-        _print_beta_trace(cfg)
-        return 2
-    grid = _resolve_grid(cfg)
+    grid = _resolve_grid(cfg)  # raises InfeasibleModelError first
     header = _header_lines(cfg, grid)
     table, pol = value_iterate(cfg.params, grid, cfg.quad, space="original")
     schedule = extract_thresholds(pol, grid)
@@ -239,6 +236,7 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
     _write_csv(out / "thresholds.csv", header, ["wall_stage", "stages_to_go", "c", "threshold"], rows)
 
     trunc = truncation_report(cfg.params, grid, cfg.quad)
+    rep = check_feasibility(cfg.params)
     feas_header = header + [
         f"# tilted_std = {trunc.tilted_std!r}",
         f"# coverage_tail = {trunc.coverage_tail!r}",
@@ -282,19 +280,28 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
 
 def load_threshold_csv(path: str | Path) -> ThresholdSchedule:
     """Read a thresholds.csv produced by cmd_solve back into a schedule."""
+    try:
+        with open(path, newline="") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except OSError as exc:
+        raise ConfigError(f"cannot read threshold file {path}: {exc}") from exc
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    try:
+        cols = [header.index(name) for name in ("stages_to_go", "c", "threshold")]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: missing threshold columns") from exc
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
+    for row in filter(None, reader):
         try:
-            j_col = header.index("stages_to_go")
-            c_col = header.index("c")
-            thr_col = header.index("threshold")
-        except ValueError as exc:
-            raise ConfigError(f"{path}: missing threshold columns") from exc
-        for row in reader:
-            if row:
-                rows.append((int(row[j_col]), int(row[c_col]), float(row[thr_col])))
+            j, c, v = int(row[cols[0]]), int(row[cols[1]]), float(row[cols[2]])
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"{path}: unreadable threshold row {row!r}") from exc
+        if j < 0 or c not in (0, 1) or not v >= 0:
+            raise ConfigError(
+                f"{path}: row {row!r} needs stages_to_go >= 0, c in {{0, 1}} and threshold >= 0"
+            )
+        rows.append((j, c, v))
     if not rows:
         raise ConfigError(f"{path}: no threshold rows")
     T = max(r[0] for r in rows)
@@ -334,9 +341,6 @@ def cmd_simulate(
     delta0: float = 0.0,
     c0: int | None = None,
 ) -> int:
-    if source == "solved" and not check_feasibility(cfg.params).feasible:
-        _print_beta_trace(cfg)
-        return 2
     policy, grid = _policy_from_source(cfg, source, threshold_file)
     est = estimate_risk_objective(cfg.params, policy, cfg.n_rollouts, cfg.seed, delta0, c0)
     header = _header_lines(
@@ -368,39 +372,27 @@ def cmd_simulate(
     return 0
 
 
-def _oracle_chains(params: ModelParams, n_delta: int, noise_points: int, delta_q, mode: str):
-    """(label, chain, mode) of each enumeration cmd_oracle runs: the requested
-    chain, then its 2*n_delta-1 refinement with 5 noise points."""
-    return (
-        ("requested", quantize(params, n_delta, noise_points, delta_q), mode),
-        ("refinement", quantize(params, 2 * n_delta - 1, 5, delta_q), "threshold"),
-    )
+def _budget_overflow(n_delta: int, horizon: int, mode: str) -> str | None:
+    """Why cmd_oracle's enumerations overflow ENUM_BUDGET, or None if they fit:
+    the requested n_delta chain, then its 2*n_delta-1 refinement."""
+    for label, n, m in (("requested", n_delta, mode), ("refinement", 2 * n_delta - 1, "threshold")):
+        m, base, exponent = enumeration_size(n, horizon, m)
+        if base**exponent > ENUM_BUDGET:
+            need = f"{base}**{exponent} policies in {m} mode (> {ENUM_BUDGET})"
+            return f"{label} chain (n_delta={n}) needs {need}"
+    return None
 
 
-def _budget_overflow(chain, mode: str) -> str | None:
-    """Why enumerating chain under mode overflows ENUM_BUDGET, or None if it fits."""
-    mode, base, exponent = enumeration_size(chain, mode)
-    if base**exponent <= ENUM_BUDGET:
-        return None
-    return f"needs {base}**{exponent} policies in {mode} mode (> {ENUM_BUDGET})"
-
-
-def _largest_fitting_n_delta(
-    params: ModelParams, noise_points: int, delta_q, mode: str
-) -> int | None:
+def _largest_fitting_n_delta(horizon: int, mode: str) -> int | None:
     """Largest odd n_delta whose oracle enumerations all fit ENUM_BUDGET, or None.
 
-    Needs horizon >= 1, which holds whenever an enumeration overflows.
+    Every count grows with n_delta, so the scan stops at the first overflow;
+    it ends because horizon >= 1, which holds whenever an enumeration overflows.
     """
-    best = None
     n = 3
-    # the refinement's 2n-1 states have at least n magnitudes, so n+1 cuts
-    while (n + 1) ** (2 * params.horizon) <= ENUM_BUDGET:
-        chains = _oracle_chains(params, n, noise_points, delta_q, mode)
-        if not any(_budget_overflow(ch, m) for _, ch, m in chains):
-            best = n
+    while _budget_overflow(n, horizon, mode) is None:
         n += 2
-    return best
+    return n - 2 if n > 3 else None
 
 
 def cmd_oracle(
@@ -413,18 +405,15 @@ def cmd_oracle(
 ) -> int:
     params = cfg.params
     try:
-        chains = _oracle_chains(params, n_delta, noise_points, delta_q, mode)
+        chain = quantize(params, n_delta, noise_points, delta_q)
+        fine = quantize(params, 2 * n_delta - 1, 5, delta_q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    (_, chain, _), (_, fine, _) = chains
-    for label, ch, m in chains:
-        overflow = _budget_overflow(ch, m)
-        if overflow:
-            best = _largest_fitting_n_delta(params, noise_points, delta_q, mode)
-            hint = "no odd n_delta >= 3 fits" if best is None else f"the largest n_delta that fits is {best}"
-            raise EnumerationBudgetError(
-                f"{label} chain (n_delta={ch.n_states}) {overflow}; with --mode {mode}, {hint}"
-            )
+    overflow = _budget_overflow(n_delta, params.horizon, mode)
+    if overflow:
+        best = _largest_fitting_n_delta(params.horizon, mode)
+        hint = "no odd n_delta >= 3 fits" if best is None else f"the largest n_delta that fits is {best}"
+        raise EnumerationBudgetError(f"{overflow}; with --mode {mode}, {hint}")
     result = brute_force_optimal(chain, mode=mode)
     checks: list[tuple[str, bool, str]] = []
 
@@ -458,13 +447,9 @@ def cmd_oracle(
     checks.append(("optimal_policy_threshold_structure", upset_ok, "up-set in |delta|"))
 
     try:
-        rep = check_feasibility(params)
-        if not rep.feasible:
-            raise InfeasibleModelError(rep.first_violation_stage)
         grid = _resolve_grid(cfg)
         table, _ = value_iterate(params, grid, cfg.quad, space="folded")
         w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
-        mid = chain.n_states // 2
         disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
         fine_result = brute_force_optimal(fine, mode="threshold")
         disc_fine = float(
@@ -509,8 +494,7 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
     if axis not in ("gamma", "lambda"):
         raise ConfigError(f"sweep axis must be 'gamma' or 'lambda', got {axis!r}")
     if not values:
-        print("error: empty sweep value list", file=sys.stderr)
-        return 1
+        raise ConfigError("empty sweep value list")
     field = {"gamma": "gamma", "lambda": "lam"}[axis]
     try:
         points = [(v, dataclasses.replace(cfg.params, **{field: v})) for v in values]
@@ -521,15 +505,15 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
     for v, params in points:
         sub = dataclasses.replace(cfg, params=params)
         T = params.horizon
-        if check_feasibility(params).feasible:
+        try:
             grid = _resolve_grid(sub)
             table, pol = value_iterate(params, grid, sub.quad, space="folded")
             rn_table, _ = risk_neutral_value_iterate(params, grid, sub.quad, space="folded")
             threshold = extract_thresholds(pol, grid).threshold
             w, rn_v = table.w[:, :, 0], rn_table.v[:, :, 0]
-        else:
-            print(f"{axis} = {v}:", file=sys.stderr)
-            _print_beta_trace(sub)
+        except InfeasibleModelError as exc:
+            print(f"{axis} = {v}: {exc}", file=sys.stderr)
+            _print_beta_trace(params)
             n_infeasible += 1
             threshold = w = rn_v = np.full((T + 1, 2), math.nan)
         for j in range(T + 1):
@@ -614,6 +598,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_EXIT_CODES = {ConfigError: 1, InfeasibleModelError: 2, EnumerationBudgetError: 3}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -645,15 +632,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from exc
             return cmd_sweep(cfg, out, args.axis, values)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, InfeasibleModelError):
+            _print_beta_trace(cfg.params)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InfeasibleModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -3,8 +3,13 @@
 The continuous error is replaced by a finite uniform ladder of states and
 the Gaussian noise by a symmetric moment-matched atom set, giving a finite
 MDP whose risk-sensitive cost E[exp(gamma * sum d)] is computable exactly.
-Three independent routes must then agree: exhaustive policy enumeration,
-backward induction, and direct evaluation of the certified policy.
+Three routes must then agree: exhaustive policy enumeration, backward
+induction, and direct evaluation of the certified policy.  All three apply
+one chain Bellman stage, so their agreement does not test that stage: it
+tests that the optimum lies in the enumerated family (in 'threshold' mode,
+that it is an even magnitude-threshold policy) and that the certified table
+is evaluated back to its own value.  The stage itself is guarded by the
+hand-computed expectations in the unit tests.
 """
 
 from __future__ import annotations
@@ -110,7 +115,11 @@ def quantize(
     noise_points: int,
     delta_q: float | None = None,
 ) -> QuantizedChain:
-    """Uniform Delta ladder on [-delta_q, delta_q] with moment-matched noise."""
+    """Uniform Delta ladder on [-delta_q, delta_q] with moment-matched noise.
+
+    The ladder mirrors its non-negative half, so it is symmetric bitwise and
+    has exactly (n_delta + 1) // 2 distinct magnitudes.
+    """
     if n_delta < 3 or n_delta % 2 == 0:
         raise ValueError(f"n_delta must be odd and >= 3, got {n_delta}")
     if noise_points not in (2, 3, 5):
@@ -119,7 +128,8 @@ def quantize(
         delta_q = 4.0 * params.sigma
     if not 0 < delta_q < np.inf:
         raise ValueError(f"delta_q must be finite and > 0, got {delta_q}")
-    states = np.linspace(-delta_q, delta_q, n_delta)
+    pos = np.linspace(0.0, delta_q, (n_delta + 1) // 2)
+    states = np.concatenate([-pos[:0:-1], pos])
     values, probs = _noise_atoms(params.sigma, noise_points)
     drift_to = _snap(params.a * states[:, None] + values[None, :], states)
     reset_to = _snap(values, states)
@@ -146,20 +156,41 @@ def _stage_costs(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
     return e0, e1
 
 
-def _policy_step(
-    chain: QuantizedChain, g: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """One multiplicative DP step: g'[i,c] under action table u[i,c]."""
+def _stage(chain: QuantizedChain, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One multiplicative Bellman stage: (idle, transmit) exp-values from g.
+
+    g holds the exp-values with one stage fewer to go, shaped (..., n, 2)
+    over any leading policy axes; both results have its shape.  A lost
+    attempt (bad channel) pays lam on top of the idle cost and moves like
+    idle; a delivered one resets the error.
+    """
     drift = chain.drift_matrix()
     reset = chain.reset_vector()
-    cont_idle = (drift @ g) @ chain.channel.T  # E[g(next) | i, no delivery]
-    cont_reset = chain.channel @ (reset @ g)  # (2,) by current c
     e0, e1 = _stage_costs(chain)
-    idle_val = e0 * cont_idle
-    trans_val = np.empty_like(idle_val)
-    trans_val[:, 0] = e1[:, 0] * cont_idle[:, 0]  # lost attempt: idle kernel
-    trans_val[:, 1] = e1[:, 1] * cont_reset[1]
-    return np.where(u == 1, trans_val, idle_val)
+    idle = (drift @ g) @ chain.channel.T  # E[g(next) | i, c, no delivery]
+    cont_reset = (reset @ g) @ chain.channel.T  # E[g(next) | c, delivery]
+    transmit = np.empty_like(idle)
+    np.multiply(e1[:, 0], idle[..., 0], out=transmit[..., 0])
+    np.multiply(e1[:, 1], cont_reset[..., 1, None], out=transmit[..., 1])
+    idle *= e0
+    return idle, transmit
+
+
+def _evaluate(chain: QuantizedChain, actions: np.ndarray) -> np.ndarray:
+    """Exp-values (P, n, 2) from every start of P policies.
+
+    actions[p, s, i, c] is policy p's action at wall stage s, that is with
+    T - s stages to go.
+    """
+    T = chain.params.horizon
+    values = np.ones((len(actions), chain.n_states, 2))
+    for j in range(1, T + 1):
+        # Update in place and free transmit before the next stage: every
+        # (P, n, 2) table alive at once adds to the peak memory.
+        values, transmit = _stage(chain, values)
+        np.copyto(values, transmit, where=actions[:, T - j] == 1)
+        del transmit
+    return values
 
 
 def exact_policy_cost(chain: QuantizedChain, policy, delta0, c0: int) -> float:
@@ -172,37 +203,23 @@ def exact_policy_cost(chain: QuantizedChain, policy, delta0, c0: int) -> float:
     """
     T = chain.params.horizon
     n = chain.n_states
-    g = np.ones((n, 2))
+    actions = np.zeros((1, T, n, 2), dtype=np.int8)
     for j in range(1, T + 1):
-        u = np.stack(
-            [
-                np.asarray(policy(chain.delta_states, np.full(n, c, dtype=int), j))
-                for c in (0, 1)
-            ],
-            axis=1,
-        )
-        g = _policy_step(chain, g, u)
-    return float(g[chain.state_index(delta0), int(c0)])
+        for c in (0, 1):
+            actions[0, T - j, :, c] = policy(chain.delta_states, np.full(n, c, dtype=int), j)
+    return float(_evaluate(chain, actions)[0, chain.state_index(delta0), int(c0)])
 
 
 def _backward_induction(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
     """Optimal exp-values v[j] (n,2) and argmin actions (ties idle)."""
     T = chain.params.horizon
     n = chain.n_states
-    drift = chain.drift_matrix()
-    reset = chain.reset_vector()
-    e0, e1 = _stage_costs(chain)
     v = np.ones((T + 1, n, 2))
     u = np.zeros((T + 1, n, 2), dtype=np.int8)
     for j in range(1, T + 1):
-        cont_idle = (drift @ v[j - 1]) @ chain.channel.T
-        cont_reset = chain.channel @ (reset @ v[j - 1])
-        q0 = e0 * cont_idle
-        q1 = e1.copy()
-        q1[:, 0] *= cont_idle[:, 0]
-        q1[:, 1] *= cont_reset[1]
-        take = q1 < q0
-        v[j] = np.where(take, q1, q0)
+        idle, transmit = _stage(chain, v[j - 1])
+        take = transmit < idle
+        v[j] = np.where(take, transmit, idle)
         u[j] = take
     return v, u
 
@@ -212,31 +229,29 @@ def _threshold_cuts(chain: QuantizedChain) -> np.ndarray:
     return np.append(np.unique(np.abs(chain.delta_states)), np.inf)
 
 
-def enumeration_size(chain: QuantizedChain, mode: str) -> tuple[str, int, int]:
-    """(mode, base, exponent) such that brute_force_optimal(chain, mode)
-    walks base**exponent policies.
+def enumeration_size(n_states: int, horizon: int, mode: str) -> tuple[str, int, int]:
+    """(mode, base, exponent) such that brute_force_optimal walks
+    base**exponent policies on a quantize(..., n_states, ...) chain.
 
     mode 'auto' resolves to 'full' when that fits ENUM_BUDGET, else to
     'threshold'; the resolved mode is returned.
     """
-    T = chain.params.horizon
-    full_bits = chain.n_states * 2 * T
+    full_bits = n_states * 2 * horizon
     if mode == "auto":
         mode = "full" if 2**full_bits <= ENUM_BUDGET else "threshold"
     if mode == "full":
         return mode, 2, full_bits
     if mode == "threshold":
-        return mode, len(_threshold_cuts(chain)), 2 * T
+        return mode, (n_states + 1) // 2 + 1, 2 * horizon
     raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
-def _enumerate_policies(chain: QuantizedChain, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-policy action tables (P, T, n, 2) and their value at every start.
+def _enumerate_policies(chain: QuantizedChain, mode: str) -> np.ndarray:
+    """Per-policy action tables (P, T, n, 2), indexed by wall stage.
 
     mode 'full' sweeps every deterministic Markov policy; 'threshold'
     sweeps every even magnitude-threshold policy (one cut per (stage, c)).
-    The caller has checked the count against ENUM_BUDGET.  Returns
-    (actions, values) with values shaped (P, n, 2).
+    The caller has checked the count against ENUM_BUDGET.
     """
     T = chain.params.horizon
     n = chain.n_states
@@ -246,35 +261,18 @@ def _enumerate_policies(chain: QuantizedChain, mode: str) -> tuple[np.ndarray, n
         codes = np.arange(count, dtype=np.int64)
         shifts = np.arange(bits, dtype=np.int64)
         flat = (codes[:, None] >> shifts[None, :]) & 1
-        actions = flat.reshape(count, T, n, 2).astype(np.int8)
-    else:
-        cuts = _threshold_cuts(chain)
-        k = len(cuts)
-        count = k ** (2 * T)
-        codes = np.arange(count, dtype=np.int64)
-        choice = np.empty((count, T, 2), dtype=np.int64)
-        rem = codes
-        for slot in range(2 * T):
-            choice[:, slot // 2, slot % 2] = rem % k
-            rem = rem // k
-        abs_states = np.abs(chain.delta_states)
-        actions = (abs_states[None, None, :, None] >= cuts[choice][:, :, None, :]).astype(
-            np.int8
-        )
-
-    values = np.ones((len(actions), n, 2))
-    drift = chain.drift_matrix()
-    reset = chain.reset_vector()
-    e0, e1 = _stage_costs(chain)
-    for j in range(1, T + 1):
-        u = actions[:, T - j]  # stage with j stages to go
-        cont_idle = np.einsum("ik,pkc,dc->pid", drift, values, chain.channel)
-        cont_reset = np.einsum("k,pkc,dc->pd", reset, values, chain.channel)
-        idle_val = e0[None] * cont_idle
-        trans_val = e1[None].copy() * cont_idle
-        trans_val[:, :, 1] = e1[None, :, 1] * cont_reset[:, None, 1]
-        values = np.where(u == 1, trans_val, idle_val)
-    return actions, values
+        return flat.reshape(count, T, n, 2).astype(np.int8)
+    cuts = _threshold_cuts(chain)
+    k = len(cuts)
+    count = k ** (2 * T)
+    codes = np.arange(count, dtype=np.int64)
+    choice = np.empty((count, T, 2), dtype=np.int64)
+    rem = codes
+    for slot in range(2 * T):
+        choice[:, slot // 2, slot % 2] = rem % k
+        rem = rem // k
+    abs_states = np.abs(chain.delta_states)
+    return (abs_states[None, None, :, None] >= cuts[choice][:, :, None, :]).astype(np.int8)
 
 
 def chain_policy(u_table: np.ndarray, chain: QuantizedChain):
@@ -314,13 +312,13 @@ def brute_force_optimal(chain: QuantizedChain, mode: str = "auto") -> BruteForce
     full sweep is affordable).
     """
     T = chain.params.horizon
-    mode, base, exponent = enumeration_size(chain, mode)
+    mode, base, exponent = enumeration_size(chain.n_states, T, mode)
     if base**exponent > ENUM_BUDGET:
         raise EnumerationBudgetError(
             f"{mode} enumeration needs {base}**{exponent} policies (> {ENUM_BUDGET})"
         )
-    actions, values = _enumerate_policies(chain, mode)
-    enum_value = values.min(axis=0)
+    actions = _enumerate_policies(chain, mode)
+    enum_value = _evaluate(chain, actions).min(axis=0)
     v_dp, u_dp = _backward_induction(chain)
     gap = np.max(np.abs(v_dp[T] - enum_value) / np.abs(v_dp[T]))
     if gap > 1e-12:

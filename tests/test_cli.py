@@ -136,6 +136,15 @@ def assert_error_exit_1(code, capsys):
     assert "Traceback" not in err
 
 
+def assert_infeasible_exit_2(code, capsys):
+    # the beta trace, then exactly one error line naming the stage
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].strip() == "beta[0] = 0"
+    assert [line for line in lines if line.startswith("error:")] == [lines[-1]]
+    assert lines[-1].startswith("error: infeasible at stage 1")
+
+
 class TestBadInputs:
     def test_sweep_non_numeric_values(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2)
@@ -167,6 +176,37 @@ class TestBadInputs:
              "--delta-q", delta_q]
         )
         assert_error_exit_1(code, capsys)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            None,  # missing file
+            "0,3,x,1.0",  # non-numeric cell
+            "0,3",  # short row
+            "0,3,1,-0.5",  # negative threshold
+            "0,3,2,1.0",  # channel state outside {0, 1}
+            "0,-1,1,1.0",  # negative stages_to_go
+        ],
+    )
+    def test_bad_threshold_file(self, tmp_path, capsys, body):
+        cfg = write_config(tmp_path / "c.cfg", n_rollouts=100)
+        thr = tmp_path / "thresholds.csv"
+        if body is not None:
+            thr.write_text("# comment\nwall_stage,stages_to_go,c,threshold\n0,3,1,1.5\n" + body + "\n")
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--policy-source", "threshold-file", "--threshold-file", str(thr)]
+        )
+        assert_error_exit_1(code, capsys)
+
+    @pytest.mark.parametrize("command", [["check"], ["solve"]])
+    def test_out_names_existing_file(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main([*command, "--config", str(cfg), "--out", str(out)])
+        assert_error_exit_1(code, capsys)
+        assert out.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("delta0", ["nan", "inf"])
     def test_non_finite_delta0(self, tmp_path, capsys, delta0):
@@ -251,9 +291,17 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
         assert not (out / "values.csv").exists()
 
-    def test_infeasible_exit_2(self, tmp_path):
+    def test_infeasible_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", gamma="0.6")
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_infeasible_exit_2(code, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_infeasible_fixed_delta_max_exit_2(self, tmp_path, capsys):
+        # with a fixed delta_max the solver itself, not auto_delta_max, refuses
+        cfg = write_config(tmp_path / "c.cfg", gamma="0.6", delta_max="6.0")
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_infeasible_exit_2(code, capsys)
 
 
 class TestSimulate:
@@ -321,10 +369,10 @@ class TestSimulate:
         assert len(calls) == len(sim._chunk_sizes(n)) == 2
         assert sum(calls) == n
 
-    def test_solved_source_infeasible_exit_2(self, tmp_path):
+    def test_solved_source_infeasible_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", gamma="0.6")
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
+        assert_infeasible_exit_2(code, capsys)
 
 
 class TestOracle:
@@ -337,6 +385,17 @@ class TestOracle:
         assert all(r["pass"] == "1" for r in rows)
         assert any(h.startswith("# noise_values") for h in header)
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_inexact_ladder_step_fits_budget(self, tmp_path, capsys):
+        # a 7-state ladder on [-4, 4] has an inexact step; its refinement has
+        # 7 magnitudes, so 8**6 threshold policies, within the budget
+        cfg = write_config(tmp_path / "c.cfg", T=3, n_points=201)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", "7"]) == 0
+        _, rows = read_csv(out / "oracle_report.csv")
+        assert len(rows) == 6
+        assert all(r["pass"] == "1" for r in rows)
+        assert capsys.readouterr().out.count("PASS") == 6
 
     @pytest.mark.parametrize(
         "n_delta,chain", [("9", "requested chain (n_delta=9)"), ("5", "refinement chain (n_delta=9)")]

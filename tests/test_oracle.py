@@ -16,6 +16,7 @@ from risksched import (
     always_transmit_policy,
     quantize,
 )
+from risksched.oracle import enumeration_size
 
 
 def mk(**kw):
@@ -55,6 +56,18 @@ class TestQuantize:
         # from +1: {-0.5, 1.5}; -0.5 ties -> state 0
         assert chain.drift_to.tolist() == [[0, 1], [0, 2], [1, 2]]
         assert chain.reset_to.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("delta_q", [0.7, 1.0, 3.3, 5.2])
+    def test_ladder_is_mirrored_bitwise(self, delta_q):
+        # an inexact ladder step must not split mirrored magnitudes, which
+        # would inflate the threshold enumeration beyond enumeration_size
+        for n in range(3, 42, 2):
+            chain = quantize(mk(horizon=1), n, 3, delta_q=delta_q)
+            states = chain.delta_states
+            assert np.array_equal(states, -states[::-1])
+            assert len(np.unique(np.abs(states))) == (n + 1) // 2
+            _, base, exponent = enumeration_size(n, 1, "threshold")
+            assert brute_force_optimal(chain, "threshold").n_enumerated == base**exponent
 
     def test_transition_laws_are_stochastic(self):
         chain = quantize(mk(), 9, 3)
@@ -104,6 +117,15 @@ class TestExactPolicyCost:
         chain = quantize(p, 9, 3)
         got = exact_policy_cost(chain, always_transmit_policy(), 2.0, 1)
         assert got == pytest.approx(math.exp(p.gamma * 3 * p.lam), rel=1e-14)
+
+    def test_always_transmit_on_pinned_bad_channel(self):
+        # p01=0 keeps c=0 forever; every attempt is lost, so the error moves
+        # as under idle and each stage costs lam on top of the idle cost
+        p = mk(p01=0.0, gamma=0.04, horizon=3)
+        chain = quantize(p, 9, 3)
+        transmit = exact_policy_cost(chain, always_transmit_policy(), 2.0, 0)
+        idle = exact_policy_cost(chain, idle_policy(), 2.0, 0)
+        assert transmit == pytest.approx(math.exp(p.gamma * 3 * p.lam) * idle, rel=1e-14)
 
     def test_zero_horizon_is_one(self):
         chain = quantize(mk(horizon=0), 9, 3)
