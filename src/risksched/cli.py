@@ -170,7 +170,7 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
     }
     if extra:
         items.update(extra)
-    return [f"# {k} = {v}" for k, v in items.items()]
+    return [f"# {k} = {_fmt(v)}" for k, v in items.items()]
 
 
 def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> None:
@@ -237,16 +237,16 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
 
     trunc = truncation_report(cfg.params, grid, cfg.quad)
     rep = check_feasibility(cfg.params)
-    feas_header = header + [
-        f"# tilted_std = {trunc.tilted_std!r}",
-        f"# coverage_tail = {trunc.coverage_tail!r}",
-        f"# envelope_extrap_error = {trunc.envelope_extrap_error!r}",
-        f"# truncation_ok = {int(trunc.ok)}",
-        f"# gh_cap_active = {int(trunc.gh_cap_active)}",
-    ]
+    trunc_items = {
+        "tilted_std": trunc.tilted_std,
+        "coverage_tail": trunc.coverage_tail,
+        "envelope_extrap_error": trunc.envelope_extrap_error,
+        "truncation_ok": int(trunc.ok),
+        "gh_cap_active": int(trunc.gh_cap_active),
+    }
     _write_csv(
         out / "feasibility.csv",
-        feas_header,
+        _header_lines(cfg, grid, trunc_items),
         ["t", "beta"],
         [(t, _fmt(float(b))) for t, b in enumerate(rep.beta)],
     )
@@ -279,7 +279,11 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
 
 
 def load_threshold_csv(path: str | Path) -> ThresholdSchedule:
-    """Read a thresholds.csv produced by cmd_solve back into a schedule."""
+    """Read a thresholds.csv produced by cmd_solve back into a schedule.
+
+    The largest stages_to_go in the file sets the horizon T; every (j, c)
+    pair with j = 0..T must appear exactly once.
+    """
     try:
         with open(path, newline="") as fh:
             lines = [line for line in fh if not line.startswith("#")]
@@ -304,11 +308,13 @@ def load_threshold_csv(path: str | Path) -> ThresholdSchedule:
         rows.append((j, c, v))
     if not rows:
         raise ConfigError(f"{path}: no threshold rows")
-    T = max(r[0] for r in rows)
-    thr = np.full((T + 1, 2), np.inf)
-    for j, c, v in rows:
-        thr[j, c] = v
-    return ThresholdSchedule(threshold=thr)
+    rows.sort()
+    T = rows[-1][0]
+    if [(j, c) for j, c, _ in rows] != [(j, c) for j in range(T + 1) for c in (0, 1)]:
+        raise ConfigError(
+            f"{path}: needs each (stages_to_go, c) pair for stages_to_go 0..{T} exactly once"
+        )
+    return ThresholdSchedule(threshold=np.array([v for _, _, v in rows]).reshape(T + 1, 2))
 
 
 def _policy_from_source(cfg: Config, source: str, threshold_file: str | None):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
+from .solver import _hermite_nodes
 
 __all__ = [
     "EnumerationBudgetError",
@@ -103,9 +104,7 @@ def _noise_atoms(sigma: float, noise_points: int) -> tuple[np.ndarray, np.ndarra
     # Gaussian-quadrature atoms match N(0, sigma^2) moments up to degree
     # 2*noise_points - 1 (2 points: +-sigma at 1/2; 3: {0, +-sigma*sqrt(3)}
     # at {2/3, 1/6, 1/6}).
-    y, wt = np.polynomial.hermite.hermgauss(noise_points)
-    y = 0.5 * (y - y[::-1])
-    wt = 0.5 * (wt + wt[::-1])
+    y, wt = _hermite_nodes(noise_points)
     return np.sqrt(2.0) * sigma * y, wt / wt.sum()
 
 

@@ -14,6 +14,9 @@ grid itself (cross-check).  Off-grid values of W = log V are taken by
 piecewise-linear interpolation in z = delta^2, which matches the exact
 never-transmit shape log K_j + beta_j * delta^2 and hence is exact for that
 envelope; beyond delta_max the last two nodes extrapolate linearly in z.
+Kernel centers and quadrature abscissae are the same at every stage, so
+where each integral reads the table is fixed once per solve, and a stage is
+a gather, a lerp and one reduction per kernel branch.
 """
 
 from __future__ import annotations
@@ -331,53 +334,56 @@ def _logsumexp(a: np.ndarray, axis) -> np.ndarray:
         return np.log(np.sum(e, axis=axis)) + np.squeeze(mx, axis=axis)
 
 
-# ---------------------------------------------------------------------------
-# Off-grid evaluation: piecewise-linear in z = delta^2, per channel state.
-
-
-class _ZInterp:
-    """Evaluate a per-channel node table at arbitrary points.
-
-    Original space keeps separate left/right half-tables (so no evenness is
-    assumed); folded space looks up |x|.  Queries past delta_max continue
-    the last interval's line in z.
-    """
-
-    def __init__(self, grid: GridSpec, space: str, table: np.ndarray):
-        _check_space(space)
-        pos = grid.folded_nodes()
-        self.pos = pos
-        self.zpos = pos * pos
-        if space == "original":
-            mid = grid.n_points // 2
-            self.right = table[:, mid:]
-            self.left = table[:, mid::-1]
-        else:
-            self.right = table
-            self.left = table
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        j = np.clip(np.searchsorted(self.pos, ax, side="right"), 1, len(self.pos) - 1)
-        z0 = self.zpos[j - 1]
-        th = (x * x - z0) / (self.zpos[j] - z0)
-        lo = np.where(x < 0, self.left[:, j - 1], self.right[:, j - 1])
-        hi = np.where(x < 0, self.left[:, j], self.right[:, j])
-        return lo * (1.0 - th) + hi * th
-
-
 def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized Hermite abscissas and log-weights (weights / sqrt(pi))."""
+    """Gauss-Hermite abscissas and weights, symmetrized so y[::-1] == -y bitwise."""
     y, wt = np.polynomial.hermite.hermgauss(n)
-    y = 0.5 * (y - y[::-1])
-    wt = 0.5 * (wt + wt[::-1])
-    return y, np.log(wt) - 0.5 * math.log(math.pi)
+    return 0.5 * (y - y[::-1]), 0.5 * (wt + wt[::-1])
 
 
 def _log_channel(params: ModelParams) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(params.channel_matrix())
+
+
+def _stencil(
+    params: ModelParams, grid: GridSpec, quad: QuadratureSpec, space: str, center: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """Where one kernel branch reads a node table: (lo, hi, th, log_weight).
+
+    The expectation at center i reduces log_weight[i, k] + W[lo[i, k]] over
+    k, with W lerped towards W[hi[i, k]] by th[i, k] when th is set.
+    Hermite reads W at center + sqrt(2) sigma y_k, interpolated in z =
+    delta^2.  Original space assumes no evenness, so lo and hi are signed
+    around the center node and negative abscissae read the left half;
+    folded space reads |x|.  Trapezoid reads the grid nodes themselves, at
+    |node| in a folded table.  log_weight broadcasts to (len(center),
+    n_terms).
+    """
+    mid = grid.n_points // 2
+    if quad.rule == RULE_HERMITE:
+        y, wt = _hermite_nodes(quad.n_nodes)
+        x = center[:, None] + math.sqrt(2.0) * params.sigma * y[None, :]
+        pos = grid.folded_nodes()
+        zpos = pos * pos
+        j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
+        z0 = zpos[j - 1]
+        th = (x * x - z0) / (zpos[j] - z0)
+        side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
+        log_weight = np.log(wt) - 0.5 * math.log(math.pi)
+        return origin + side * (j - 1), origin + side * j, th, log_weight[None, :]
+    # Original space reads the table as it stands: np.newaxis makes the
+    # gather a view.
+    lo = np.newaxis if space == "original" else np.abs(np.arange(grid.n_points) - mid)[None, :]
+    w = np.full(grid.n_points, grid.spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    s2 = params.sigma2
+    log_norm = 0.5 * math.log(2.0 * math.pi * s2)
+    # One expression, so numpy reuses its (n_centers, n) temporaries in place.
+    log_weight = np.log(w) + (
+        -np.square(grid.nodes()[None, :] - center[:, None]) / (2.0 * s2) - log_norm
+    )
+    return lo, None, None, log_weight
 
 
 # Kernel branches: idle or lost attempt (center a*delta), delivery (center 0).
@@ -391,7 +397,9 @@ class _BellmanStage:
     gamma and expectations are log-sum-exp reductions.  With risk_neutral it
     acts on additive values v: costs are unscaled and expectations are
     weighted sums.  Both domains share the quadrature, the interpolant, the
-    channel mix and the idle/transmit branches.
+    channel mix and the idle/transmit branches.  Each branch's stencil is
+    built once, here; a stage is then a gather, a lerp and one reduction per
+    branch.
     """
 
     def __init__(
@@ -406,7 +414,6 @@ class _BellmanStage:
         _check_space(space)
         self.params = params
         self.grid = grid
-        self.quad = quad
         self.space = space
         self.risk_neutral = risk_neutral
         self.nodes = grid.nodes_for(space)
@@ -415,46 +422,11 @@ class _BellmanStage:
         self.cost_scale = 1.0 if risk_neutral else params.gamma
         # Unnormalized kernels scale every branch by sqrt(2 pi sigma2).
         self.stage_shift = 0.0 if normalized else 0.5 * math.log(2.0 * math.pi * params.sigma2)
-        # Kernel centers, indexed by _DRIFT and _RESET.
-        self.centers = (params.a * self.nodes, np.zeros(1))
-        if quad.rule == RULE_HERMITE:
-            self.y, self.logw = _hermite_nodes(quad.n_nodes)
-        else:
-            w = np.full(grid.n_points, grid.spacing)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            xj = grid.nodes()
-            s2 = params.sigma2
-            log_norm = 0.5 * math.log(2.0 * math.pi * s2)
-            # weight * Gaussian density, (n_centers, n) per center and the same
-            # at every stage; kept as its log in the log domain.
-            self.kernel = [
-                np.log(w) + (-np.square(xj[None, :] - c[:, None]) / (2.0 * s2) - log_norm)
-                for c in self.centers
-            ]
-            if risk_neutral:
-                self.kernel = [np.exp(k) for k in self.kernel]
-            # |node| index into a folded table: distance from the center.
-            self.fold_idx = np.abs(np.arange(grid.n_points) - grid.n_points // 2)
-
-    def _integrate_hermite(self, w_t: np.ndarray, branch: int) -> np.ndarray:
-        interp = _ZInterp(self.grid, self.space, w_t)
-        x = self.centers[branch][:, None] + math.sqrt(2.0) * self.params.sigma * self.y[None, :]
-        vals = interp(x)  # (2, n_centers, n_quad) over c+
-        if self.risk_neutral:
-            return np.einsum("k,cik->ci", np.exp(self.logw), vals)
-        return _logsumexp(self.logw + vals, axis=2)
-
-    def _integrate_trapezoid(self, w_t: np.ndarray, branch: int) -> np.ndarray:
-        kernel = self.kernel[branch]
-        w_vals = w_t if self.space == "original" else w_t[:, self.fold_idx]  # (2, n) over c+
-        if self.risk_neutral:
-            # A contraction, not a broadcast sum: no (2, n_centers, n)
-            # temporary.  einsum, not matmul: a threaded BLAS matmul here
-            # took up to 0.14 s per solve against 0.02 s at n_points=2001 on
-            # a 2-core host.
-            return np.einsum("ij,cj->ci", kernel, w_vals)
-        return _logsumexp(kernel[None, :, :] + w_vals[:, None, :], axis=2)
+        # Indexed by _DRIFT and _RESET; additive weights in the risk-neutral domain.
+        self.stencil = []
+        for center in (params.a * self.nodes, np.zeros(1)):
+            lo, hi, th, log_weight = _stencil(params, grid, quad, space, center)
+            self.stencil.append((lo, hi, th, np.exp(log_weight) if risk_neutral else log_weight))
 
     def _integrate(self, w_t: np.ndarray, branch: int) -> np.ndarray:
         """Expected next-stage value from the kernel centers of branch.
@@ -465,12 +437,20 @@ class _BellmanStage:
         channel mix is a second, 2-term reduction.  Returns
         (2, len(centers)) over the current channel c.
         """
-        if self.quad.rule == RULE_HERMITE:
-            per_next = self._integrate_hermite(w_t, branch)
-        else:
-            per_next = self._integrate_trapezoid(w_t, branch)
+        lo, hi, th, weight = self.stencil[branch]
+        # (2, len(centers) or 1, n_terms) over c+.  Fancy indexing, not take:
+        # the layout of the result fixes the summation order below.
+        vals = w_t[:, lo]
+        if th is not None:
+            vals = vals * (1.0 - th) + w_t[:, hi] * th
         if self.risk_neutral:
+            # A contraction, not a broadcast sum: no (2, n_centers, n)
+            # temporary for the trapezoid rule.  einsum, not matmul: a
+            # threaded BLAS matmul here took up to 0.14 s per solve against
+            # 0.02 s at n_points=2001 on a 2-core host.
+            per_next = np.einsum("ik,cik->ci", weight, vals)
             return np.exp(self.logp) @ per_next
+        per_next = _logsumexp(weight + vals, axis=2)
         return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
 
     def q_values(self, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -199,6 +199,32 @@ class TestBadInputs:
         )
         assert_error_exit_1(code, capsys)
 
+    @pytest.mark.parametrize("edit", ["one-row", "drop", "duplicate", "untouched"])
+    def test_threshold_file_names_every_pair_once(self, tmp_path, capsys, edit):
+        # each (stages_to_go, c) pair up to the largest stages_to_go, once
+        cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0", n_rollouts=100)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
+        thr = out / "thresholds.csv"
+        lines = thr.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line[0].isdigit()) + 3  # j = T - 1, c = 1
+        if edit == "one-row":
+            lines = ["wall_stage,stages_to_go,c,threshold\n", "0,3,1,1.5\n"]
+        elif edit == "drop":
+            del lines[row]
+        elif edit == "duplicate":
+            lines.insert(row, lines[row])
+        thr.write_text("".join(lines))
+        capsys.readouterr()
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(out),
+             "--policy-source", "threshold-file", "--threshold-file", str(thr)]
+        )
+        if edit == "untouched":
+            assert code == 0
+        else:
+            assert_error_exit_1(code, capsys)
+
     @pytest.mark.parametrize("command", [["check"], ["solve"]])
     def test_out_names_existing_file(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
@@ -284,6 +310,21 @@ class TestSolve:
         expected = extract_thresholds(pol, grid)
         loaded = load_threshold_csv(out / "thresholds.csv")
         assert np.array_equal(loaded.threshold, expected.threshold)
+
+    def test_feasibility_header_values_are_numbers(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
+        config_lines, _ = read_csv(out / "thresholds.csv")
+        header, _ = read_csv(out / "feasibility.csv")
+        assert header[: len(config_lines)] == config_lines
+        extra = [line.split(" = ") for line in header[len(config_lines) :]]
+        assert [key for key, _ in extra] == [
+            "# tilted_std", "# coverage_tail", "# envelope_extrap_error", "# truncation_ok",
+            "# gh_cap_active",
+        ]
+        for _, value in extra:
+            float(value)
 
     def test_plot_data_toggle(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")

@@ -226,6 +226,67 @@ class TestQValues:
         assert err.value.stage == 1
 
 
+class TestUnevenTable:
+    """Original space assumes no evenness: negative abscissae read the left half.
+
+    Solved tables are even, so a stage that read the right half for
+    negative queries would pass every solve; these feed it an uneven one and
+    check both kernel integrals against an independent evaluation.
+    """
+
+    GRID = GridSpec(10.0, 201)
+
+    def uneven_table(self):
+        d = self.GRID.nodes()
+        return np.stack([0.04 * d**2 + 0.3 * np.tanh(d), 0.2 + 0.04 * d**2 - 0.5 * np.tanh(d / 2)])
+
+    def expectations(self, p, quad, w, center):
+        """log E[exp(w(X, c+))] for X ~ N(center, sigma2), (2, len(center)) over c+."""
+        d = self.GRID.nodes()
+        if quad.rule == TRAPEZOID.rule:
+            tw = np.full(len(d), self.GRID.spacing)
+            tw[[0, -1]] *= 0.5
+            dens = norm.pdf(d[None, :], loc=center[:, None], scale=p.sigma)
+            return np.array([logsumexp(w[c][None, :], b=tw * dens, axis=1) for c in (0, 1)])
+        # per-side interpolation in z = delta^2 at the Hermite abscissae
+        y, wt = np.polynomial.hermite.hermgauss(quad.n_nodes)
+        x = center[:, None] + math.sqrt(2.0 * p.sigma2) * y[None, :]
+        mid = self.GRID.n_points // 2
+        z = np.square(d[mid:])
+        vals = [
+            np.where(x < 0, np.interp(x * x, z, w[c, mid::-1]), np.interp(x * x, z, w[c, mid:]))
+            for c in (0, 1)
+        ]
+        return np.array([logsumexp(v, b=wt / math.sqrt(math.pi), axis=1) for v in vals])
+
+    @pytest.mark.parametrize(
+        "quad", [QuadratureSpec(n_nodes=16), TRAPEZOID], ids=["hermite", "trapezoid"]
+    )
+    def test_original_space_reads_each_half(self, quad):
+        p = mk()
+        d = self.GRID.nodes()
+        w = self.uneven_table()
+        assert np.max(np.abs(w - w[:, ::-1])) > 0.5
+        q0, q1 = _BellmanStage(p, self.GRID, quad, "original", True).q_values(w)
+
+        logp = np.log(p.channel_matrix())[:, :, None]
+        drift = logsumexp(logp + self.expectations(p, quad, w, p.a * d)[None], axis=1)
+        reset = logsumexp(logp + self.expectations(p, quad, w, np.zeros(1))[None], axis=1)
+        price = p.gamma * p.lam
+        exp_q0 = p.gamma * d**2 + drift
+        exp_q1 = np.stack([price + exp_q0[0], np.full(len(d), price + reset[1, 0])])
+
+        inside = np.ones(len(d), dtype=bool)
+        if quad.rule != TRAPEZOID.rule:
+            # np.interp does not extrapolate: compare at the centers whose
+            # abscissae all stay on the grid (a band that straddles delta = 0).
+            y_max = np.polynomial.hermite.hermgauss(quad.n_nodes)[0].max()
+            inside = np.abs(p.a * d) + math.sqrt(2.0 * p.sigma2) * y_max <= self.GRID.delta_max
+            assert np.sum(inside) > 50
+        assert_allclose(q0[:, inside], exp_q0[:, inside], rtol=0, atol=1e-12)
+        assert_allclose(q1[:, inside], exp_q1[:, inside], rtol=0, atol=1e-12)
+
+
 class TestQuadratureRules:
     def test_forced_idle_matches_closed_form_hermite(self):
         p = mk(gamma=0.05, horizon=4)
