@@ -57,7 +57,6 @@ from .sim import (
     RiskEstimate,
     estimate_risk_objective,
     rollout,
-    write_trace_csv,
 )
 
 __version__ = "0.1.0"

@@ -2,9 +2,11 @@
 
 Configuration is one flat key=value file (keys: a, sigma2, lambda, gamma,
 T, p01, p10, delta_max, n_points, quad_rule, quad_nodes, seed, n_rollouts;
-'#' starts a comment).  All outputs are CSV with the fully resolved config
-in '#' header comments.  Exit codes: 0 ok, 1 usage/config error, 2
-infeasible parameters, 3 enumeration budget exceeded.
+'#' starts a comment).  Every output is a CSV from the one writer
+_write_csv: '#' header lines with the fully resolved config ('\n'), then
+csv.writer rows ('\r\n') whose floats are written by repr, so they read
+back exactly, and every other cell by str.  Exit codes: 0 ok, 1
+usage/config error, 2 infeasible parameters, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .policy import (
     idle_policy,
     threshold_policy,
 )
-from .sim import estimate_risk_objective, rollout, write_trace_csv
+from .sim import estimate_risk_objective, rollout
 from .solver import (
     GridSpec,
     InfeasibleModelError,
@@ -170,48 +172,53 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
     }
     if extra:
         items.update(extra)
-    return [f"# {k} = {_fmt(v)}" for k, v in items.items()]
+    return [f"# {k} = {_cells([v])[0]}" for k, v in items.items()]
 
 
-def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> None:
+def _cells(column) -> list[str]:
+    """Cells of one column: floats by repr (exact round trip), the rest by str.  Flags
+    come as ints; tolist() first, as repr of a numpy float is "np.float64(...)"."""
+    return [repr(v) if isinstance(v, float) else str(v) for v in np.asarray(column).tolist()]
+
+
+# Rows formatted at a time: the 168k-row policy.csv of a T=20, n_points=4001
+# solve, held as strings at once, would add about 48 MB to peak RSS.
+_BLOCK_ROWS = 1 << 14
+
+
+def _write_csv(path: Path, header_lines: list[str], columns: dict) -> None:
+    """The one CSV writer: '#' header lines, then one row per index of the
+    equal-length columns (a dict from column name to sequence or array)."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    n_rows = max(len(a) for a in arrays)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in header_lines)
             writer = csv.writer(fh)
             writer.writerow(columns)
-            writer.writerows(rows)
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                block = (_cells(a[start : start + _BLOCK_ROWS]) for a in arrays)
+                writer.writerows(zip(*block, strict=True))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _fmt(x) -> str:
-    # repr of a numpy scalar is "np.float64(...)" under numpy 2, so go via float.
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def cmd_check(cfg: Config, out: Path | None) -> int:
     rep = check_feasibility(cfg.params)
-    s2 = cfg.params.sigma2
-    rows = []
-    for t, b in enumerate(rep.beta):
-        ok = bool(np.isfinite(b) and 2.0 * s2 * b < 1.0)
-        rows.append((t, b, 2.0 * s2 * b if np.isfinite(b) else math.nan, int(ok)))
-        print(f"t={t}: beta={b:.6g} 2*sigma2*beta={rows[-1][2]:.6g} ok={ok}")
+    beta = rep.beta
+    two_s2_beta = np.where(np.isfinite(beta), 2.0 * cfg.params.sigma2 * beta, math.nan)
+    ok = (two_s2_beta < 1.0).astype(int)
+    for t, (b, x, k) in enumerate(zip(beta, two_s2_beta, ok)):
+        print(f"t={t}: beta={b:.6g} 2*sigma2*beta={x:.6g} ok={bool(k)}")
     if rep.feasible:
         print("feasible: yes")
     else:
         print(f"feasible: no — infeasible at stage {rep.first_violation_stage}")
     if out is not None:
-        _write_csv(
-            out / "feasibility.csv",
-            _header_lines(cfg, None, {"feasible": int(rep.feasible)}),
-            ["t", "beta", "two_sigma2_beta", "ok"],
-            [tuple(_fmt(v) for v in row) for row in rows],
-        )
+        header = _header_lines(cfg, None, {"feasible": int(rep.feasible)})
+        columns = {"t": np.arange(len(beta)), "beta": beta, "two_sigma2_beta": two_s2_beta}
+        _write_csv(out / "feasibility.csv", header, {**columns, "ok": ok})
     return 0 if rep.feasible else 2
 
 
@@ -226,17 +233,17 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
     table, pol = value_iterate(cfg.params, grid, cfg.quad, space="original")
     schedule = extract_thresholds(pol, grid)
     T = cfg.params.horizon
-    nodes = grid.nodes()
 
-    rows = [
-        (T - j, j, c, _fmt(float(schedule.threshold[j, c])))
-        for j in range(T, -1, -1)
-        for c in (0, 1)
-    ]
-    _write_csv(out / "thresholds.csv", header, ["wall_stage", "stages_to_go", "c", "threshold"], rows)
+    j = np.arange(T, -1, -1).repeat(2)
+    c = np.tile([0, 1], T + 1)
+    _write_csv(
+        out / "thresholds.csv",
+        header,
+        {"wall_stage": T - j, "stages_to_go": j, "c": c, "threshold": schedule.threshold[j, c]},
+    )
 
     trunc = truncation_report(cfg.params, grid, cfg.quad)
-    rep = check_feasibility(cfg.params)
+    beta = check_feasibility(cfg.params).beta
     trunc_items = {
         "tilted_std": trunc.tilted_std,
         "coverage_tail": trunc.coverage_tail,
@@ -247,33 +254,19 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
     _write_csv(
         out / "feasibility.csv",
         _header_lines(cfg, grid, trunc_items),
-        ["t", "beta"],
-        [(t, _fmt(float(b))) for t, b in enumerate(rep.beta)],
+        {"t": np.arange(len(beta)), "beta": beta},
     )
 
+    # one row per (stages_to_go, c, node), in C order
+    j, c, i = np.indices(pol.u_star.shape).reshape(3, -1)
+    index = {"stages_to_go": j, "c": c, "delta": grid.nodes()[i]}
     _write_csv(
         out / "policy.csv",
         header,
-        ["stages_to_go", "c", "delta", "u", "q_margin"],
-        (
-            (j, c, _fmt(float(nodes[i])), int(pol.u_star[j, c, i]), _fmt(float(pol.q_margin[j, c, i])))
-            for j in range(T + 1)
-            for c in (0, 1)
-            for i in range(len(nodes))
-        ),
+        {**index, "u": pol.u_star.ravel(), "q_margin": pol.q_margin.ravel()},
     )
     if plot_data:
-        _write_csv(
-            out / "values.csv",
-            header,
-            ["stages_to_go", "c", "delta", "w"],
-            (
-                (j, c, _fmt(float(nodes[i])), _fmt(float(table.w[j, c, i])))
-                for j in range(T + 1)
-                for c in (0, 1)
-                for i in range(len(nodes))
-            ),
-        )
+        _write_csv(out / "values.csv", header, {**index, "w": table.w.ravel()})
     print(f"solved: delta_max={grid.delta_max} thresholds -> {out / 'thresholds.csv'}")
     return 0
 
@@ -352,25 +345,31 @@ def cmd_simulate(
     header = _header_lines(
         cfg, grid, {"policy_source": source, "delta0": delta0, "c0": "stationary" if c0 is None else c0}
     )
-    _write_csv(
-        out / "metrics.csv",
-        header,
-        ["policy_source", "n", "log_objective", "se_log", "mean_cost", "var_cost", "tail_share", "tail_ok"],
-        [
-            (
-                source,
-                est.n,
-                _fmt(est.log_estimate),
-                _fmt(est.se_log),
-                _fmt(est.mean_cost),
-                _fmt(est.var_cost),
-                _fmt(est.tail_share),
-                int(est.tail_ok),
-            )
-        ],
-    )
+    metrics = {
+        "policy_source": source,
+        "n": est.n,
+        "log_objective": est.log_estimate,
+        "se_log": est.se_log,
+        "mean_cost": est.mean_cost,
+        "var_cost": est.var_cost,
+        "tail_share": est.tail_share,
+        "tail_ok": int(est.tail_ok),
+    }
+    _write_csv(out / "metrics.csv", header, {k: [v] for k, v in metrics.items()})
     trace = rollout(cfg.params, policy, cfg.seed, delta0, c0)
-    write_trace_csv(trace, out / "trace.csv")
+    _write_csv(
+        out / "trace.csv",
+        header,
+        {
+            "t": trace.t,
+            "x": trace.x,
+            "x_hat": trace.x_hat,
+            "delta": trace.delta,
+            "c": trace.c,
+            "u": trace.u,
+            "cost": trace.stage_cost,
+        },
+    )
     print(
         f"simulate[{source}]: log_objective={est.log_estimate:.6g} se={est.se_log:.3g} "
         f"mean={est.mean_cost:.6g} var={est.var_cost:.6g} tail_ok={est.tail_ok}"
@@ -478,18 +477,18 @@ def cmd_oracle(
             "n_delta": n_delta,
             "noise_points": noise_points,
             "delta_q": chain.delta_states[-1],
-            "noise_values": " ".join(repr(v) for v in chain.noise_values.tolist()),
-            "noise_probs": " ".join(repr(v) for v in chain.noise_probs.tolist()),
+            "noise_values": " ".join(_cells(chain.noise_values)),
+            "noise_probs": " ".join(_cells(chain.noise_probs)),
             "noise_scheme": chain.noise_scheme,
             "enum_mode": result.enum_mode,
             "n_enumerated": result.n_enumerated,
         },
     )
+    names, passed, details = zip(*checks)
     _write_csv(
         out / "oracle_report.csv",
         header,
-        ["check", "pass", "detail"],
-        [(name, int(ok), detail) for name, ok, detail in checks],
+        {"check": names, "pass": np.array(passed, dtype=int), "detail": details},
     )
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
@@ -506,40 +505,35 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
         points = [(v, dataclasses.replace(cfg.params, **{field: v})) for v in values]
     except ValueError as exc:
         raise ConfigError(f"sweep value: {exc}") from exc
-    rows = []
+    T = cfg.params.horizon
+    # threshold, w_at_zero and rn_value_at_zero per (value, stages_to_go, c)
+    table = np.full((3, len(values), T + 1, 2), math.nan)
     n_infeasible = 0
-    for v, params in points:
+    for k, (v, params) in enumerate(points):
         sub = dataclasses.replace(cfg, params=params)
-        T = params.horizon
         try:
             grid = _resolve_grid(sub)
-            table, pol = value_iterate(params, grid, sub.quad, space="folded")
+            w_table, pol = value_iterate(params, grid, sub.quad, space="folded")
             rn_table, _ = risk_neutral_value_iterate(params, grid, sub.quad, space="folded")
             threshold = extract_thresholds(pol, grid).threshold
-            w, rn_v = table.w[:, :, 0], rn_table.v[:, :, 0]
+            table[:, k] = threshold, w_table.w[:, :, 0], rn_table.v[:, :, 0]
         except InfeasibleModelError as exc:
             print(f"{axis} = {v}: {exc}", file=sys.stderr)
             _print_beta_trace(params)
             n_infeasible += 1
-            threshold = w = rn_v = np.full((T + 1, 2), math.nan)
-        for j in range(T + 1):
-            for c in (0, 1):
-                rows.append(
-                    (
-                        axis,
-                        _fmt(float(v)),
-                        j,
-                        c,
-                        _fmt(float(threshold[j, c])),
-                        _fmt(float(w[j, c])),
-                        _fmt(float(rn_v[j, c])),
-                    )
-                )
+    k, j, c = np.indices(table.shape[1:]).reshape(3, -1)
     _write_csv(
         out / "sweep.csv",
         _header_lines(cfg, None, {"axis": axis, "values": ",".join(str(v) for v in values)}),
-        ["axis", "value", "stages_to_go", "c", "threshold", "w_at_zero", "rn_value_at_zero"],
-        rows,
+        {
+            "axis": [axis] * len(k),
+            "value": np.asarray(values)[k],
+            "stages_to_go": j,
+            "c": c,
+            "threshold": table[0].ravel(),
+            "w_at_zero": table[1].ravel(),
+            "rn_value_at_zero": table[2].ravel(),
+        },
     )
     print(f"sweep over {axis}: {len(values)} points -> {out / 'sweep.csv'}")
     if n_infeasible:

@@ -107,9 +107,6 @@ class SimTrace:
     stage_cost: np.ndarray
     seed: int
 
-    def total_cost(self) -> float:
-        return float(np.sum(self.stage_cost))
-
 
 def step_source(x, w, params: ModelParams):
     """x(t+1) = a*x(t) + w(t)."""

@@ -65,12 +65,6 @@ class ThresholdSchedule:
     def horizon(self) -> int:
         return self.threshold.shape[0] - 1
 
-    def at_stages_to_go(self, j: int, c: int) -> float:
-        return float(self.threshold[j, c])
-
-    def at_wall_stage(self, s: int, c: int) -> float:
-        return float(self.threshold[self.horizon - s, c])
-
 
 def _folded_actions(policy: PolicyTable, grid: GridSpec) -> np.ndarray:
     """u_star over the non-negative nodes; projects original-space tables."""

@@ -17,7 +17,6 @@ and must accept equal-length arrays for delta and c.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from typing import NamedTuple
@@ -32,7 +31,6 @@ __all__ = [
     "RiskEstimate",
     "rollout",
     "estimate_risk_objective",
-    "write_trace_csv",
 ]
 
 CHUNK_SIZE = 1 << 16
@@ -222,22 +220,3 @@ def estimate_risk_objective(
         float(l1), float(se), n_rollouts, float(tail_share), tail_ok, mean_acc, var
     )
 
-
-def write_trace_csv(trace: SimTrace, path) -> None:
-    """One row per stage: t,x,x_hat,delta,c,u,cost (seed in a comment)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed = {trace.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "x_hat", "delta", "c", "u", "cost"])
-        for i in range(len(trace.t)):
-            writer.writerow(
-                [
-                    int(trace.t[i]),
-                    repr(float(trace.x[i])),
-                    repr(float(trace.x_hat[i])),
-                    repr(float(trace.delta[i])),
-                    int(trace.c[i]),
-                    int(trace.u[i]),
-                    repr(float(trace.stage_cost[i])),
-                ]
-            )

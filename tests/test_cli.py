@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import risksched
-from risksched import GridSpec, ModelParams, QuadratureSpec, extract_thresholds, value_iterate
+from risksched import GridSpec, always_transmit_policy, extract_thresholds, rollout, value_iterate
 from risksched import sim
-from risksched.cli import ConfigError, load_threshold_csv, main, parse_config
+from risksched.cli import ConfigError, _header_lines, load_threshold_csv, main, parse_config
 from risksched.sim import CHUNK_SIZE
 
 BASE = {
@@ -259,6 +259,16 @@ class TestBadInputs:
         )
         assert_error_exit_1(code, capsys)
 
+    def test_unwritable_trace_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
+        out = tmp_path / "o"
+        (out / "trace.csv").mkdir(parents=True)
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(out),
+             "--policy-source", "builtin:idle"]
+        )
+        assert_error_exit_1(code, capsys)
+
 
 def test_runtime_needs_no_scipy(tmp_path):
     """Every command runs with scipy unimportable: the runtime is numpy-only."""
@@ -326,6 +336,26 @@ class TestSolve:
         for _, value in extra:
             float(value)
 
+    def test_output_bytes(self, tmp_path):
+        """Rows end in CRLF; floats are written by repr, actions as ints."""
+        cfg_path = write_config(tmp_path / "c.cfg", T=1, n_points=11, delta_max="3.0")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = parse_config(cfg_path)
+        grid = GridSpec(3.0, 11)
+        table, pol = value_iterate(cfg.params, grid, cfg.quad, space="original")
+        nodes, u, q, w = (a.tolist() for a in (grid.nodes(), pol.u_star, pol.q_margin, table.w))
+        cells = [(j, c, i) for j in range(2) for c in (0, 1) for i in range(11)]
+        header = "".join(line + "\n" for line in _header_lines(cfg, grid))
+        policy = "".join(
+            f"{j},{c},{nodes[i]!r},{u[j][c][i]},{q[j][c][i]!r}\r\n" for j, c, i in cells
+        )
+        values = "".join(f"{j},{c},{nodes[i]!r},{w[j][c][i]!r}\r\n" for j, c, i in cells)
+        with open(out / "policy.csv", newline="") as fh:
+            assert fh.read() == header + "stages_to_go,c,delta,u,q_margin\r\n" + policy
+        with open(out / "values.csv", newline="") as fh:
+            assert fh.read() == header + "stages_to_go,c,delta,w\r\n" + values
+
     def test_plot_data_toggle(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
         out = tmp_path / "out"
@@ -363,6 +393,25 @@ class TestSimulate:
         assert row["tail_ok"] == "1"
         _, trace_rows = read_csv(out / "trace.csv")
         assert len(trace_rows) == 2
+
+    def test_trace_round_trip(self, tmp_path):
+        cfg_path = write_config(tmp_path / "c.cfg", T=4, seed=13, n_rollouts=100)
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--config", str(cfg_path), "--out", str(out),
+             "--policy-source", "builtin:always"]
+        )
+        assert code == 0
+        tr = rollout(parse_config(cfg_path).params, always_transmit_policy(), seed=13)
+        header, rows = read_csv(out / "trace.csv")
+        metrics_header, _ = read_csv(out / "metrics.csv")
+        assert header == metrics_header
+        assert "# seed = 13" in header
+        assert len(rows) == 4
+        # repr round-trips floats exactly
+        assert [float(r["delta"]) for r in rows] == tr.delta.tolist()
+        assert [float(r["cost"]) for r in rows] == tr.stage_cost.tolist()
+        assert [int(r["u"]) for r in rows] == tr.u.tolist()
 
     def test_threshold_file_source(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=201, n_rollouts=2000)

@@ -50,10 +50,6 @@ class TestThresholdSchedule:
         thr = np.array([[np.inf, np.inf], [np.inf, 2.0], [np.inf, 1.0]])
         s = ThresholdSchedule(thr)
         assert s.horizon == 2
-        assert s.at_stages_to_go(2, 1) == 1.0
-        # wall stage 0 of a 2-stage episode has 2 stages to go
-        assert s.at_wall_stage(0, 1) == 1.0
-        assert s.at_wall_stage(1, 1) == 2.0
 
 
 class TestExtractThresholds:

@@ -1,7 +1,6 @@
 """Monte Carlo layer: reproducibility, hand-checkable traces, estimator
 anchors, and the heavy-tail diagnostic."""
 
-import csv
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from risksched import (
     rollout,
     stage_cost,
     threshold_policy,
-    write_trace_csv,
 )
 from risksched import sim
 from risksched.sim import CHUNK_SIZE
@@ -46,7 +44,6 @@ class TestRollout:
         tr = rollout(p, idle_policy(), seed=0, delta0=1.25)
         assert len(tr.t) == 5
         assert tr.delta[0] == 1.25
-        assert tr.total_cost() == pytest.approx(tr.stage_cost.sum())
 
     def test_error_definition_holds_along_trace(self):
         p = mk()
@@ -226,18 +223,3 @@ class TestOnePass:
         assert est[:5] == (est.log_estimate, est.se_log, est.n, est.tail_share, est.tail_ok)
         assert est[5:] == (est.mean_cost, est.var_cost)
 
-
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        p = mk(horizon=4)
-        tr = rollout(p, always_transmit_policy(), seed=13)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(tr, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "# seed = 13"
-        rows = list(csv.DictReader(text[1:]))
-        assert len(rows) == 4
-        # repr round-trips floats exactly
-        assert [float(r["delta"]) for r in rows] == tr.delta.tolist()
-        assert [float(r["cost"]) for r in rows] == tr.stage_cost.tolist()
-        assert [int(r["u"]) for r in rows] == tr.u.tolist()
