@@ -4,9 +4,12 @@ Configuration is one flat key=value file (keys: a, sigma2, lambda, gamma,
 T, p01, p10, delta_max, n_points, quad_rule, quad_nodes, seed, n_rollouts;
 '#' starts a comment).  Every output is a CSV from the one writer
 _write_csv: '#' header lines with the fully resolved config ('\n'), then
-csv.writer rows ('\r\n') whose floats are written by repr, so they read
-back exactly, and every other cell by str.  Exit codes: 0 ok, 1
-usage/config error, 2 infeasible parameters, 3 enumeration budget exceeded.
+rows in csv.writer's format ('\r\n', minimal quoting) whose floats are
+written by repr, so they read back exactly, and every other cell by str.
+solve solves the folded MDP (the value is even in delta) and writes
+policy.csv and values.csv on the full grid by mirroring the folded
+tables, so they are exactly even.  Exit codes: 0 ok, 1 usage/config
+error, 2 infeasible parameters, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -155,6 +158,7 @@ def _resolve_grid(cfg: Config) -> GridSpec:
 
 def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None) -> list[str]:
     p = cfg.params
+    delta_max = grid.delta_max if grid is not None else cfg.delta_max
     items = {
         "a": p.a,
         "sigma2": p.sigma2,
@@ -163,7 +167,7 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
         "T": p.horizon,
         "p01": p.p01,
         "p10": p.p10,
-        "delta_max": (grid.delta_max if grid is not None else cfg.delta_max),
+        "delta_max": "auto" if delta_max is None else delta_max,  # parse_config reads both
         "n_points": cfg.n_points,
         "quad_rule": cfg.quad.rule,
         "quad_nodes": cfg.quad.n_nodes,
@@ -177,8 +181,21 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
 
 def _cells(column) -> list[str]:
     """Cells of one column: floats by repr (exact round trip), the rest by str.  Flags
-    come as ints; tolist() first, as repr of a numpy float is "np.float64(...)"."""
-    return [repr(v) if isinstance(v, float) else str(v) for v in np.asarray(column).tolist()]
+    come as ints; tolist() first, as repr of a numpy float is "np.float64(...)".
+
+    The rule is picked once per column from its dtype; only object columns
+    (mixed Python values) are dispatched per cell.  A float64 column reprs each
+    distinct bit pattern once, which keeps -0.0 and NaN and formats a repeated
+    node value once per block.
+    """
+    a = np.asarray(column)
+    if a.dtype == np.float64:
+        bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        return text[inverse].tolist()
+    if a.dtype.kind == "O":
+        return [repr(v) if isinstance(v, float) else str(v) for v in a.tolist()]
+    return list(map(str, a.tolist()))
 
 
 # Rows formatted at a time: the 168k-row policy.csv of a T=20, n_points=4001
@@ -191,6 +208,9 @@ def _write_csv(path: Path, header_lines: list[str], columns: dict) -> None:
     equal-length columns (a dict from column name to sequence or array)."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max(len(a) for a in arrays)
+    # No number's cell holds a delimiter, quote or line break, so csv.writer
+    # would quote none of them: all-numeric blocks are joined directly.
+    numeric = all(a.dtype.kind in "biuf" for a in arrays)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
@@ -198,8 +218,12 @@ def _write_csv(path: Path, header_lines: list[str], columns: dict) -> None:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for start in range(0, n_rows, _BLOCK_ROWS):
-                block = (_cells(a[start : start + _BLOCK_ROWS]) for a in arrays)
-                writer.writerows(zip(*block, strict=True))
+                block = [_cells(a[start : start + _BLOCK_ROWS]) for a in arrays]
+                rows = zip(*block, strict=True)
+                if numeric:
+                    fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+                else:
+                    writer.writerows(rows)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -230,7 +254,7 @@ def _print_beta_trace(params: ModelParams) -> None:
 def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
     grid = _resolve_grid(cfg)  # raises InfeasibleModelError first
     header = _header_lines(cfg, grid)
-    table, pol = value_iterate(cfg.params, grid, cfg.quad, space="original")
+    table, pol = value_iterate(cfg.params, grid, cfg.quad, space="folded")
     schedule = extract_thresholds(pol, grid)
     T = cfg.params.horizon
 
@@ -257,16 +281,20 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
         {"t": np.arange(len(beta)), "beta": beta},
     )
 
-    # one row per (stages_to_go, c, node), in C order
-    j, c, i = np.indices(pol.u_star.shape).reshape(3, -1)
+    # one row per (stages_to_go, c, node) of the full grid, in C order; the
+    # folded tables are mirrored onto it, so every written table is even
+    def unfold(a):
+        return np.concatenate([a[:, :, :0:-1], a], axis=2).ravel()
+
+    j, c, i = np.indices((T + 1, 2, grid.n_points)).reshape(3, -1)
     index = {"stages_to_go": j, "c": c, "delta": grid.nodes()[i]}
     _write_csv(
         out / "policy.csv",
         header,
-        {**index, "u": pol.u_star.ravel(), "q_margin": pol.q_margin.ravel()},
+        {**index, "u": unfold(pol.u_star), "q_margin": unfold(pol.q_margin)},
     )
     if plot_data:
-        _write_csv(out / "values.csv", header, {**index, "w": table.w.ravel()})
+        _write_csv(out / "values.csv", header, {**index, "w": unfold(table.w)})
     print(f"solved: delta_max={grid.delta_max} thresholds -> {out / 'thresholds.csv'}")
     return 0
 

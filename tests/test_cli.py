@@ -13,8 +13,18 @@ import pytest
 import risksched
 from risksched import GridSpec, always_transmit_policy, extract_thresholds, rollout, value_iterate
 from risksched import sim
-from risksched.cli import ConfigError, _header_lines, load_threshold_csv, main, parse_config
+from risksched.cli import (
+    _ALL_KEYS,
+    _BLOCK_ROWS,
+    ConfigError,
+    _header_lines,
+    _write_csv,
+    load_threshold_csv,
+    main,
+    parse_config,
+)
 from risksched.sim import CHUNK_SIZE
+from risksched.solver import auto_delta_max
 
 BASE = {
     "a": "0.9",
@@ -313,8 +323,6 @@ class TestSolve:
 
         # thresholds round-trip and match a direct solve
         cfg = parse_config(cfg_path)
-        from risksched.solver import auto_delta_max
-
         grid = GridSpec(auto_delta_max(cfg.params, cfg.quad), cfg.n_points)
         _, pol = value_iterate(cfg.params, grid, cfg.quad)
         expected = extract_thresholds(pol, grid)
@@ -355,6 +363,39 @@ class TestSolve:
             assert fh.read() == header + "stages_to_go,c,delta,u,q_margin\r\n" + policy
         with open(out / "values.csv", newline="") as fh:
             assert fh.read() == header + "stages_to_go,c,delta,w\r\n" + values
+
+    @pytest.mark.parametrize("rule", ["gauss-hermite-centered", "trapezoid-on-grid"])
+    def test_folded_solve_matches_original(self, tmp_path, rule):
+        """solve runs in folded space and mirrors its tables: rows at +delta and
+        -delta read the same, and the tables agree with an original-space solve."""
+        cfg_path = write_config(tmp_path / "c.cfg", T=5, n_points=201, quad_rule=rule)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = parse_config(cfg_path)
+        grid = GridSpec(auto_delta_max(cfg.params, cfg.quad), cfg.n_points)
+        table, pol = value_iterate(cfg.params, grid, cfg.quad, space="original")
+        shape = pol.u_star.shape
+        right = slice(grid.n_points // 2 + 1, None)
+
+        for name in ("policy.csv", "values.csv"):
+            with open(out / name, newline="") as fh:
+                lines = [line for line in fh if not line.startswith("#")][1:]
+            rows = np.array([line.split(",") for line in lines]).reshape(*shape, -1)
+            mirror = rows[:, :, ::-1]
+            # every cell but delta (column 2) reads the same at +delta and -delta
+            assert np.array_equal(np.delete(rows, 2, axis=-1), np.delete(mirror, 2, axis=-1))
+            assert np.array_equal(np.char.add("-", rows[:, :, right, 2]), mirror[:, :, right, 2])
+
+        _, policy = read_csv(out / "policy.csv")
+        u = np.array([int(r["u"]) for r in policy]).reshape(shape)
+        q = np.array([float(r["q_margin"]) for r in policy]).reshape(shape)
+        _, values = read_csv(out / "values.csv")
+        w = np.array([float(r["w"]) for r in values]).reshape(shape)
+        assert np.array_equal(u, pol.u_star)
+        np.testing.assert_allclose(q, pol.q_margin, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w, table.w, rtol=0, atol=1e-12)
+        expected = extract_thresholds(pol, grid).threshold
+        assert np.array_equal(load_threshold_csv(out / "thresholds.csv").threshold, expected)
 
     def test_plot_data_toggle(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
@@ -412,6 +453,23 @@ class TestSimulate:
         assert [float(r["delta"]) for r in rows] == tr.delta.tolist()
         assert [float(r["cost"]) for r in rows] == tr.stage_cost.tolist()
         assert [int(r["u"]) for r in rows] == tr.u.tolist()
+
+    @pytest.mark.parametrize("delta_max", ["auto", "6.5"])
+    def test_header_reads_back_as_config(self, tmp_path, delta_max):
+        # builtin policies resolve no grid, so delta_max is written as configured
+        cfg_path = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100, delta_max=delta_max)
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--config", str(cfg_path), "--out", str(out),
+             "--policy-source", "builtin:idle"]
+        )
+        assert code == 0
+        header, _ = read_csv(out / "metrics.csv")
+        assert f"# delta_max = {delta_max}" in header
+        config_lines = [h[2:] for h in header if h[2:].split(" = ")[0] in _ALL_KEYS]
+        again = tmp_path / "again.cfg"
+        again.write_text("\n".join(config_lines) + "\n")
+        assert parse_config(again) == parse_config(cfg_path)
 
     def test_threshold_file_source(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=201, n_rollouts=2000)
@@ -572,6 +630,55 @@ class TestSweep:
             main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                   "--axis", "sigma2", "--values", "1.0"])
         assert ei.value.code == 1
+
+
+def reference_csv(path, header_lines, columns):
+    """_write_csv's format written the plain way: csv.writer on every row,
+    floats by repr and every other cell by str, one cell at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in header_lines)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        cells = [
+            [repr(v) if isinstance(v, float) else str(v) for v in np.asarray(col).tolist()]
+            for col in columns.values()
+        ]
+        writer.writerows(zip(*cells))
+
+
+class TestWriteCsv:
+    N_ROWS = _BLOCK_ROWS + 37  # two blocks, the second partial
+
+    def numeric_columns(self):
+        rng = np.random.default_rng(7)
+        specials = np.array(
+            [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2, 1.0]
+        )
+        return {
+            "special": rng.choice(specials, self.N_ROWS),  # each value repeated in a block
+            "normal": rng.standard_normal(self.N_ROWS),
+            "small": rng.integers(-128, 128, self.N_ROWS).astype(np.int8),
+            "big": rng.integers(-(2**62), 2**62, self.N_ROWS),
+            "flag": rng.random(self.N_ROWS) < 0.5,
+        }
+
+    def assert_same_bytes(self, tmp_path, columns):
+        header = ["# a = 1", "# b = x"]
+        _write_csv(tmp_path / "got.csv", header, columns)
+        reference_csv(tmp_path / "want.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_numeric_columns(self, tmp_path):
+        self.assert_same_bytes(tmp_path, self.numeric_columns())
+
+    def test_text_columns_are_quoted(self, tmp_path):
+        texts = ["a,b", 'say "hi"', "two\nlines", "plain", ""]
+        columns = {
+            **self.numeric_columns(),
+            "text": [texts[k % len(texts)] for k in range(self.N_ROWS)],
+            "mixed": [[None, 1.5, "x,y", 2][k % 4] for k in range(self.N_ROWS)],
+        }
+        self.assert_same_bytes(tmp_path, columns)
 
 
 class TestParser:
