@@ -180,21 +180,18 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
 
 
 def _cells(column) -> list[str]:
-    """Cells of one column: floats by repr (exact round trip), the rest by str.  Flags
-    come as ints; tolist() first, as repr of a numpy float is "np.float64(...)".
+    """Cells of one column: tolist() turns numpy scalars into Python ones (repr of
+    a numpy float is "np.float64(...)"), and str of a Python float is its repr, an
+    exact round trip.  Flags come as ints.
 
-    The rule is picked once per column from its dtype; only object columns
-    (mixed Python values) are dispatched per cell.  A float64 column reprs each
-    distinct bit pattern once, which keeps -0.0 and NaN and formats a repeated
-    node value once per block.
+    A float64 column is formatted once per distinct bit pattern, so -0.0 and NaN
+    keep their text: solve's delta column repeats each node 2 * (T + 1) times.
     """
     a = np.asarray(column)
     if a.dtype == np.float64:
         bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        text = np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)
         return text[inverse].tolist()
-    if a.dtype.kind == "O":
-        return [repr(v) if isinstance(v, float) else str(v) for v in a.tolist()]
     return list(map(str, a.tolist()))
 
 
@@ -283,18 +280,12 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
 
     # one row per (stages_to_go, c, node) of the full grid, in C order; the
     # folded tables are mirrored onto it, so every written table is even
-    def unfold(a):
-        return np.concatenate([a[:, :, :0:-1], a], axis=2).ravel()
-
     j, c, i = np.indices((T + 1, 2, grid.n_points)).reshape(3, -1)
     index = {"stages_to_go": j, "c": c, "delta": grid.nodes()[i]}
-    _write_csv(
-        out / "policy.csv",
-        header,
-        {**index, "u": unfold(pol.u_star), "q_margin": unfold(pol.q_margin)},
-    )
+    policy = {"u": grid.unfold(pol.u_star).ravel(), "q_margin": grid.unfold(pol.q_margin).ravel()}
+    _write_csv(out / "policy.csv", header, {**index, **policy})
     if plot_data:
-        _write_csv(out / "values.csv", header, {**index, "w": unfold(table.w)})
+        _write_csv(out / "values.csv", header, {**index, "w": grid.unfold(table.w).ravel()})
     print(f"solved: delta_max={grid.delta_max} thresholds -> {out / 'thresholds.csv'}")
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .solver import _hermite_nodes
+from .solver import GridSpec, _hermite_nodes
 
 __all__ = [
     "EnumerationBudgetError",
@@ -127,8 +127,7 @@ def quantize(
         delta_q = 4.0 * params.sigma
     if not 0 < delta_q < np.inf:
         raise ValueError(f"delta_q must be finite and > 0, got {delta_q}")
-    pos = np.linspace(0.0, delta_q, (n_delta + 1) // 2)
-    states = np.concatenate([-pos[:0:-1], pos])
+    states = GridSpec.unfold(np.linspace(0.0, delta_q, (n_delta + 1) // 2), odd=True)
     values, probs = _noise_atoms(params.sigma, noise_points)
     drift_to = _snap(params.a * states[:, None] + values[None, :], states)
     reset_to = _snap(values, states)

@@ -91,8 +91,14 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         # Built by mirroring the half grid so symmetry is exact bitwise.
-        pos = self.folded_nodes()
-        return np.concatenate([-pos[:0:-1], pos])
+        return self.unfold(self.folded_nodes(), odd=True)
+
+    @staticmethod
+    def unfold(a: np.ndarray, odd: bool = False) -> np.ndarray:
+        """Mirror an array over the folded nodes (last axis) onto the full grid:
+        the value at -delta is the one at delta, negated if `odd`."""
+        mirror = a[..., :0:-1]
+        return np.concatenate([-mirror if odd else mirror, a], axis=-1)
 
     def nodes_for(self, space: str) -> np.ndarray:
         _check_space(space)

@@ -47,6 +47,15 @@ class TestGridSpec:
         assert np.array_equal(grid.folded_nodes(), grid.nodes()[grid.n_points // 2 :])
         assert grid.n_folded == 21
 
+    def test_unfold_mirrors_the_last_axis(self):
+        grid = GridSpec(4.0, 7)
+        folded = np.arange(24.0).reshape(2, 3, 4)
+        full = grid.unfold(folded)
+        assert full.shape == (2, 3, 7)
+        assert np.array_equal(full, full[..., ::-1])
+        assert np.array_equal(full[..., 3:], folded)
+        assert grid.unfold(np.array([0.0, 1.0, 2.5]), odd=True).tolist() == [-2.5, -1.0, 0.0, 1.0, 2.5]
+
     def test_spacing(self):
         assert GridSpec(2.0, 17).spacing == 0.25
 
