@@ -4,12 +4,14 @@ The continuous error is replaced by a finite uniform ladder of states and
 the Gaussian noise by a symmetric moment-matched atom set, giving a finite
 MDP whose risk-sensitive cost E[exp(gamma * sum d)] is computable exactly.
 Three routes must then agree: exhaustive policy enumeration, backward
-induction, and direct evaluation of the certified policy.  All three apply
-one chain Bellman stage, so their agreement does not test that stage: it
-tests that the optimum lies in the enumerated family (in 'threshold' mode,
-that it is an even magnitude-threshold policy) and that the certified table
-is evaluated back to its own value.  The stage itself is guarded by the
-hand-computed expectations in the unit tests.
+induction, and direct evaluation of the certified policy.  Enumeration
+walks the policies stage by stage, so policies that share their last
+stages share that tail's values.  All three apply one chain Bellman stage,
+so their agreement does not test that stage: it tests that the optimum
+lies in the enumerated family (in 'threshold' mode, that it is an even
+magnitude-threshold policy) and that the certified table is evaluated back
+to its own value.  The stage itself is guarded by the hand-computed
+expectations in the unit tests.
 """
 
 from __future__ import annotations
@@ -244,33 +246,45 @@ def enumeration_size(n_states: int, horizon: int, mode: str) -> tuple[str, int, 
     raise ValueError(f"unknown enumeration mode {mode!r}")
 
 
-def _enumerate_policies(chain: QuantizedChain, mode: str) -> np.ndarray:
-    """Per-policy action tables (P, T, n, 2), indexed by wall stage.
+def _stage_actions(chain: QuantizedChain, mode: str) -> np.ndarray:
+    """Per-stage action tables (A, n, 2) of the enumerated family.
 
-    mode 'full' sweeps every deterministic Markov policy; 'threshold'
-    sweeps every even magnitude-threshold policy (one cut per (stage, c)).
-    The caller has checked the count against ENUM_BUDGET.
+    Both families are the product over wall stages of this one set: mode
+    'full' holds every deterministic table (A = 2**(2n)), 'threshold' every
+    even magnitude-threshold table (one cut per channel, A = k**2 cut pairs).
     """
-    T = chain.params.horizon
     n = chain.n_states
     if mode == "full":
-        bits = n * 2 * T
-        count = 2**bits
-        codes = np.arange(count, dtype=np.int64)
-        shifts = np.arange(bits, dtype=np.int64)
-        flat = (codes[:, None] >> shifts[None, :]) & 1
-        return flat.reshape(count, T, n, 2).astype(np.int8)
+        codes = np.arange(2 ** (2 * n), dtype=np.int64)
+        bits = (codes[:, None] >> np.arange(2 * n, dtype=np.int64)[None, :]) & 1
+        return bits.reshape(-1, n, 2).astype(bool)
     cuts = _threshold_cuts(chain)
     k = len(cuts)
-    count = k ** (2 * T)
-    codes = np.arange(count, dtype=np.int64)
-    choice = np.empty((count, T, 2), dtype=np.int64)
-    rem = codes
-    for slot in range(2 * T):
-        choice[:, slot // 2, slot % 2] = rem % k
-        rem = rem // k
-    abs_states = np.abs(chain.delta_states)
-    return (abs_states[None, None, :, None] >= cuts[choice][:, :, None, :]).astype(np.int8)
+    codes = np.arange(k * k)
+    pair = cuts[np.stack([codes % k, codes // k], axis=1)]  # (k**2, 2) over c
+    return np.abs(chain.delta_states)[None, :, None] >= pair[:, None, :]
+
+
+def _enumerated_minimum(chain: QuantizedChain, mode: str) -> np.ndarray:
+    """Elementwise minimum exp-value (n, 2) over every policy that takes
+    each wall stage's table from _stage_actions.
+
+    A backward pass holds the A**j distinct tails with j stages to go, each
+    computed by the same _stage on the same input as in _evaluate, so every
+    policy's value is bitwise _evaluate's.  The first wall stage is not
+    expanded: for a fixed table each entry takes transmit or idle whatever
+    the tail, so the minimum over tails is taken first.
+    """
+    T = chain.params.horizon
+    tails = np.ones((1, chain.n_states, 2))
+    if T == 0:  # the one empty policy
+        return tails[0]
+    actions = _stage_actions(chain, mode)
+    for _ in range(T - 1):
+        idle, transmit = _stage(chain, tails)
+        tails = np.where(actions[:, None], transmit, idle).reshape(-1, chain.n_states, 2)
+    idle, transmit = _stage(chain, tails)
+    return np.where(actions, transmit.min(axis=0), idle.min(axis=0)).min(axis=0)
 
 
 def chain_policy(u_table: np.ndarray, chain: QuantizedChain):
@@ -304,7 +318,9 @@ class BruteForceResult:
 def brute_force_optimal(chain: QuantizedChain, mode: str = "auto") -> BruteForceResult:
     """Enumerate policies, run backward induction, insist the minima agree.
 
-    mode 'auto' tries the full sweep when it fits the budget and falls back
+    The enumeration evaluates every policy of the family, each tail of
+    stages once for all the policies that share it, and gives each policy
+    bitwise the value exact_policy_cost would.  mode 'auto' tries the full sweep when it fits the budget and falls back
     to the magnitude-threshold family (the optimum of a symmetric chain
     lies there; the acceptance suite confirms this on instances where the
     full sweep is affordable).
@@ -315,8 +331,7 @@ def brute_force_optimal(chain: QuantizedChain, mode: str = "auto") -> BruteForce
         raise EnumerationBudgetError(
             f"{mode} enumeration needs {base}**{exponent} policies (> {ENUM_BUDGET})"
         )
-    actions = _enumerate_policies(chain, mode)
-    enum_value = _evaluate(chain, actions).min(axis=0)
+    enum_value = _enumerated_minimum(chain, mode)
     v_dp, u_dp = _backward_induction(chain)
     gap = np.max(np.abs(v_dp[T] - enum_value) / np.abs(v_dp[T]))
     if gap > 1e-12:
@@ -328,5 +343,5 @@ def brute_force_optimal(chain: QuantizedChain, mode: str = "auto") -> BruteForce
         value=v_dp[T],
         enum_value=enum_value,
         enum_mode=mode,
-        n_enumerated=len(actions),
+        n_enumerated=base**exponent,
     )

@@ -166,15 +166,19 @@ def estimate_risk_objective(
     - se_log: its delta-method standard error sqrt(expm1(L2 - 2*L1) / n),
       where L1, L2 are the log first and second sample moments of
       exp(gamma * S);
-    - tail_share: the share of that mean carried by the top 0.1% of samples
-      (a heavy-tail warning fires, and tail_ok is False, above one half);
+    - tail_share: the share of that mean carried by the top 0.1% of samples,
+      at least one (a heavy-tail warning fires, and tail_ok is False, above
+      one half).  Below 1000 rollouts the top 0.1% is less than one sample,
+      so the tail is not judged: tail_share is still the largest sample's
+      share, but tail_ok is True and nothing warns;
     - mean_cost, var_cost: the mean and sample variance of S, merged across
       chunks with Chan's pairwise update.
     """
     if n_rollouts < 1:
         raise ValueError("n_rollouts must be >= 1")
     gamma = params.gamma
-    k_top = max(1, int(TAIL_QUANTILE * n_rollouts))
+    n_tail = int(TAIL_QUANTILE * n_rollouts)
+    k_top = max(1, n_tail)
     lse1, lse2 = [], []
     top = np.full(0, -np.inf)  # the k_top largest gamma*S so far, unordered
     n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
@@ -207,7 +211,7 @@ def estimate_risk_objective(
     se = math.sqrt(max(math.expm1(l2 - 2.0 * l1), 0.0) / n_rollouts)
     # sorted, so the reduction sums in the same order for any chunking
     tail_share = math.exp(float(_logsumexp(np.sort(top), axis=0)) - lse1_all)
-    tail_ok = tail_share <= TAIL_SHARE_LIMIT
+    tail_ok = n_tail == 0 or tail_share <= TAIL_SHARE_LIMIT
     if not tail_ok:
         warnings.warn(
             f"risk estimate is tail-dominated: top {TAIL_QUANTILE:.1%} of samples "

@@ -361,9 +361,10 @@ def _stencil(
     Hermite reads W at center + sqrt(2) sigma y_k, interpolated in z =
     delta^2.  Original space assumes no evenness, so lo and hi are signed
     around the center node and negative abscissae read the left half;
-    folded space reads |x|.  Trapezoid reads the grid nodes themselves, at
-    |node| in a folded table.  log_weight broadcasts to (len(center),
-    n_terms).
+    folded space reads |x|.  Trapezoid reads the table's own nodes; in
+    folded space its kernel is the folded one, N(x; m, sigma2) +
+    N(-x; m, sigma2), so node m > 0 carries the weights of +m and -m and
+    node 0 its own.  log_weight broadcasts to (len(center), n_terms).
     """
     mid = grid.n_points // 2
     if quad.rule == RULE_HERMITE:
@@ -377,9 +378,6 @@ def _stencil(
         side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
         log_weight = np.log(wt) - 0.5 * math.log(math.pi)
         return origin + side * (j - 1), origin + side * j, th, log_weight[None, :]
-    # Original space reads the table as it stands: np.newaxis makes the
-    # gather a view.
-    lo = np.newaxis if space == "original" else np.abs(np.arange(grid.n_points) - mid)[None, :]
     w = np.full(grid.n_points, grid.spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -389,7 +387,11 @@ def _stencil(
     log_weight = np.log(w) + (
         -np.square(grid.nodes()[None, :] - center[:, None]) / (2.0 * s2) - log_norm
     )
-    return lo, None, None, log_weight
+    if space == "folded":
+        fold = np.logaddexp(log_weight[:, mid + 1 :], log_weight[:, mid - 1 :: -1])
+        log_weight = np.concatenate([log_weight[:, mid : mid + 1], fold], axis=1)
+    # The table is read as it stands: np.newaxis makes the gather a view.
+    return np.newaxis, None, None, log_weight
 
 
 # Kernel branches: idle or lost attempt (center a*delta), delivery (center 0).

@@ -1,6 +1,7 @@
 """Quantized-chain oracle tests with hand-computable expected values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from risksched import (
     always_transmit_policy,
     quantize,
 )
-from risksched.oracle import enumeration_size
+from risksched.oracle import _evaluate, _threshold_cuts, enumeration_size
 
 
 def mk(**kw):
@@ -138,7 +139,52 @@ class TestExactPolicyCost:
         assert a == b
 
 
+def _reference_policies(chain, mode):
+    """Every enumerated policy's action table (P, T, n, 2), by wall stage."""
+    T = chain.params.horizon
+    n = chain.n_states
+    if mode == "full":
+        bits = n * 2 * T
+        codes = np.arange(2**bits, dtype=np.int64)
+        flat = (codes[:, None] >> np.arange(bits, dtype=np.int64)[None, :]) & 1
+        return flat.reshape(len(codes), T, n, 2).astype(np.int8)
+    cuts = _threshold_cuts(chain)
+    k = len(cuts)
+    rem = np.arange(k ** (2 * T), dtype=np.int64)
+    choice = np.empty((len(rem), T, 2), dtype=np.int64)
+    for slot in range(2 * T):
+        choice[:, slot // 2, slot % 2] = rem % k
+        rem = rem // k
+    abs_states = np.abs(chain.delta_states)
+    return (abs_states[None, None, :, None] >= cuts[choice][:, :, None, :]).astype(np.int8)
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize(
+        "mode,horizon,n_delta",
+        [("full", 0, 9), ("full", 1, 5), ("full", 2, 3), ("threshold", 2, 17), ("threshold", 3, 9)],
+    )
+    def test_enumeration_matches_per_policy_evaluation(self, mode, horizon, n_delta):
+        # the stage-by-stage pass must find bitwise the minimum of every
+        # enumerated policy evaluated on its own
+        chain = quantize(mk(horizon=horizon), n_delta, 3)
+        actions = _reference_policies(chain, mode)
+        result = brute_force_optimal(chain, mode)
+        assert result.n_enumerated == len(actions)
+        assert np.array_equal(result.enum_value, _evaluate(chain, actions).min(axis=0))
+
+    def test_enumeration_memory_is_bounded(self):
+        # 18**4 threshold policies: one (P, n, 2) float64 table of them is 55 MB
+        chain = quantize(mk(horizon=2), 33, 5)
+        tracemalloc.start()
+        try:
+            result = brute_force_optimal(chain, "threshold")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_enumerated == 18**4
+        assert peak < 80e6
+
     def test_full_and_threshold_sweeps_agree(self):
         # 3 states, T=2: the unrestricted sweep (4096 policies) and the
         # even-threshold family (81) certify the same optimum

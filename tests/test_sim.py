@@ -2,6 +2,7 @@
 anchors, and the heavy-tail diagnostic."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ class TestRiskEstimate:
         with pytest.warns(RuntimeWarning, match="tail-dominated"):
             est = estimate_risk_objective(p, idle_policy(), 1 << 14, seed=2)
         assert not est.tail_ok
+
+    @pytest.mark.parametrize("n,seed", [(1, 2), (999, 26)])
+    def test_small_runs_are_not_judged(self, n, seed):
+        # below 1000 rollouts the top 0.1% is less than one sample: its share
+        # (here above one half) is reported, but the tail is not judged
+        p = mk(horizon=3, gamma=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_risk_objective(p, idle_policy(), n, seed=seed)
+        assert est.tail_ok
+        assert est.tail_share > 0.5
+        if n == 1:
+            assert est.tail_share == 1.0
+
+    def test_tail_is_judged_from_1000_rollouts(self):
+        # one sample of this heavy-tail run carries 94% of the mean
+        p = mk(horizon=3, gamma=0.3)
+        with pytest.warns(RuntimeWarning, match="tail-dominated"):
+            est = estimate_risk_objective(p, idle_policy(), 1000, seed=4)
+        assert not est.tail_ok
+        assert est.tail_share > 0.9
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):

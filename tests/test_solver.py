@@ -296,6 +296,38 @@ class TestUnevenTable:
         assert_allclose(q1[:, inside], exp_q1[:, inside], rtol=0, atol=1e-12)
 
 
+class TestFoldedStage:
+    """On an even table the folded stage is the original one on the right half."""
+
+    GRID = GridSpec(10.0, 201)
+
+    def half_table(self):
+        d = self.GRID.folded_nodes()
+        return np.stack([0.04 * d**2 + 0.3 * np.tanh(d), 0.2 + 0.04 * d**2 - 0.5 * np.tanh(d / 2)])
+
+    @pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
+    @pytest.mark.parametrize("quad", [HERMITE, TRAPEZOID], ids=["hermite", "trapezoid"])
+    def test_q_values_match_the_right_half(self, quad, risk_neutral):
+        p = mk()
+        mid = self.GRID.n_points // 2
+        w_half = self.half_table()
+        folded = _BellmanStage(p, self.GRID, quad, "folded", True, risk_neutral)
+        original = _BellmanStage(p, self.GRID, quad, "original", True, risk_neutral)
+        for got, want in zip(folded.q_values(w_half), original.q_values(GridSpec.unfold(w_half))):
+            assert_allclose(got, want[:, mid:], rtol=0, atol=1e-12)
+
+    def test_folded_trapezoid_kernel_keeps_the_row_mass(self):
+        # node m > 0 of the folded kernel carries the weights of +m and -m
+        mid = self.GRID.n_points // 2
+        folded = _BellmanStage(mk(), self.GRID, TRAPEZOID, "folded", True)
+        original = _BellmanStage(mk(), self.GRID, TRAPEZOID, "original", True)
+        for branch, rows in ((0, slice(mid, None)), (1, slice(None))):
+            got = np.exp(folded.stencil[branch][3]).sum(axis=1)
+            want = np.exp(original.stencil[branch][3][rows]).sum(axis=1)
+            assert folded.stencil[branch][3].shape[1] == self.GRID.n_folded
+            assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 class TestQuadratureRules:
     def test_forced_idle_matches_closed_form_hermite(self):
         p = mk(gamma=0.05, horizon=4)
