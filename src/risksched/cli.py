@@ -4,12 +4,13 @@ Configuration is one flat key=value file (keys: a, sigma2, lambda, gamma,
 T, p01, p10, delta_max, n_points, quad_rule, quad_nodes, seed, n_rollouts;
 '#' starts a comment).  Every output is a CSV from the one writer
 _write_csv: '#' header lines with the fully resolved config ('\n'), then
-rows in csv.writer's format ('\r\n', minimal quoting) whose floats are
-written by repr, so they read back exactly, and every other cell by str.
-solve solves the folded MDP (the value is even in delta) and writes
-policy.csv and values.csv on the full grid by mirroring the folded
-tables, so they are exactly even.  Exit codes: 0 ok, 1 usage/config
-error, 2 infeasible parameters, 3 enumeration budget exceeded.
+comma-separated rows ('\r\n') whose floats are written by repr, so they
+read back exactly, and every other cell by str.  Every command that solves
+goes through _solve, which solves the folded MDP (the value is even in
+delta); solve writes policy.csv and values.csv on the full grid by
+mirroring the folded tables, so they are exactly even.  Exit codes: 0 ok,
+1 usage/config error, 2 infeasible parameters, 3 enumeration budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .oracle import (
     quantize,
 )
 from .policy import (
+    NonThresholdPolicyError,
     ThresholdSchedule,
     always_transmit_policy,
     extract_thresholds,
@@ -151,9 +153,12 @@ def parse_config(path: str | Path) -> Config:
     )
 
 
-def _resolve_grid(cfg: Config) -> GridSpec:
+def _solve(cfg: Config):
+    """(grid, log-value table, policy) of the config: resolve delta_max (auto
+    or fixed) and solve the folded MDP, as the value is even in delta."""
     dmax = cfg.delta_max if cfg.delta_max is not None else auto_delta_max(cfg.params, cfg.quad)
-    return GridSpec(delta_max=dmax, n_points=cfg.n_points)
+    grid = GridSpec(delta_max=dmax, n_points=cfg.n_points)
+    return (grid, *value_iterate(cfg.params, grid, cfg.quad, space="folded"))
 
 
 def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None) -> list[str]:
@@ -202,25 +207,20 @@ _BLOCK_ROWS = 1 << 14
 
 def _write_csv(path: Path, header_lines: list[str], columns: dict) -> None:
     """The one CSV writer: '#' header lines, then one row per index of the
-    equal-length columns (a dict from column name to sequence or array)."""
+    equal-length columns (a dict from column name to sequence or array),
+    cells joined by ',' and rows ended by '\r\n'.  No cell is quoted: the
+    text cells the commands write (column names, oracle check names and
+    details, policy_source, axis) hold no ',', '"' or line break."""
     arrays = [np.asarray(col) for col in columns.values()]
     n_rows = max(len(a) for a in arrays)
-    # No number's cell holds a delimiter, quote or line break, so csv.writer
-    # would quote none of them: all-numeric blocks are joined directly.
-    numeric = all(a.dtype.kind in "biuf" for a in arrays)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             fh.writelines(line + "\n" for line in header_lines)
-            writer = csv.writer(fh)
-            writer.writerow(columns)
+            fh.write(",".join(columns) + "\r\n")
             for start in range(0, n_rows, _BLOCK_ROWS):
                 block = [_cells(a[start : start + _BLOCK_ROWS]) for a in arrays]
-                rows = zip(*block, strict=True)
-                if numeric:
-                    fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
-                else:
-                    writer.writerows(rows)
+                fh.write("\r\n".join(map(",".join, zip(*block, strict=True))) + "\r\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -249,9 +249,8 @@ def _print_beta_trace(params: ModelParams) -> None:
 
 
 def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
-    grid = _resolve_grid(cfg)  # raises InfeasibleModelError first
+    grid, table, pol = _solve(cfg)
     header = _header_lines(cfg, grid)
-    table, pol = value_iterate(cfg.params, grid, cfg.quad, space="folded")
     schedule = extract_thresholds(pol, grid)
     T = cfg.params.horizon
 
@@ -335,8 +334,7 @@ def _policy_from_source(cfg: Config, source: str, threshold_file: str | None):
     if source == "builtin:always":
         return always_transmit_policy(), None
     if source == "solved":
-        grid = _resolve_grid(cfg)
-        _, pol = value_iterate(cfg.params, grid, cfg.quad, space="folded")
+        grid, _, pol = _solve(cfg)
         return threshold_policy(extract_thresholds(pol, grid)), grid
     if source == "threshold-file":
         if threshold_file is None:
@@ -471,8 +469,7 @@ def cmd_oracle(
     checks.append(("optimal_policy_threshold_structure", upset_ok, "up-set in |delta|"))
 
     try:
-        grid = _resolve_grid(cfg)
-        table, _ = value_iterate(params, grid, cfg.quad, space="folded")
+        _, table, _ = _solve(cfg)
         w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
         disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
         fine_result = brute_force_optimal(fine, mode="threshold")
@@ -531,8 +528,7 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
     for k, (v, params) in enumerate(points):
         sub = dataclasses.replace(cfg, params=params)
         try:
-            grid = _resolve_grid(sub)
-            w_table, pol = value_iterate(params, grid, sub.quad, space="folded")
+            grid, w_table, pol = _solve(sub)
             rn_table, _ = risk_neutral_value_iterate(params, grid, sub.quad, space="folded")
             threshold = extract_thresholds(pol, grid).threshold
             table[:, k] = threshold, w_table.w[:, :, 0], rn_table.v[:, :, 0]
@@ -617,7 +613,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_EXIT_CODES = {ConfigError: 1, InfeasibleModelError: 2, EnumerationBudgetError: 3}
+# a non-threshold solve (the trapezoid rule on an unstable source) is a config error
+_EXIT_CODES = {
+    ConfigError: 1, NonThresholdPolicyError: 1, InfeasibleModelError: 2, EnumerationBudgetError: 3
+}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,10 @@
 """Monte Carlo evaluation of scheduling policies on the continuous model.
 
+The sensor closes one loop: it sees (delta(t), c(t)), decides u(t), and delta
+and c step forward.  _closed_loop is that loop, run on a batch of rollouts;
+rollout records one of them as a trace (adding the source x and estimate
+x_hat), and the estimator sums the stage costs of many.
+
 One estimator, estimate_risk_objective, simulates every rollout once and
 reads five figures from the total costs S: the log risk objective
 log E[exp(gamma * S)], its standard error, the tail share of the top 0.1%
@@ -56,11 +61,26 @@ def _generator(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_c0(params: ModelParams, u01, c0):
-    if c0 is not None:
-        return np.broadcast_to(np.int8(c0), np.shape(u01)).copy() if np.ndim(u01) else int(c0)
-    good = u01 < params.stationary_good_prob()
-    return good.astype(np.int8) if np.ndim(u01) else int(good)
+def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
+    """c(0), noises w and channel uniforms u_chan of m rollouts, drawn in this
+    order; the c(0) uniforms are consumed even when c0 is pinned."""
+    good = g.random(m) < params.stationary_good_prob()
+    c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
+    T = params.horizon
+    return c, g.normal(0.0, params.sigma, size=(m, T)), g.random(size=(m, T))
+
+
+def _closed_loop(params: ModelParams, policy, delta0: float, c, w, u_chan):
+    """Step len(c) rollouts through the T wall stages and yield (delta, c, u)
+    at each: the sensor sees (delta, c) and decides u, then delta steps with
+    the noise w[:, t] and c with the channel uniform u_chan[:, t]."""
+    T = params.horizon
+    delta = np.full(len(c), float(delta0))
+    for t in range(T):
+        u = np.asarray(policy(delta, c, T - t), dtype=np.int8)
+        yield delta, c, u
+        delta = step_error(delta, w[:, t], u, c, params)
+        c = step_channel(c, u_chan[:, t], params)
 
 
 def rollout(
@@ -73,73 +93,43 @@ def rollout(
 ) -> SimTrace:
     """One closed-loop trajectory; row t covers wall stage t = 0..T-1.
 
-    Draw order per trace: x(0), the c(0) uniform (consumed even when c0 is
-    pinned), then per stage one noise normal and one channel uniform.  The
-    estimator is initialized so that delta(0) = delta0 (for a = 0 this
-    forces x(0) = delta0 instead).  `noise` substitutes the noise sequence
-    after the draws are consumed — a test hook, not a sampling feature.
+    Draw order per trace: x(0), then the draws of a one-rollout chunk (the
+    c(0) uniform, T noise normals, T channel uniforms).  The estimator is
+    initialized so that delta(0) = delta0 (for a = 0 this forces x(0) =
+    delta0 instead).  `noise` substitutes the noise sequence after the draws
+    are consumed — a test hook, not a sampling feature.
     """
     T = params.horizon
     g = _generator(seed, 0)
-    x = float(g.normal(0.0, 1.0))
-    c = _draw_c0(params, float(g.random()), c0)
-    w_seq = g.normal(0.0, params.sigma, size=T)
-    u_chan = g.random(size=T)
+    x = g.normal(0.0, 1.0, size=1)
+    c, w, u_chan = _draws(params, g, 1, c0)
     if noise is not None:
-        w_seq = np.asarray(noise, dtype=float)
-        if w_seq.shape != (T,):
+        w = np.asarray(noise, dtype=float)[np.newaxis]
+        if w.shape != (1, T):
             raise ValueError(f"noise must have shape ({T},)")
     if params.a != 0.0:
-        x_hat_prev = (x - delta0) / params.a
+        x_hat = (x - delta0) / params.a
     else:
-        x = float(delta0)
-        x_hat_prev = 0.0
+        x, x_hat = np.full(1, float(delta0)), np.zeros(1)
 
-    cols = {k: np.zeros(T) for k in ("x", "x_hat", "delta", "cost")}
-    c_col = np.zeros(T, dtype=np.int8)
-    u_col = np.zeros(T, dtype=np.int8)
-    delta = float(delta0)
-    for t in range(T):
-        u = int(policy(delta, c, T - t))
-        x_hat = float(update_estimate(x_hat_prev, x, u, c, params))
-        cols["x"][t] = x
-        cols["x_hat"][t] = x_hat
-        cols["delta"][t] = delta
-        cols["cost"][t] = stage_cost(delta, c, u, params)
-        c_col[t] = c
-        u_col[t] = u
-        w = float(w_seq[t])
-        delta = float(step_error(delta, w, u, c, params))
-        x = float(step_source(x, w, params))
-        c = int(step_channel(c, float(u_chan[t]), params))
-        x_hat_prev = x_hat
-    return SimTrace(
-        t=np.arange(T),
-        x=cols["x"],
-        x_hat=cols["x_hat"],
-        delta=cols["delta"],
-        c=c_col,
-        u=u_col,
-        stage_cost=cols["cost"],
-        seed=seed,
-    )
+    rows = np.zeros((5, T))  # x, x_hat, delta, c, u
+    for t, (delta, c_t, u) in enumerate(_closed_loop(params, policy, delta0, c, w, u_chan)):
+        x_hat = update_estimate(x_hat, x, u, c_t, params)
+        rows[:, t] = x[0], x_hat[0], delta[0], c_t[0], u[0]
+        x = step_source(x, w[:, t], params)
+    x, x_hat, delta, c, u = rows
+    c, u = c.astype(np.int8), u.astype(np.int8)
+    cost = stage_cost(delta, c, u, params)
+    return SimTrace(t=np.arange(T), x=x, x_hat=x_hat, delta=delta, c=c, u=u, stage_cost=cost, seed=seed)
 
 
 def _simulate_chunk(
     params: ModelParams, policy, m: int, g: np.random.Generator, delta0: float, c0
 ) -> np.ndarray:
-    """Total additive cost of m independent rollouts (error/channel layer)."""
-    T = params.horizon
-    c = _draw_c0(params, g.random(m), c0)
-    w = g.normal(0.0, params.sigma, size=(m, T))
-    u_chan = g.random(size=(m, T))
-    delta = np.full(m, float(delta0))
+    """Total additive cost of m independent rollouts of the closed loop."""
     total = np.zeros(m)
-    for t in range(T):
-        u = np.asarray(policy(delta, c, T - t), dtype=np.int8)
+    for delta, c, u in _closed_loop(params, policy, delta0, *_draws(params, g, m, c0)):
         total += stage_cost(delta, c, u, params)
-        delta = step_error(delta, w[:, t], u, c, params)
-        c = step_channel(c, u_chan[:, t], params)
     return total
 
 

@@ -269,6 +269,20 @@ class TestBadInputs:
         )
         assert_error_exit_1(code, capsys)
 
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["simulate"], ["sweep", "--axis", "gamma", "--values", "0.05"]]
+    )
+    def test_non_threshold_solve_exit_1(self, tmp_path, capsys, command):
+        # the trapezoid rule on an unstable source: drift centers a*delta leave
+        # the grid, the edge rows lose kernel mass, and the solved transmit set
+        # is not an up-set
+        cfg = write_config(tmp_path / "c.cfg", a=1.2, T=1, n_points=41, quad_rule="trapezoid-on-grid")
+        code = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: transmit set is not an up-set at stages_to_go=1, c=1, node=20\n"
+        )
+
     def test_unwritable_trace_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
         out = tmp_path / "o"
@@ -671,12 +685,26 @@ class TestWriteCsv:
     def test_numeric_columns(self, tmp_path):
         self.assert_same_bytes(tmp_path, self.numeric_columns())
 
-    def test_text_columns_are_quoted(self, tmp_path):
-        texts = ["a,b", 'say "hi"', "two\nlines", "plain", ""]
+    def test_text_columns_need_no_quoting(self, tmp_path):
+        # the text cells the commands write: oracle check names and details,
+        # policy sources and sweep axes; none holds ',', '"' or a line break,
+        # so csv.writer quotes none of them either
+        texts = [
+            "optimal_policy_threshold_structure",
+            "rel_gap=1.234e-15",
+            "transmit_count=0",
+            "u(delta)=u(-delta)",
+            "up-set in |delta|",
+            "coarse=3.210e-03 fine=1.234e-03",
+            "infeasible params",
+            "builtin:idle",
+            "threshold-file",
+            "lambda",
+        ]
         columns = {
             **self.numeric_columns(),
             "text": [texts[k % len(texts)] for k in range(self.N_ROWS)],
-            "mixed": [[None, 1.5, "x,y", 2][k % 4] for k in range(self.N_ROWS)],
+            "mixed": [[None, 1.5, "solved", 2][k % 4] for k in range(self.N_ROWS)],
         }
         self.assert_same_bytes(tmp_path, columns)
 

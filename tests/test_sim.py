@@ -245,3 +245,46 @@ class TestOnePass:
         assert est[:5] == (est.log_estimate, est.se_log, est.n, est.tail_share, est.tail_ok)
         assert est[5:] == (est.mean_cost, est.var_cost)
 
+
+# transmits on either channel, with thresholds that change from stage to stage
+THRESHOLD = threshold_policy(
+    ThresholdSchedule(np.array([[np.inf, np.inf]] + [[2.5, 0.8], [np.inf, 1.2]] * 3))
+)
+
+
+class TestClosedLoop:
+    """rollout and the estimator run one loop, sim._closed_loop."""
+
+    @pytest.mark.parametrize(
+        "policy", [idle_policy(), always_transmit_policy(), THRESHOLD], ids=["idle", "always", "threshold"]
+    )
+    @pytest.mark.parametrize("c0", [None, 0, 1])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_trace_is_a_rollout_of_the_estimators_loop(self, policy, c0, seed):
+        p = mk(horizon=6)
+        g = sim._generator(seed, 0)
+        g.normal(0.0, 1.0)  # x(0): only the trace tracks the source
+        total = sim._simulate_chunk(p, policy, 1, g, 0.75, c0)
+        trace = rollout(p, policy, seed, delta0=0.75, c0=c0)
+        want = 0.0
+        for cost in trace.stage_cost.tolist():
+            want += cost
+        assert total.tolist() == [want]
+
+    def test_batch_rows_match_one_row_runs(self):
+        p = mk(horizon=6)
+        m = 9
+        g = np.random.default_rng(3)
+        c = (g.random(m) < 0.6).astype(np.int8)
+        w = g.normal(0.0, p.sigma, size=(m, p.horizon))
+        u_chan = g.random(size=(m, p.horizon))
+        batch = list(sim._closed_loop(p, THRESHOLD, 0.75, c, w, u_chan))
+        assert len(batch) == p.horizon
+        for r in range(m):
+            rows = (c[r : r + 1], w[r : r + 1], u_chan[r : r + 1])
+            one = list(sim._closed_loop(p, THRESHOLD, 0.75, *rows))
+            assert len(one) == p.horizon
+            for stage, one_stage in zip(batch, one):
+                for got, want in zip(stage, one_stage):
+                    assert got.dtype == want.dtype
+                    assert got[r : r + 1].tobytes() == want.tobytes()
