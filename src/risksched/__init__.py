@@ -12,7 +12,6 @@ from .model import (
     ModelParams,
     SimTrace,
     stage_cost,
-    stage_cost_raw,
     step_channel,
     step_error,
     step_source,

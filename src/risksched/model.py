@@ -24,7 +24,6 @@ __all__ = [
     "update_estimate",
     "step_error",
     "stage_cost",
-    "stage_cost_raw",
 ]
 
 
@@ -148,11 +147,3 @@ def stage_cost(delta, c, u, params: ModelParams):
     uc = u * np.asarray(c)
     return params.lam * u + (1 - uc) * np.square(delta)
 
-
-def stage_cost_raw(x, x_hat, u, params: ModelParams):
-    """g(x, x_hat, u) = lambda*u + (x - x_hat)**2.
-
-    Along any closed-loop trajectory this coincides pathwise with
-    stage_cost evaluated at (delta, c, u).
-    """
-    return params.lam * np.asarray(u) + np.square(np.asarray(x) - np.asarray(x_hat))

@@ -314,13 +314,40 @@ def test_runtime_needs_no_scipy(tmp_path):
         print("codes", codes)
         """
     )
-    src = os.path.dirname(os.path.dirname(risksched.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
-    )
+    proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert "codes [0, 0, 0, 0, 0]" in proc.stdout, proc.stdout + proc.stderr
+
+
+def _run_fresh(script):
+    """Run script in a fresh interpreter that imports this risksched."""
+    src = os.path.dirname(os.path.dirname(risksched.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_thread_pool_loads_only_for_several_chunks(tmp_path):
+    """concurrent.futures pulls in logging: importing the CLI and a one-chunk
+    simulate must not load it, so neither pays for it at start-up."""
+    cfg = write_config(tmp_path / "c.cfg", T=2, n_points=401, n_rollouts=20000)
+    script = textwrap.dedent(
+        f"""
+        import risksched.cli, sys
+        from risksched import idle_policy, sim
+        loaded = ["concurrent.futures" in sys.modules]
+        cfg, out = {str(cfg)!r}, {str(tmp_path / "out")!r}
+        code = risksched.cli.main(["simulate", "--config", cfg, "--out", out, "--policy-source", "solved"])
+        loaded.append("concurrent.futures" in sys.modules)
+        sim._usable_cpus = lambda: 2  # the probe sees a pool whatever the host
+        params = risksched.cli.parse_config(cfg).params
+        sim.estimate_risk_objective(params, idle_policy(), 2 * sim.CHUNK_SIZE, seed=0)
+        loaded.append("concurrent.futures" in sys.modules)
+        print("code", code, "loaded", loaded)
+        """
+    )
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert "code 0 loaded [False, False, True]" in proc.stdout, proc.stdout + proc.stderr
 
 
 class TestSolve:

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from risksched import (
     ModelParams,
     stage_cost,
-    stage_cost_raw,
     step_channel,
     step_error,
     step_source,
@@ -130,6 +129,11 @@ class TestTransitions:
         assert step_error(2.0, 0.3, 1, 1, p) == pytest.approx(0.3)
         assert step_error(2.0, 0.3, 0, 1, p) == pytest.approx(2.1)
         assert step_error(2.0, 0.3, 1, 0, p) == pytest.approx(2.1)
+
+
+def stage_cost_raw(x, x_hat, u, params):
+    """g(x, x_hat, u) = lambda*u + (x - x_hat)**2, the cost in source terms."""
+    return params.lam * np.asarray(u) + np.square(np.asarray(x) - np.asarray(x_hat))
 
 
 class TestStageCosts:

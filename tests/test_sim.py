@@ -2,6 +2,7 @@
 anchors, and the heavy-tail diagnostic."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from risksched import (
     threshold_policy,
 )
 from risksched import sim
-from risksched.sim import CHUNK_SIZE
+from risksched.sim import CHUNK_SIZE, ROW_BLOCK
 from risksched.solver import _logsumexp
 
 
@@ -288,3 +289,63 @@ class TestClosedLoop:
                 for got, want in zip(stage, one_stage):
                     assert got.dtype == want.dtype
                     assert got[r : r + 1].tobytes() == want.tobytes()
+
+
+def _one_fill_chunk(params, policy, m, g, delta0, c0):
+    """_simulate_chunk as one (m, T) fill of the normals, one of the channel
+    uniforms, and one closed loop over all m rollouts."""
+    good = g.random(m) < params.stationary_good_prob()
+    c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
+    w = g.normal(0.0, params.sigma, size=(m, params.horizon))
+    u_chan = g.random(size=(m, params.horizon))
+    total = np.zeros(m)
+    for delta, c_t, u in sim._closed_loop(params, policy, delta0, c, w, u_chan):
+        total += stage_cost(delta, c_t, u, params)
+    return total
+
+
+class TestChunks:
+    """Row blocks inside a chunk, and chunks on a thread pool."""
+
+    @pytest.mark.parametrize(
+        "policy", [idle_policy(), always_transmit_policy(), THRESHOLD], ids=["idle", "always", "threshold"]
+    )
+    @pytest.mark.parametrize("c0", [None, 0, 1])
+    @pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK + 1, CHUNK_SIZE])
+    def test_row_blocks_draw_what_one_fill_draws(self, policy, c0, m):
+        p = mk(horizon=6)
+        g, g_ref = sim._generator(5, 3), sim._generator(5, 3)
+        total = sim._simulate_chunk(p, policy, m, g, 0.75, c0)
+        want = _one_fill_chunk(p, policy, m, g_ref, 0.75, c0)
+        assert total.tobytes() == want.tobytes()
+        assert g.random(4).tolist() == g_ref.random(4).tolist()  # same stream position
+
+    @pytest.mark.filterwarnings("ignore:risk estimate is tail-dominated")
+    def test_estimate_does_not_depend_on_worker_count(self, monkeypatch):
+        p = mk(horizon=3)
+        n = 5 * CHUNK_SIZE + 3
+        got = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(sim, "_usable_cpus", lambda: workers)
+            got.append(estimate_risk_objective(p, THRESHOLD, n, seed=3, delta0=0.75))
+        assert got[0] == got[1] == got[2]
+
+    def test_worker_failure_propagates_and_joins_the_pool(self, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        lock = threading.Lock()
+        calls = [0]
+        idle = idle_policy()
+        per_chunk = CHUNK_SIZE // ROW_BLOCK  # one call per row block at T = 1
+
+        def flaky(delta, c, t):
+            with lock:
+                calls[0] += 1
+                late = calls[0] > per_chunk
+            if late:
+                raise ValueError("decision failed on a later chunk")
+            return idle(delta, c, t)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="later chunk"):
+            estimate_risk_objective(mk(horizon=1), flaky, 3 * CHUNK_SIZE, seed=0)
+        assert threading.active_count() == before
