@@ -189,15 +189,19 @@ def _cells(column) -> list[str]:
     a numpy float is "np.float64(...)"), and str of a Python float is its repr, an
     exact round trip.  Flags come as ints.
 
-    A float64 column is formatted once per distinct bit pattern, so -0.0 and NaN
-    keep their text: solve's delta column repeats each node 2 * (T + 1) times.
+    A numeric column (bool, int, uint or float) is formatted once per distinct
+    value, a float one per distinct bit pattern, so -0.0 and NaN keep their
+    text: solve's index columns hold T + 1, 2 and n_points distinct values in
+    2 * (T + 1) * n_points rows.  Any other column is formatted cell by cell.
     """
     a = np.asarray(column)
-    if a.dtype == np.float64:
-        bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-        text = np.array(list(map(str, bits.view(np.float64).tolist())), dtype=object)
-        return text[inverse].tolist()
-    return list(map(str, a.tolist()))
+    if a.dtype.kind not in "biuf":
+        return list(map(str, a.tolist()))
+    is_float = a.dtype.kind == "f"
+    keys, inverse = np.unique(a.view(f"u{a.itemsize}") if is_float else a, return_inverse=True)
+    values = keys.view(a.dtype) if is_float else keys
+    text = np.array(list(map(str, values.tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 # Rows formatted at a time: the 168k-row policy.csv of a T=20, n_points=4001
@@ -613,9 +617,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# a non-threshold solve (the trapezoid rule on an unstable source) is a config error
+# a non-threshold solve (the trapezoid rule on an unstable source) is a config
+# error, and so is a grid too large to allocate (numpy raises a MemoryError
+# subclass, so codes are looked up by isinstance)
 _EXIT_CODES = {
-    ConfigError: 1, NonThresholdPolicyError: 1, InfeasibleModelError: 2, EnumerationBudgetError: 3
+    ConfigError: 1,
+    NonThresholdPolicyError: 1,
+    MemoryError: 1,
+    InfeasibleModelError: 2,
+    EnumerationBudgetError: 3,
 }
 
 
@@ -654,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, InfeasibleModelError):
             _print_beta_trace(cfg.params)
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CODES[type(exc)]
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

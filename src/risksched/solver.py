@@ -16,7 +16,11 @@ never-transmit shape log K_j + beta_j * delta^2 and hence is exact for that
 envelope; beyond delta_max the last two nodes extrapolate linearly in z.
 Kernel centers and quadrature abscissae are the same at every stage, so
 where each integral reads the table is fixed once per solve, and a stage is
-a gather, a lerp and one reduction per kernel branch.
+a gather, a lerp and one reduction per kernel branch.  The Hermite stencil
+is abscissa-major, (n_nodes, n_centers): each reduction over the 64 terms
+then adds whole rows of centers, where a reduction over a short last axis
+spent its time on memory layout.  The trapezoid stencil stays center-major,
+(n_centers, n_points), as its long rows already reduce along memory.
 """
 
 from __future__ import annotations
@@ -326,15 +330,18 @@ def truncation_report(
     )
 
 
-def _logsumexp(a: np.ndarray, axis) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis, _overwrite: bool = False) -> np.ndarray:
     """log(sum(exp(a))) over axis (an int or a tuple of ints).
 
     The max is subtracted for stability; where it is not finite 0 stands in
-    for it, so all -inf slices give -inf and +inf entries propagate.
+    for it, so all -inf slices give -inf and +inf entries propagate.  With
+    _overwrite the shifted exponentials are formed in a itself, which saves
+    a temporary of a's size and leaves a's memory order, and so the order
+    of the sum, as it is.
     """
     mx = np.max(a, axis=axis, keepdims=True)
     mx[~np.isfinite(mx)] = 0.0
-    e = a - mx
+    e = np.subtract(a, mx, out=a if _overwrite else None)
     np.exp(e, out=e)
     with np.errstate(divide="ignore"):
         return np.log(np.sum(e, axis=axis)) + np.squeeze(mx, axis=axis)
@@ -356,20 +363,23 @@ def _stencil(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
     """Where one kernel branch reads a node table: (lo, hi, th, log_weight).
 
-    The expectation at center i reduces log_weight[i, k] + W[lo[i, k]] over
-    k, with W lerped towards W[hi[i, k]] by th[i, k] when th is set.
     Hermite reads W at center + sqrt(2) sigma y_k, interpolated in z =
-    delta^2.  Original space assumes no evenness, so lo and hi are signed
-    around the center node and negative abscissae read the left half;
-    folded space reads |x|.  Trapezoid reads the table's own nodes; in
+    delta^2: the expectation at center i reduces log_weight[k, 0] +
+    W[lo[k, i]], lerped towards W[hi[k, i]] by th[k, i], over k.  The arrays
+    are abscissa-major, (n_nodes, len(center)), and log_weight is
+    (n_nodes, 1).  Original space assumes no evenness, so lo and hi are
+    signed around the center node and negative abscissae read the left
+    half; folded space reads |x|.  Trapezoid reads the table's own nodes
+    with no lerp (lo is np.newaxis, hi and th None): the expectation at
+    center i reduces log_weight[i, k] + W[k] over k, center-major.  In
     folded space its kernel is the folded one, N(x; m, sigma2) +
     N(-x; m, sigma2), so node m > 0 carries the weights of +m and -m and
-    node 0 its own.  log_weight broadcasts to (len(center), n_terms).
+    node 0 its own.
     """
     mid = grid.n_points // 2
     if quad.rule == RULE_HERMITE:
         y, wt = _hermite_nodes(quad.n_nodes)
-        x = center[:, None] + math.sqrt(2.0) * params.sigma * y[None, :]
+        x = center[None, :] + math.sqrt(2.0) * params.sigma * y[:, None]
         pos = grid.folded_nodes()
         zpos = pos * pos
         j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
@@ -377,7 +387,7 @@ def _stencil(
         th = (x * x - z0) / (zpos[j] - z0)
         side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
         log_weight = np.log(wt) - 0.5 * math.log(math.pi)
-        return origin + side * (j - 1), origin + side * j, th, log_weight[None, :]
+        return origin + side * (j - 1), origin + side * j, th, log_weight[:, None]
     w = np.full(grid.n_points, grid.spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -446,19 +456,31 @@ class _BellmanStage:
         (2, len(centers)) over the current channel c.
         """
         lo, hi, th, weight = self.stencil[branch]
-        # (2, len(centers) or 1, n_terms) over c+.  Fancy indexing, not take:
-        # the layout of the result fixes the summation order below.
-        vals = w_t[:, lo]
-        if th is not None:
-            vals = vals * (1.0 - th) + w_t[:, hi] * th
+        if th is None:
+            # Trapezoid: every center reads the whole table, (2, 1, n) over
+            # c+, so the terms are on the last axis.
+            vals, axis = w_t[:, lo], 2
+        else:
+            # Hermite: (2, n_terms, len(centers)) over c+, terms on axis 1,
+            # so each reduction runs over whole rows of centers.  Gathering
+            # rows of w_t.T keeps c+ innermost in memory, where the
+            # center-major fancy index w_t[:, lo.T] also puts it; numpy sums
+            # in memory order, so both layouts sum in one order, to the bit.
+            vals = np.take(w_t.T, lo, axis=0).transpose(2, 0, 1)
+            vals *= 1.0 - th
+            vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th
+            axis = 1
         if self.risk_neutral:
             # A contraction, not a broadcast sum: no (2, n_centers, n)
             # temporary for the trapezoid rule.  einsum, not matmul: a
             # threaded BLAS matmul here took up to 0.14 s per solve against
             # 0.02 s at n_points=2001 on a 2-core host.
-            per_next = np.einsum("ik,cik->ci", weight, vals)
+            per_next = np.einsum("ik,cik->ci" if axis == 2 else "ki,cki->ci", weight, vals)
             return np.exp(self.logp) @ per_next
-        per_next = _logsumexp(weight + vals, axis=2)
+        # The Hermite gather is a fresh array, so it takes the weights in place;
+        # the trapezoid one is a view of w_t.
+        terms = np.add(weight, vals, out=None if th is None else vals)
+        per_next = _logsumexp(terms, axis, _overwrite=True)
         return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
 
     def q_values(self, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -283,6 +283,14 @@ class TestBadInputs:
             "error: transmit set is not an up-set at stages_to_go=1, c=1, node=20\n"
         )
 
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--axis", "gamma", "--values", "0.05"]])
+    def test_unallocatable_grid_exit_1(self, tmp_path, capsys, command):
+        # numpy refuses the 35.5 PiB node array at once: nothing is allocated
+        cfg = write_config(tmp_path / "c.cfg", T=2, n_points=10**16 + 1)
+        code = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
+        assert_error_exit_1(code, capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_trace_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
         out = tmp_path / "o"
@@ -701,6 +709,9 @@ class TestWriteCsv:
             "small": rng.integers(-128, 128, self.N_ROWS).astype(np.int8),
             "big": rng.integers(-(2**62), 2**62, self.N_ROWS),
             "flag": rng.random(self.N_ROWS) < 0.5,
+            # a seed header cell reaches past int64
+            "seed": rng.choice(np.array([2**63 - 1, 2**63, 2**64 - 1], np.uint64), self.N_ROWS),
+            "constant": np.full(self.N_ROWS, -7),  # one value on both sides of the block boundary
         }
 
     def assert_same_bytes(self, tmp_path, columns):

@@ -23,7 +23,7 @@ from risksched import (
     truncation_report,
     value_iterate,
 )
-from risksched.solver import _BellmanStage, _iterate, _log_channel, _logsumexp
+from risksched.solver import _DRIFT, _RESET, _BellmanStage, _iterate, _log_channel, _logsumexp
 
 HERMITE = QuadratureSpec()
 TRAPEZOID = QuadratureSpec(rule="trapezoid-on-grid")
@@ -326,6 +326,51 @@ class TestFoldedStage:
             want = np.exp(original.stencil[branch][3][rows]).sum(axis=1)
             assert folded.stencil[branch][3].shape[1] == self.GRID.n_folded
             assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+class TestHermiteLayout:
+    """The abscissa-major Hermite stage reproduces the center-major one bit for bit.
+
+    The reference gathers with a fancy index on the transposed stencil,
+    (2, len(centers), n_terms) over c+, and reduces the last axis out of
+    place; numpy's sums follow memory order, so a gather that changed it
+    would move the reset branch by an ulp.
+    """
+
+    GRID = GridSpec(10.0, 201)
+
+    @staticmethod
+    def center_major(stage, w_t, branch):
+        lo, hi, th, weight = stage.stencil[branch]
+        vals = w_t[:, lo.T]
+        vals = vals * (1.0 - th.T) + w_t[:, hi.T] * th.T
+        if stage.risk_neutral:
+            return np.exp(stage.logp) @ np.einsum("ik,cik->ci", weight.T, vals)
+        per_next = _logsumexp(weight.T + vals, axis=2)
+        return _logsumexp(stage.logp[:, :, None] + per_next[None, :, :], axis=1)
+
+    def tables(self, nodes):
+        quadratic = np.stack([0.04 * nodes**2, 0.3 + 0.05 * nodes**2 - 0.2 * np.tanh(nodes)])
+        neg_inf = quadratic.copy()
+        # V = 0 on interior bands, so the lerp meets -inf inside the grid only
+        neg_inf[0, np.abs(nodes) <= 3.0] = -np.inf
+        neg_inf[1, (2.0 <= np.abs(nodes)) & (np.abs(nodes) <= 6.0)] = -np.inf
+        pos_inf = quadratic.copy()
+        pos_inf[1, len(nodes) // 3] = np.inf
+        return {"quadratic": quadratic, "-inf": neg_inf, "+inf": pos_inf}
+
+    @pytest.mark.parametrize("p01", [0.3, 0.0])
+    @pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    def test_integrate_matches_center_major(self, space, risk_neutral, p01):
+        stage = _BellmanStage(mk(p01=p01), self.GRID, HERMITE, space, True, risk_neutral)
+        for name, w_t in self.tables(stage.nodes).items():
+            for branch in (_DRIFT, _RESET):
+                with np.errstate(all="ignore"):
+                    got = stage._integrate(w_t, branch)
+                    want = self.center_major(stage, w_t, branch)
+                assert got.shape == want.shape == (2, len(stage.nodes) if branch == _DRIFT else 1)
+                assert np.array_equal(got, want, equal_nan=True), (name, branch)
 
 
 class TestQuadratureRules:
