@@ -65,8 +65,8 @@ _MODEL_KEYS = ("a", "sigma2", "lambda", "gamma", "T", "p01", "p10")
 _DEFAULTS = {
     "delta_max": "auto",
     "n_points": "401",
-    "quad_rule": "gauss-hermite-centered",
-    "quad_nodes": "64",
+    "quad_rule": QuadratureSpec.rule,
+    "quad_nodes": str(QuadratureSpec.n_nodes),
     "seed": "0",
     "n_rollouts": "100000",
 }
@@ -252,7 +252,7 @@ def _print_beta_trace(params: ModelParams) -> None:
         print(f"  beta[{t}] = {b:.6g}", file=sys.stderr)
 
 
-def cmd_solve(cfg: Config, out: Path, plot_data: bool = True) -> int:
+def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
     grid, table, pol = _solve(cfg)
     header = _header_lines(cfg, grid)
     schedule = extract_thresholds(pol, grid)
@@ -340,26 +340,19 @@ def _policy_from_source(cfg: Config, source: str, threshold_file: str | None):
     if source == "solved":
         grid, _, pol = _solve(cfg)
         return threshold_policy(extract_thresholds(pol, grid)), grid
-    if source == "threshold-file":
-        if threshold_file is None:
-            raise ConfigError("policy source 'threshold-file' needs --threshold-file")
-        schedule = load_threshold_csv(threshold_file)
-        if schedule.horizon < cfg.params.horizon:
-            raise ConfigError(
-                f"threshold file covers {schedule.horizon} stages, config needs "
-                f"{cfg.params.horizon}"
-            )
-        return threshold_policy(schedule), None
-    raise ConfigError(f"unknown policy source {source!r}")
+    # "threshold-file", the one source left by the parser's choices
+    if threshold_file is None:
+        raise ConfigError("policy source 'threshold-file' needs --threshold-file")
+    schedule = load_threshold_csv(threshold_file)
+    if schedule.horizon < cfg.params.horizon:
+        raise ConfigError(
+            f"threshold file covers {schedule.horizon} stages, config needs {cfg.params.horizon}"
+        )
+    return threshold_policy(schedule), None
 
 
 def cmd_simulate(
-    cfg: Config,
-    out: Path,
-    source: str,
-    threshold_file: str | None = None,
-    delta0: float = 0.0,
-    c0: int | None = None,
+    cfg: Config, out: Path, source: str, threshold_file: str | None, delta0: float, c0: int | None
 ) -> int:
     policy, grid = _policy_from_source(cfg, source, threshold_file)
     est = estimate_risk_objective(cfg.params, policy, cfg.n_rollouts, cfg.seed, delta0, c0)
@@ -422,12 +415,7 @@ def _largest_fitting_n_delta(horizon: int, mode: str) -> int | None:
 
 
 def cmd_oracle(
-    cfg: Config,
-    out: Path,
-    n_delta: int = 9,
-    noise_points: int = 3,
-    delta_q: float | None = None,
-    mode: str = "auto",
+    cfg: Config, out: Path, n_delta: int, noise_points: int, delta_q: float | None, mode: str
 ) -> int:
     params = cfg.params
     try:
@@ -516,8 +504,6 @@ def cmd_oracle(
 
 
 def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
-    if axis not in ("gamma", "lambda"):
-        raise ConfigError(f"sweep axis must be 'gamma' or 'lambda', got {axis!r}")
     if not values:
         raise ConfigError("empty sweep value list")
     field = {"gamma": "gamma", "lambda": "lam"}[axis]
@@ -653,13 +639,12 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "oracle":
             return cmd_oracle(cfg, out, args.n_delta, args.noise_points, args.delta_q, args.mode)
-        if args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-            except ValueError as exc:
-                raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from exc
-            return cmd_sweep(cfg, out, args.axis, values)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # "sweep", the one command left by the required subparser
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"--values must be comma-separated numbers, got {args.values!r}") from exc
+        return cmd_sweep(cfg, out, args.axis, values)
     except tuple(_EXIT_CODES) as exc:
         if isinstance(exc, InfeasibleModelError):
             _print_beta_trace(cfg.params)

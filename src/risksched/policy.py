@@ -2,8 +2,10 @@
 
 The solved transmit sets are up-sets in |delta| (bad-channel sets are
 empty), so a policy collapses to one threshold per (stages-to-go, channel):
-transmit iff |delta| >= threshold.  Everything here is indexed by stages to
-go j = 0..T; j = 0 has no decision and carries threshold +inf.
+transmit iff |delta| >= threshold.  Thresholds are read off the folded
+policy table, over delta >= 0, as solve computes it.  Everything here is
+indexed by stages to go j = 0..T; j = 0 has no decision and carries
+threshold +inf.
 """
 
 from __future__ import annotations
@@ -66,33 +68,27 @@ class ThresholdSchedule:
         return self.threshold.shape[0] - 1
 
 
-def _folded_actions(policy: PolicyTable, grid: GridSpec) -> np.ndarray:
-    """u_star over the non-negative nodes; projects original-space tables."""
-    if policy.space == "folded":
-        return policy.u_star
-    mid = grid.n_points // 2
-    right = policy.u_star[:, :, mid:]
-    left = policy.u_star[:, :, mid::-1]
-    if not np.array_equal(right, left):
-        j, c, k = np.argwhere(right != left)[0]
-        raise NonThresholdPolicyError(
-            int(j), int(c), int(k), "original-space policy is not even; cannot project to |delta|"
-        )
-    return right
-
-
 def extract_thresholds(policy: PolicyTable, grid: GridSpec) -> ThresholdSchedule:
     """Smallest node with u_star = 1 per (stages-to-go, c); +inf when none.
 
-    Raises NonThresholdPolicyError if any transmit set is not an up-set.
+    Takes the folded table of value_iterate(..., space="folded") and reads
+    node positions from the table's own grid, which grid must equal.
+    Raises ValueError for any other table or grid, and
+    NonThresholdPolicyError if any transmit set is not an up-set.
     """
-    actions = _folded_actions(policy, grid)
-    pos = grid.folded_nodes()
+    if policy.space != "folded":
+        raise ValueError(
+            f"extract_thresholds needs a folded policy table, from "
+            f'value_iterate(..., space="folded"); got space={policy.space!r}'
+        )
+    if grid != policy.grid:
+        raise ValueError(f"grid {grid} is not the policy table's grid {policy.grid}")
+    pos = policy.grid.folded_nodes()
     T = policy.horizon
     thr = np.full((T + 1, 2), np.inf)
     for j in range(T + 1):
         for c in (0, 1):
-            row = actions[j, c]
+            row = policy.u_star[j, c]
             ones = np.flatnonzero(row)
             if len(ones) == 0:
                 continue

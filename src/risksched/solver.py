@@ -204,6 +204,10 @@ def check_feasibility(params: ModelParams) -> FeasibilityReport:
     report never raises, it carries the verdict.
     """
     T = params.horizon
+    try:
+        a2 = params.a**2
+    except OverflowError:  # |a| > 1.34e154: every beta past beta_1 = gamma is +inf
+        a2 = math.inf
     beta = np.full(T + 1, np.nan)
     beta[0] = 0.0
     first_violation = None
@@ -213,9 +217,9 @@ def check_feasibility(params: ModelParams) -> FeasibilityReport:
             beta[t + 1 :] = np.nan
             break
         if t < T:
-            beta[t + 1] = params.gamma + params.a**2 * beta[t] / (
-                1.0 - 2.0 * params.sigma2 * beta[t]
-            )
+            # beta_0 = 0 contributes no growth for any a, also where a^2 is +inf
+            growth = a2 * beta[t] / (1.0 - 2.0 * params.sigma2 * beta[t]) if t else 0.0
+            beta[t + 1] = params.gamma + growth
     return FeasibilityReport(
         beta=beta, feasible=first_violation is None, first_violation_stage=first_violation
     )
@@ -253,7 +257,8 @@ def _tilted_visit_std(params: ModelParams, beta: np.ndarray) -> float:
     vmax = params.sigma2
     for j in range(1, T + 1):
         den = 1.0 - 2.0 * params.sigma2 * beta[T - j]
-        v = (params.a / den) ** 2 * v + params.sigma2 / den
+        # v = 0 at j = 1 carries no gain term, also where a^2 overflows
+        v = (params.a / den) ** 2 * v + params.sigma2 / den if j > 1 else params.sigma2 / den
         vmax = max(vmax, v)
     return math.sqrt(vmax)
 
@@ -267,44 +272,48 @@ def _hermite_cap(params: ModelParams, beta: np.ndarray, n_nodes: int) -> float:
     Hermite node, so cap delta accordingly (worst stage: largest beta).
     """
     T = params.horizon
-    if T == 0 or params.a == 0.0:
+    if T == 0:
         return math.inf
     bstar = float(np.max(beta[: T]))
-    if bstar <= 0.0:
-        return math.inf
     alpha = 2.0 * params.sigma2 * bstar
     y_max = float(np.polynomial.hermite.hermgauss(n_nodes)[0].max())
     s_y = 1.0 / math.sqrt(2.0 * (1.0 - alpha))
     margin = 0.9 * y_max - 6.0 * s_y
-    if margin <= 0.0:
-        return math.inf  # rule too coarse to help; fall back to coverage radius
-    return margin * (1.0 - alpha) / (math.sqrt(2.0) * params.sigma * bstar * abs(params.a))
+    # No peak shift where a or beta* is 0, nor where their product underflows.
+    den = math.sqrt(2.0) * params.sigma * bstar * abs(params.a)
+    if margin <= 0.0 or den == 0.0:
+        return math.inf  # the cap does not bind; fall back to coverage radius
+    return margin * (1.0 - alpha) / den
 
 
-def auto_delta_max(params: ModelParams, quad: QuadratureSpec | None = None) -> float:
-    """Truncation radius: tilted 6.5-sigma coverage, capped for Hermite safety."""
-    rep = check_feasibility(params)
-    if not rep.feasible:
-        raise InfeasibleModelError(rep.first_violation_stage)
-    sigma = params.sigma
-    if params.horizon == 0:
-        return round(4.0 * sigma, 2)
-    d_cov = 6.5 * _tilted_visit_std(params, rep.beta)
-    d = d_cov
-    if quad is None or quad.rule == RULE_HERMITE:
-        n_nodes = quad.n_nodes if quad is not None else 64
-        d = min(d, _hermite_cap(params, rep.beta, n_nodes))
-    d = max(d, 2.0 * sigma)
-    return float(np.ceil(d * 10.0) / 10.0)
-
-
-def truncation_report(
-    params: ModelParams, grid: GridSpec, quad: QuadratureSpec | None = None
-) -> TruncationReport:
+def _radius_terms(params: ModelParams, quad: QuadratureSpec) -> tuple[float, float]:
+    """(tilted std, Hermite cap) of a feasible model; the cap is +inf under
+    the trapezoid rule.  Raises InfeasibleModelError otherwise."""
     rep = check_feasibility(params)
     if not rep.feasible:
         raise InfeasibleModelError(rep.first_violation_stage)
     std = _tilted_visit_std(params, rep.beta)
+    cap = _hermite_cap(params, rep.beta, quad.n_nodes) if quad.rule == RULE_HERMITE else math.inf
+    return std, cap
+
+
+def auto_delta_max(params: ModelParams, quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Truncation radius: tilted 6.5-sigma coverage, capped for Hermite safety
+    (_hermite_cap) and floored at 2 sigma, rounded up to 0.1; 4 sigma at T = 0."""
+    std, cap = _radius_terms(params, quad)
+    if params.horizon == 0:
+        return round(4.0 * params.sigma, 2)
+    d = max(min(6.5 * std, cap), 2.0 * params.sigma)
+    return float(np.ceil(d * 10.0) / 10.0)
+
+
+def truncation_report(
+    params: ModelParams, grid: GridSpec, quad: QuadratureSpec = QuadratureSpec()
+) -> TruncationReport:
+    """Truncation diagnostics of grid for a feasible model.  gh_cap_active
+    reads the Hermite cap that auto_delta_max applies: True iff it is below
+    the 6.5-sigma coverage radius, never under the trapezoid rule."""
+    std, cap = _radius_terms(params, quad)
     coverage_tail = math.erfc(grid.delta_max / (std * math.sqrt(2.0)))
     T = params.horizon
     # Linear-in-z extrapolation of the stage-T closed form from the last
@@ -317,9 +326,6 @@ def truncation_report(
     w_exact = float(closed_form_never_transmit(params, probe, 0, T))
     scale = max(1.0, abs(w_exact))
     err = abs(w_extrap - w_exact) / scale
-    cap = math.inf
-    if quad is None or quad.rule == RULE_HERMITE:
-        cap = _hermite_cap(params, rep.beta, quad.n_nodes if quad is not None else 64)
     return TruncationReport(
         delta_max=grid.delta_max,
         tilted_std=std,

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import risksched
-from risksched import GridSpec, always_transmit_policy, extract_thresholds, rollout, value_iterate
+from risksched import (
+    GridSpec,
+    PolicyTable,
+    always_transmit_policy,
+    extract_thresholds,
+    rollout,
+    value_iterate,
+)
 from risksched import sim
 from risksched.cli import (
     _ALL_KEYS,
@@ -44,6 +51,14 @@ def write_config(path, **overrides):
     lines += [f"{k} = {v}" for k, v in kv.items()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def folded_view(pol):
+    """The delta >= 0 half of an original-space policy table, as a folded table."""
+    mid = pol.grid.n_points // 2
+    return PolicyTable(
+        u_star=pol.u_star[:, :, mid:], q_margin=pol.q_margin[:, :, mid:], grid=pol.grid, space="folded"
+    )
 
 
 def read_csv(path):
@@ -291,6 +306,19 @@ class TestBadInputs:
         assert_error_exit_1(code, capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["solve"], ["simulate"], ["sweep", "--axis", "gamma", "--values", "0.05"]],
+    )
+    def test_overflowing_gain_exit_2(self, tmp_path, capsys, command):
+        # a^2 overflows a float, and beta_2 with it: infeasible at stage 2
+        cfg = write_config(tmp_path / "c.cfg", a="1e200", T=2)
+        code = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "infeasible at stage 2" in captured.out + captured.err
+
     def test_unwritable_trace_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
         out = tmp_path / "o"
@@ -374,7 +402,7 @@ class TestSolve:
         cfg = parse_config(cfg_path)
         grid = GridSpec(auto_delta_max(cfg.params, cfg.quad), cfg.n_points)
         _, pol = value_iterate(cfg.params, grid, cfg.quad)
-        expected = extract_thresholds(pol, grid)
+        expected = extract_thresholds(folded_view(pol), grid)
         loaded = load_threshold_csv(out / "thresholds.csv")
         assert np.array_equal(loaded.threshold, expected.threshold)
 
@@ -443,8 +471,15 @@ class TestSolve:
         assert np.array_equal(u, pol.u_star)
         np.testing.assert_allclose(q, pol.q_margin, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w, table.w, rtol=0, atol=1e-12)
-        expected = extract_thresholds(pol, grid).threshold
+        expected = extract_thresholds(folded_view(pol), grid).threshold
         assert np.array_equal(load_threshold_csv(out / "thresholds.csv").threshold, expected)
+
+    def test_underflowing_gain_solves(self, tmp_path, capsys):
+        # the Hermite cap's denominator underflows to 0: no cap, as at a = 0
+        cfg = write_config(tmp_path / "c.cfg", a="1e-300", gamma="1e-300", T=2)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
+        assert capsys.readouterr().out.startswith("solved: delta_max=6.5 ")
 
     def test_plot_data_toggle(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from risksched import (
     GridSpec,
+    ModelParams,
     NonThresholdPolicyError,
     PolicyTable,
+    QuadratureSpec,
     ThresholdSchedule,
     always_transmit_policy,
+    auto_delta_max,
     decide,
     extract_thresholds,
     idle_policy,
     threshold_policy,
+    value_iterate,
 )
 
 GRID = GridSpec(4.0, 9)  # folded nodes 0, 1, 2, 3, 4
@@ -68,24 +72,24 @@ class TestExtractThresholds:
         assert ei.value.c == 1
         assert ei.value.node == 3
 
-    def test_projects_even_original_table(self):
-        n = GRID.n_points
-        u = np.zeros((2, 2, n), dtype=np.int8)
+    def test_rejects_original_table(self):
+        u = np.zeros((2, 2, GRID.n_points), dtype=np.int8)
         u[1, 1, :] = (np.abs(GRID.nodes()) >= 2.0).astype(np.int8)
-        margin = np.where(u == 1, -1.0, 1.0)
-        margin[0] = np.inf
-        table = PolicyTable(u_star=u, q_margin=margin, grid=GRID, space="original")
-        schedule = extract_thresholds(table, GRID)
-        assert schedule.threshold[1, 1] == 2.0
-
-    def test_rejects_uneven_original_table(self):
-        n = GRID.n_points
-        u = np.zeros((2, 2, n), dtype=np.int8)
-        u[1, 1, -1] = 1  # transmit at +4 but not at -4
-        margin = np.where(u == 1, -1.0, 1.0)
-        table = PolicyTable(u_star=u, q_margin=margin, grid=GRID, space="original")
-        with pytest.raises(NonThresholdPolicyError):
+        table = PolicyTable(u_star=u, q_margin=np.where(u == 1, -1.0, 1.0), grid=GRID, space="original")
+        with pytest.raises(ValueError, match=r'value_iterate\(\.\.\., space="folded"\)'):
             extract_thresholds(table, GRID)
+
+    def test_reads_nodes_from_the_table_grid(self):
+        # standard model at T = 2 on its auto grid: threshold(j=1, c=1) is the
+        # first node past sqrt(lambda) = 1, node 46 at spacing 0.0225
+        p = ModelParams(a=0.9, sigma2=1.0, lam=1.0, gamma=0.05, horizon=2, p01=0.3, p10=0.2)
+        grid = GridSpec(9.0, 401)
+        assert auto_delta_max(p) == grid.delta_max
+        _, pol = value_iterate(p, grid, QuadratureSpec(), space="folded")
+        assert extract_thresholds(pol, grid).threshold[1, 1] == 1.035
+        for other in (GridSpec(18.0, 401), GridSpec(9.0, 201)):
+            with pytest.raises(ValueError, match="not the policy table's grid"):
+                extract_thresholds(pol, other)
 
 
 class TestDecide:

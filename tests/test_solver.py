@@ -113,6 +113,16 @@ class TestFeasibility:
         assert rep.beta[1] == 0.6
         assert np.all(np.isnan(rep.beta[2:]))
 
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_overflowing_gain(self, T):
+        # a^2 overflows a float: beta_1 = gamma for every a, and beta_2 = +inf
+        rep = check_feasibility(mk(a=1e200, horizon=T))
+        assert rep.beta.tolist() == [0.0, 0.05, math.inf][: T + 1]
+        assert rep.feasible == (T == 1)
+        assert rep.first_violation_stage == (None if T == 1 else 2)
+        if T == 1:  # the tilted std's first step has no gain term either
+            assert auto_delta_max(mk(a=1e200, horizon=T)) == 6.5
+
     def test_value_iterate_raises_on_infeasible(self):
         p = mk(gamma=0.6, horizon=3)
         with pytest.raises(InfeasibleModelError) as ei:
@@ -193,7 +203,7 @@ class TestSingleStageTables:
         # extracted threshold is the smallest node with delta^2 > lam.
         p = mk(horizon=1, lam=1.0)
         grid = GridSpec(2.0, 17)  # spacing 0.25; 1.0 is a node and ties idle
-        _, pol = value_iterate(p, grid, HERMITE)
+        _, pol = value_iterate(p, grid, HERMITE, space="folded")
         schedule = extract_thresholds(pol, grid)
         assert schedule.threshold[1, 1] == 1.25
         assert schedule.threshold[1, 0] == np.inf
@@ -551,6 +561,23 @@ class TestAutoGrid:
     def test_raises_on_infeasible(self):
         with pytest.raises(InfeasibleModelError):
             auto_delta_max(mk(gamma=0.6))
+
+    def test_radius_where_the_hermite_cap_binds(self):
+        p = mk(gamma=0.05, horizon=5)
+        assert auto_delta_max(p, HERMITE) == 8.0
+        assert auto_delta_max(p, TRAPEZOID) == 17.9  # the 6.5-sigma coverage radius
+        assert truncation_report(p, GridSpec(8.0, 401), HERMITE).gh_cap_active
+        assert not truncation_report(p, GridSpec(17.9, 401), TRAPEZOID).gh_cap_active
+        # the defaults are QuadratureSpec()'s
+        grid = GridSpec(8.0, 401)
+        assert auto_delta_max(p) == auto_delta_max(p, QuadratureSpec())
+        assert truncation_report(p, grid) == truncation_report(p, grid, QuadratureSpec())
+
+    def test_underflowing_gain_leaves_the_radius_uncapped(self):
+        # sqrt(2) sigma beta* |a| underflows to 0, the cap's a = 0 case
+        p = mk(a=1e-300, gamma=1e-300, horizon=2)
+        assert auto_delta_max(p, HERMITE) == auto_delta_max(p, TRAPEZOID) == 6.5
+        assert not truncation_report(p, GridSpec(6.5, 11), HERMITE).gh_cap_active
 
     def test_truncation_report_ok_on_auto_grid(self):
         p = mk(gamma=0.05, horizon=5)
