@@ -229,27 +229,31 @@ def _write_csv(path: Path, header_lines: list[str], columns: dict) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_check(cfg: Config, out: Path | None) -> int:
-    rep = check_feasibility(cfg.params)
+def _feasibility(params: ModelParams) -> tuple:
+    """The beta recursion of params, run once, in the one form every command
+    reports it: (report, feasibility.csv columns, one line per stage)."""
+    rep = check_feasibility(params)
     beta = rep.beta
-    two_s2_beta = np.where(np.isfinite(beta), 2.0 * cfg.params.sigma2 * beta, math.nan)
+    two_s2_beta = np.where(np.isfinite(beta), 2.0 * params.sigma2 * beta, math.nan)
     ok = (two_s2_beta < 1.0).astype(int)
-    for t, (b, x, k) in enumerate(zip(beta, two_s2_beta, ok)):
-        print(f"t={t}: beta={b:.6g} 2*sigma2*beta={x:.6g} ok={bool(k)}")
-    if rep.feasible:
-        print("feasible: yes")
-    else:
-        print(f"feasible: no — infeasible at stage {rep.first_violation_stage}")
+    columns = {"t": np.arange(len(beta)), "beta": beta, "two_sigma2_beta": two_s2_beta, "ok": ok}
+    rows = enumerate(zip(beta, two_s2_beta, ok))
+    lines = [f"t={t}: beta={b:.6g} 2*sigma2*beta={x:.6g} ok={bool(k)}" for t, (b, x, k) in rows]
+    return rep, columns, lines
+
+
+def cmd_check(cfg: Config, out: Path | None) -> int:
+    rep, columns, lines = _feasibility(cfg.params)
+    verdict = "yes" if rep.feasible else f"no — infeasible at stage {rep.first_violation_stage}"
+    print("\n".join([*lines, f"feasible: {verdict}"]))
     if out is not None:
         header = _header_lines(cfg, None, {"feasible": int(rep.feasible)})
-        columns = {"t": np.arange(len(beta)), "beta": beta, "two_sigma2_beta": two_s2_beta}
-        _write_csv(out / "feasibility.csv", header, {**columns, "ok": ok})
+        _write_csv(out / "feasibility.csv", header, columns)
     return 0 if rep.feasible else 2
 
 
 def _print_beta_trace(params: ModelParams) -> None:
-    for t, b in enumerate(check_feasibility(params).beta):
-        print(f"  beta[{t}] = {b:.6g}", file=sys.stderr)
+    print("\n".join(_feasibility(params)[2]), file=sys.stderr)
 
 
 def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
@@ -267,19 +271,14 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
     )
 
     trunc = truncation_report(cfg.params, grid, cfg.quad)
-    beta = check_feasibility(cfg.params).beta
+    rep, columns, _ = _feasibility(cfg.params)
     trunc_items = {
+        "feasible": int(rep.feasible),
         "tilted_std": trunc.tilted_std,
         "coverage_tail": trunc.coverage_tail,
-        "envelope_extrap_error": trunc.envelope_extrap_error,
-        "truncation_ok": int(trunc.ok),
         "gh_cap_active": int(trunc.gh_cap_active),
     }
-    _write_csv(
-        out / "feasibility.csv",
-        _header_lines(cfg, grid, trunc_items),
-        {"t": np.arange(len(beta)), "beta": beta},
-    )
+    _write_csv(out / "feasibility.csv", _header_lines(cfg, grid, trunc_items), columns)
 
     # one row per (stages_to_go, c, node) of the full grid, in C order; the
     # folded tables are mirrored onto it, so every written table is even
@@ -523,8 +522,8 @@ def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
             threshold = extract_thresholds(pol, grid).threshold
             table[:, k] = threshold, w_table.w[:, :, 0], rn_table.v[:, :, 0]
         except InfeasibleModelError as exc:
-            print(f"{axis} = {v}: {exc}", file=sys.stderr)
             _print_beta_trace(params)
+            print(f"{axis} = {v}: {exc}", file=sys.stderr)
             n_infeasible += 1
     k, j, c = np.indices(table.shape[1:]).reshape(3, -1)
     _write_csv(

@@ -94,6 +94,8 @@ class QuantizedChain:
 def _snap(x: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Nearest state index; exact ties resolve toward smaller |value|."""
     h = states[1] - states[0]
+    # a value past an end snaps to that end, with no rounded-off tie or int overflow
+    x = np.clip(x, states[0], states[-1])
     lo = np.clip(np.floor((x - states[0]) / h).astype(int), 0, len(states) - 2)
     hi = lo + 1
     d_lo = np.abs(x - states[lo])

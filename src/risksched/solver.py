@@ -52,9 +52,6 @@ __all__ = [
 RULE_HERMITE = "gauss-hermite-centered"
 RULE_TRAPEZOID = "trapezoid-on-grid"
 
-# Tail-coverage target used by the runtime truncation diagnostics.
-TRUNCATION_TOL = 1e-10
-
 
 class InfeasibleModelError(ValueError):
     """The exponential-cost expectation diverges at some stage."""
@@ -174,22 +171,19 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Runtime validation of the grid truncation against the analytic envelope.
+    """Where a grid truncates the error law; figures, not a verdict.
 
-    coverage_tail is the mass the exp-tilted visit law (from delta = 0,
-    never transmitting) leaves beyond delta_max.  envelope_extrap_error is
-    the defect of the linear-in-delta^2 extrapolation against the exact
-    never-transmit log-value at 1.5 * delta_max; extrapolation makes the
-    closed form exact off-grid, so this is the error the truncation
-    actually induces on the analytic envelope.
+    tilted_std is the widest std of the exp-tilted visit law (from delta =
+    0, never transmitting), coverage_tail the mass that law leaves beyond
+    delta_max, and gh_cap_active whether the Hermite cap, not coverage,
+    set the auto radius.  A small tail does not make W right, nor a large
+    one wrong: Hermite extrapolates past the grid.
     """
 
     delta_max: float
     tilted_std: float
     coverage_tail: float
-    envelope_extrap_error: float
-    ok: bool
-    gh_cap_active: bool = False
+    gh_cap_active: bool
 
 
 def _check_space(space: str) -> None:
@@ -225,11 +219,6 @@ def check_feasibility(params: ModelParams) -> FeasibilityReport:
     )
 
 
-def _log_k(params: ModelParams, beta: np.ndarray, t: int) -> float:
-    # log K_t = -1/2 * sum_{s<t} log(1 - 2 sigma2 beta_s)
-    return float(-0.5 * np.sum(np.log1p(-2.0 * params.sigma2 * beta[:t])))
-
-
 def closed_form_never_transmit(params: ModelParams, delta, c, t: int):
     """log V_t under u == 0: log K_t + beta_t * delta^2 (channel-free).
 
@@ -242,7 +231,9 @@ def closed_form_never_transmit(params: ModelParams, delta, c, t: int):
     rep = check_feasibility(params)
     if rep.first_violation_stage is not None and rep.first_violation_stage < t:
         raise InfeasibleModelError(rep.first_violation_stage)
-    return _log_k(params, rep.beta, t) + rep.beta[t] * np.square(np.asarray(delta, dtype=float))
+    # log K_t = -1/2 * sum_{s<t} log(1 - 2 sigma2 beta_s)
+    log_k = float(-0.5 * np.sum(np.log1p(-2.0 * params.sigma2 * rep.beta[:t])))
+    return log_k + rep.beta[t] * np.square(np.asarray(delta, dtype=float))
 
 
 def _tilted_visit_std(params: ModelParams, beta: np.ndarray) -> float:
@@ -310,28 +301,14 @@ def auto_delta_max(params: ModelParams, quad: QuadratureSpec = QuadratureSpec())
 def truncation_report(
     params: ModelParams, grid: GridSpec, quad: QuadratureSpec = QuadratureSpec()
 ) -> TruncationReport:
-    """Truncation diagnostics of grid for a feasible model.  gh_cap_active
+    """Truncation figures of grid for a feasible model.  gh_cap_active
     reads the Hermite cap that auto_delta_max applies: True iff it is below
     the 6.5-sigma coverage radius, never under the trapezoid rule."""
     std, cap = _radius_terms(params, quad)
-    coverage_tail = math.erfc(grid.delta_max / (std * math.sqrt(2.0)))
-    T = params.horizon
-    # Linear-in-z extrapolation of the stage-T closed form from the last
-    # two grid nodes, probed at 1.5 * delta_max.
-    pos = grid.folded_nodes()
-    w_last = closed_form_never_transmit(params, pos[-2:], 0, T)
-    probe = 1.5 * grid.delta_max
-    th = (probe**2 - pos[-2] ** 2) / (pos[-1] ** 2 - pos[-2] ** 2)
-    w_extrap = w_last[0] * (1.0 - th) + w_last[1] * th
-    w_exact = float(closed_form_never_transmit(params, probe, 0, T))
-    scale = max(1.0, abs(w_exact))
-    err = abs(w_extrap - w_exact) / scale
     return TruncationReport(
         delta_max=grid.delta_max,
         tilted_std=std,
-        coverage_tail=coverage_tail,
-        envelope_extrap_error=err,
-        ok=bool(coverage_tail <= TRUNCATION_TOL or err <= TRUNCATION_TOL),
+        coverage_tail=math.erfc(grid.delta_max / (std * math.sqrt(2.0))),
         gh_cap_active=bool(cap < 6.5 * std),
     )
 
@@ -390,7 +367,9 @@ def _stencil(
         zpos = pos * pos
         j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
         z0 = zpos[j - 1]
-        th = (x * x - z0) / (zpos[j] - z0)
+        # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
+        with np.errstate(over="ignore"):
+            th = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
         side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
         log_weight = np.log(wt) - 0.5 * math.log(math.pi)
         return origin + side * (j - 1), origin + side * j, th, log_weight[:, None]

@@ -165,7 +165,7 @@ def assert_infeasible_exit_2(code, capsys):
     # the beta trace, then exactly one error line naming the stage
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
-    assert lines[0].strip() == "beta[0] = 0"
+    assert lines[0] == "t=0: beta=0 2*sigma2*beta=0 ok=True"
     assert [line for line in lines if line.startswith("error:")] == [lines[-1]]
     assert lines[-1].startswith("error: infeasible at stage 1")
 
@@ -319,6 +319,19 @@ class TestBadInputs:
         assert "Traceback" not in captured.err
         assert "infeasible at stage 2" in captured.out + captured.err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gain_solves_at_one_stage(self, tmp_path):
+        # beta_1 = gamma for every a, so T = 1 is feasible: the drift centers
+        # a*delta square to inf, and the lerp across the all-zero W_0 stays 0;
+        # numpy's RuntimeWarning would raise here
+        cfg = write_config(tmp_path / "c.cfg", a="1e200", T=1)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = read_csv(out / "thresholds.csv")
+        assert "# delta_max = 6.5" in header
+        thr = [float(r["threshold"]) for r in rows if (r["stages_to_go"], r["c"]) == ("1", "1")]
+        assert len(thr) == 1 and 1.0 < thr[0] <= 1.0 + 2 * 6.5 / 400
+
     def test_unwritable_trace_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
         out = tmp_path / "o"
@@ -415,11 +428,25 @@ class TestSolve:
         assert header[: len(config_lines)] == config_lines
         extra = [line.split(" = ") for line in header[len(config_lines) :]]
         assert [key for key, _ in extra] == [
-            "# tilted_std", "# coverage_tail", "# envelope_extrap_error", "# truncation_ok",
-            "# gh_cap_active",
+            "# feasible", "# tilted_std", "# coverage_tail", "# gh_cap_active",
         ]
         for _, value in extra:
             float(value)
+
+    def test_feasibility_csv_matches_check(self, tmp_path):
+        """check --out and solve write one feasibility.csv table: the same
+        column names and data rows (their headers differ in delta_max)."""
+        cfg = write_config(tmp_path / "c.cfg", n_points=81)
+        checked, solved = tmp_path / "check", tmp_path / "solve"
+        assert main(["check", "--config", str(cfg), "--out", str(checked)]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(solved), "--no-plot-data"]) == 0
+        tables = []
+        for out in (checked, solved):
+            with open(out / "feasibility.csv", newline="") as fh:
+                tables.append([line for line in fh if not line.startswith("#")])
+        assert tables[0][0] == "t,beta,two_sigma2_beta,ok\r\n"
+        assert len(tables[0]) == 1 + (3 + 1)  # column names, then T + 1 rows
+        assert tables[0] == tables[1]
 
     def test_output_bytes(self, tmp_path):
         """Rows end in CRLF; floats are written by repr, actions as ints."""
@@ -695,7 +722,10 @@ class TestSweep:
              "--axis", "gamma", "--values", "0.05,0.6,0.1"]
         )
         assert code == 2
-        assert "beta[0]" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        # the T + 1 = 3 lines of the infeasible value's beta trace, then its message
+        trace_at = err.index("t=0: beta=0 2*sigma2*beta=0 ok=True")
+        assert err[trace_at + 3 :][:1] == ["gamma = 0.6: infeasible at stage 1"]
         _, rows = read_csv(out / "sweep.csv")
         assert [r["value"] for r in rows] == ["0.05"] * 6 + ["0.6"] * 6 + ["0.1"] * 6
         for r in rows[6:12]:

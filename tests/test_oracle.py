@@ -58,6 +58,14 @@ class TestQuantize:
         assert chain.drift_to.tolist() == [[0, 1], [0, 2], [1, 2]]
         assert chain.reset_to.tolist() == [0, 2]
 
+    @pytest.mark.filterwarnings("error")
+    def test_snap_drift_far_past_the_ladder(self):
+        # a * delta lies ~1e200 ladder steps out, beyond any int64 index
+        chain = quantize(mk(a=1e200), 9, 3)
+        n, states = chain.n_states, chain.delta_states
+        assert np.all(chain.drift_to[states > 0] == n - 1)
+        assert np.all(chain.drift_to[states < 0] == 0)
+
     @pytest.mark.parametrize("delta_q", [0.7, 1.0, 3.3, 5.2])
     def test_ladder_is_mirrored_bitwise(self, delta_q):
         # an inexact ladder step must not split mirrored magnitudes, which
