@@ -1,8 +1,9 @@
 """Command-line orchestration: solve, simulate, oracle, sweep, check.
 
-Configuration is one flat key=value file (keys: a, sigma2, lambda, gamma,
-T, p01, p10, delta_max, n_points, quad_rule, quad_nodes, seed, n_rollouts;
-'#' starts a comment).  Every output is a CSV from the one writer
+Configuration is one flat key=value file ('#' starts a comment) whose keys
+are the rows of _KEYS: the model constants a, sigma2, lambda, gamma, T, p01
+and p10 are required; delta_max (auto), n_points, quad_rule, quad_nodes,
+seed and n_rollouts have defaults.  Every output is a CSV from the one writer
 _write_csv: '#' header lines with the fully resolved config ('\n'), then
 comma-separated rows ('\r\n') whose floats are written by repr, so they
 read back exactly, and every other cell by str.  Every command that solves
@@ -19,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -61,18 +63,6 @@ class ConfigError(ValueError):
     pass
 
 
-_MODEL_KEYS = ("a", "sigma2", "lambda", "gamma", "T", "p01", "p10")
-_DEFAULTS = {
-    "delta_max": "auto",
-    "n_points": "401",
-    "quad_rule": QuadratureSpec.rule,
-    "quad_nodes": str(QuadratureSpec.n_nodes),
-    "seed": "0",
-    "n_rollouts": "100000",
-}
-_ALL_KEYS = _MODEL_KEYS + tuple(_DEFAULTS)
-
-
 @dataclasses.dataclass
 class Config:
     params: ModelParams
@@ -83,9 +73,27 @@ class Config:
     n_rollouts: int
 
 
+# Every config key: its default text (None if the key is required), its
+# parser and the Config attribute it sets, as a dotted path.
+_KEYS = {
+    "a": (None, float, "params.a"),
+    "sigma2": (None, float, "params.sigma2"),
+    "lambda": (None, float, "params.lam"),
+    "gamma": (None, float, "params.gamma"),
+    "T": (None, int, "params.horizon"),
+    "p01": (None, float, "params.p01"),
+    "p10": (None, float, "params.p10"),
+    "delta_max": ("auto", lambda text: None if text == "auto" else float(text), "delta_max"),
+    "n_points": ("401", int, "n_points"),
+    "quad_rule": (QuadratureSpec.rule, str, "quad.rule"),
+    "quad_nodes": (str(QuadratureSpec.n_nodes), int, "quad.n_nodes"),
+    "seed": ("0", int, "seed"),
+    "n_rollouts": ("100000", int, "n_rollouts"),
+}
+
+
 def parse_config(path: str | Path) -> Config:
-    raw = dict(_DEFAULTS)
-    seen = set()
+    raw = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -97,60 +105,46 @@ def parse_config(path: str | Path) -> Config:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
         raw[key] = value
-    missing = [k for k in _MODEL_KEYS if k not in seen]
+    missing = [k for k, (default, _, _) in _KEYS.items() if default is None and k not in raw]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
-    def _float(key):
+    # attributes by owner: "params", "quad" or "" for Config itself
+    fields: dict[str, dict] = {"params": {}, "quad": {}, "": {}}
+    for key, (default, parse, attr) in _KEYS.items():
+        owner, _, name = attr.rpartition(".")
+        value = raw.get(key, default)
         try:
-            return float(raw[key])
+            fields[owner][name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}: key {key!r} must be a number, got {raw[key]!r}") from exc
-
-    def _int(key):
-        try:
-            return int(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: key {key!r} must be an integer, got {raw[key]!r}") from exc
-
+            kind = "an integer" if parse is int else "a number"
+            raise ConfigError(f"{path}: key {key!r} must be {kind}, got {value!r}") from exc
+    own = fields[""]
     try:
-        params = ModelParams(
-            a=_float("a"),
-            sigma2=_float("sigma2"),
-            lam=_float("lambda"),
-            gamma=_float("gamma"),
-            horizon=_int("T"),
-            p01=_float("p01"),
-            p10=_float("p10"),
-        )
-        delta_max = None if raw["delta_max"] == "auto" else _float("delta_max")
-        quad = QuadratureSpec(rule=raw["quad_rule"], n_nodes=_int("quad_nodes"))
-        n_points = _int("n_points")
-        GridSpec(delta_max=1.0 if delta_max is None else delta_max, n_points=n_points)
+        params = ModelParams(**fields["params"])
+        quad = QuadratureSpec(**fields["quad"])
+        delta_max = own["delta_max"]
+        GridSpec(delta_max=1.0 if delta_max is None else delta_max, n_points=own["n_points"])
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
-    seed = _int("seed")
-    if not 0 <= seed < 2**64:  # the Philox key is a uint64
-        raise ConfigError(f"{path}: seed must be in [0, 2**64), got {seed}")
-    n_rollouts = _int("n_rollouts")
-    if n_rollouts < 1:
-        raise ConfigError(f"{path}: n_rollouts must be >= 1, got {n_rollouts}")
-    return Config(
-        params=params,
-        delta_max=delta_max,
-        n_points=n_points,
-        quad=quad,
-        seed=seed,
-        n_rollouts=n_rollouts,
-    )
+    if not 0 <= own["seed"] < 2**64:  # the Philox key is a uint64
+        raise ConfigError(f"{path}: seed must be in [0, 2**64), got {own['seed']}")
+    if own["n_rollouts"] < 1:
+        raise ConfigError(f"{path}: n_rollouts must be >= 1, got {own['n_rollouts']}")
+    return Config(params=params, quad=quad, **own)
+
+
+def _config_values(cfg: Config) -> dict:
+    """Every config key's value in cfg, in _KEYS order, as parse_config reads it back."""
+    values = {key: operator.attrgetter(attr)(cfg) for key, (_, _, attr) in _KEYS.items()}
+    if values["delta_max"] is None:
+        values["delta_max"] = "auto"
+    return values
 
 
 def _solve(cfg: Config):
@@ -162,25 +156,10 @@ def _solve(cfg: Config):
 
 
 def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None) -> list[str]:
-    p = cfg.params
-    delta_max = grid.delta_max if grid is not None else cfg.delta_max
-    items = {
-        "a": p.a,
-        "sigma2": p.sigma2,
-        "lambda": p.lam,
-        "gamma": p.gamma,
-        "T": p.horizon,
-        "p01": p.p01,
-        "p10": p.p10,
-        "delta_max": "auto" if delta_max is None else delta_max,  # parse_config reads both
-        "n_points": cfg.n_points,
-        "quad_rule": cfg.quad.rule,
-        "quad_nodes": cfg.quad.n_nodes,
-        "seed": cfg.seed,
-        "n_rollouts": cfg.n_rollouts,
-    }
-    if extra:
-        items.update(extra)
+    items = _config_values(cfg)
+    if grid is not None:
+        items["delta_max"] = grid.delta_max
+    items.update(extra or {})
     return [f"# {k} = {_cells([v])[0]}" for k, v in items.items()]
 
 
@@ -427,6 +406,10 @@ def cmd_oracle(
         best = _largest_fitting_n_delta(params.horizon, mode)
         hint = "no odd n_delta >= 3 fits" if best is None else f"the largest n_delta that fits is {best}"
         raise EnumerationBudgetError(f"{overflow}; with --mode {mode}, {hint}")
+    # an infeasible model exits 2 here: the chain's finite noise atoms keep
+    # every enumerated value finite, so the checks below cannot see it
+    _, table, _ = _solve(cfg)
+    w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
     result = brute_force_optimal(chain, mode=mode)
     checks: list[tuple[str, bool, str]] = []
 
@@ -459,23 +442,16 @@ def cmd_oracle(
     )
     checks.append(("optimal_policy_threshold_structure", upset_ok, "up-set in |delta|"))
 
-    try:
-        _, table, _ = _solve(cfg)
-        w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
-        disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
-        fine_result = brute_force_optimal(fine, mode="threshold")
-        disc_fine = float(
-            np.max(np.abs(np.log(fine_result.value[fine.n_states // 2]) - w0))
+    disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
+    fine_result = brute_force_optimal(fine, mode="threshold")
+    disc_fine = float(np.max(np.abs(np.log(fine_result.value[fine.n_states // 2]) - w0)))
+    checks.append(
+        (
+            "refinement_decreases_solver_discrepancy",
+            disc_fine <= disc_coarse,
+            f"coarse={disc_coarse:.3e} fine={disc_fine:.3e}",
         )
-        checks.append(
-            (
-                "refinement_decreases_solver_discrepancy",
-                disc_fine <= disc_coarse,
-                f"coarse={disc_coarse:.3e} fine={disc_fine:.3e}",
-            )
-        )
-    except InfeasibleModelError:
-        checks.append(("refinement_decreases_solver_discrepancy", False, "infeasible params"))
+    )
 
     header = _header_lines(
         cfg,
@@ -505,7 +481,7 @@ def cmd_oracle(
 def cmd_sweep(cfg: Config, out: Path, axis: str, values: list[float]) -> int:
     if not values:
         raise ConfigError("empty sweep value list")
-    field = {"gamma": "gamma", "lambda": "lam"}[axis]
+    field = _KEYS[axis][2].rpartition(".")[2]
     try:
         points = [(v, dataclasses.replace(cfg.params, **{field: v})) for v in values]
     except ValueError as exc:

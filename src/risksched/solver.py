@@ -356,11 +356,12 @@ def _stencil(
     with no lerp (lo is np.newaxis, hi and th None): the expectation at
     center i reduces log_weight[i, k] + W[k] over k, center-major.  In
     folded space its kernel is the folded one, N(x; m, sigma2) +
-    N(-x; m, sigma2), so node m > 0 carries the weights of +m and -m and
-    node 0 its own.
+    N(-x; m, sigma2), evaluated on the folded nodes alone: node x > 0
+    carries the weights of +x and -x, node 0 its own, and only the
+    delta_max end weight is halved.
     """
-    mid = grid.n_points // 2
     if quad.rule == RULE_HERMITE:
+        mid = grid.n_points // 2
         y, wt = _hermite_nodes(quad.n_nodes)
         x = center[None, :] + math.sqrt(2.0) * params.sigma * y[:, None]
         pos = grid.folded_nodes()
@@ -373,18 +374,20 @@ def _stencil(
         side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
         log_weight = np.log(wt) - 0.5 * math.log(math.pi)
         return origin + side * (j - 1), origin + side * j, th, log_weight[:, None]
-    w = np.full(grid.n_points, grid.spacing)
-    w[0] *= 0.5
+    nodes = grid.nodes_for(space)
+    w = np.full(len(nodes), grid.spacing)
     w[-1] *= 0.5
+    if space == "original":
+        w[0] *= 0.5
+    else:
+        center = np.abs(center)  # the folded kernel is even in m; |m| keeps both terms small
     s2 = params.sigma2
     log_norm = 0.5 * math.log(2.0 * math.pi * s2)
     # One expression, so numpy reuses its (n_centers, n) temporaries in place.
-    log_weight = np.log(w) + (
-        -np.square(grid.nodes()[None, :] - center[:, None]) / (2.0 * s2) - log_norm
-    )
+    log_weight = np.log(w) + (-np.square(nodes[None, :] - center[:, None]) / (2.0 * s2) - log_norm)
     if space == "folded":
-        fold = np.logaddexp(log_weight[:, mid + 1 :], log_weight[:, mid - 1 :: -1])
-        log_weight = np.concatenate([log_weight[:, mid : mid + 1], fold], axis=1)
+        # N(-x; m, s2) = N(x; m, s2) exp(-2 m x / s2), an exponent <= 0 at x > 0
+        log_weight[:, 1:] += np.logaddexp(0.0, -2.0 / s2 * center[:, None] * nodes[None, 1:])
     # The table is read as it stands: np.newaxis makes the gather a view.
     return np.newaxis, None, None, log_weight
 

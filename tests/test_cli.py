@@ -21,8 +21,8 @@ from risksched import (
 )
 from risksched import sim
 from risksched.cli import (
-    _ALL_KEYS,
     _BLOCK_ROWS,
+    _KEYS,
     ConfigError,
     _header_lines,
     _write_csv,
@@ -107,6 +107,16 @@ class TestParseConfig:
         path = write_config(tmp_path / "c.cfg")
         path.write_text(path.read_text() + mutation + "\n")
         with pytest.raises(ConfigError):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key,kind",
+        [(k, "a number") for k in ("a", "sigma2", "lambda", "gamma", "p01", "p10", "delta_max")]
+        + [(k, "an integer") for k in ("T", "n_points", "quad_nodes", "seed", "n_rollouts")],
+    )
+    def test_rejects_non_numeric_value(self, tmp_path, key, kind):
+        path = write_config(tmp_path / "c.cfg", **{key: "x1"})
+        with pytest.raises(ConfigError, match=f"key '{key}' must be {kind}, got 'x1'"):
             parse_config(path)
 
     def test_rejects_missing_required_key(self, tmp_path):
@@ -308,7 +318,13 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "command",
-        [["check"], ["solve"], ["simulate"], ["sweep", "--axis", "gamma", "--values", "0.05"]],
+        [
+            ["check"],
+            ["solve"],
+            ["simulate"],
+            ["sweep", "--axis", "gamma", "--values", "0.05"],
+            ["oracle", "--n-delta", "9"],
+        ],
     )
     def test_overflowing_gain_exit_2(self, tmp_path, capsys, command):
         # a^2 overflows a float, and beta_2 with it: infeasible at stage 2
@@ -577,7 +593,7 @@ class TestSimulate:
         assert code == 0
         header, _ = read_csv(out / "metrics.csv")
         assert f"# delta_max = {delta_max}" in header
-        config_lines = [h[2:] for h in header if h[2:].split(" = ")[0] in _ALL_KEYS]
+        config_lines = [h[2:] for h in header if h[2:].split(" = ")[0] in _KEYS]
         again = tmp_path / "again.cfg"
         again.write_text("\n".join(config_lines) + "\n")
         assert parse_config(again) == parse_config(cfg_path)
@@ -635,6 +651,13 @@ class TestSimulate:
 
 
 class TestOracle:
+    def test_infeasible_exit_2(self, tmp_path, capsys):
+        # the quantized chain stays finite, so only the solve can refuse
+        cfg = write_config(tmp_path / "c.cfg", T=2, gamma="0.6")
+        code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_infeasible_exit_2(code, capsys)
+        assert not (tmp_path / "o" / "oracle_report.csv").exists()
+
     def test_report_all_pass(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_points=201)
         out = tmp_path / "out"
@@ -799,7 +822,6 @@ class TestWriteCsv:
             "u(delta)=u(-delta)",
             "up-set in |delta|",
             "coarse=3.210e-03 fine=1.234e-03",
-            "infeasible params",
             "builtin:idle",
             "threshold-file",
             "lambda",

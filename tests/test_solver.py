@@ -310,6 +310,7 @@ class TestFoldedStage:
     """On an even table the folded stage is the original one on the right half."""
 
     GRID = GridSpec(10.0, 201)
+    A = 0.9
 
     def half_table(self):
         d = self.GRID.folded_nodes()
@@ -318,7 +319,7 @@ class TestFoldedStage:
     @pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
     @pytest.mark.parametrize("quad", [HERMITE, TRAPEZOID], ids=["hermite", "trapezoid"])
     def test_q_values_match_the_right_half(self, quad, risk_neutral):
-        p = mk()
+        p = mk(a=self.A)
         mid = self.GRID.n_points // 2
         w_half = self.half_table()
         folded = _BellmanStage(p, self.GRID, quad, "folded", True, risk_neutral)
@@ -329,13 +330,20 @@ class TestFoldedStage:
     def test_folded_trapezoid_kernel_keeps_the_row_mass(self):
         # node m > 0 of the folded kernel carries the weights of +m and -m
         mid = self.GRID.n_points // 2
-        folded = _BellmanStage(mk(), self.GRID, TRAPEZOID, "folded", True)
-        original = _BellmanStage(mk(), self.GRID, TRAPEZOID, "original", True)
+        folded = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "folded", True)
+        original = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "original", True)
         for branch, rows in ((0, slice(mid, None)), (1, slice(None))):
             got = np.exp(folded.stencil[branch][3]).sum(axis=1)
             want = np.exp(original.stencil[branch][3][rows]).sum(axis=1)
             assert folded.stencil[branch][3].shape[1] == self.GRID.n_folded
             assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+class TestFoldedStageNegativeGain(TestFoldedStage):
+    """The same at a < 0, where every drift center a * delta of the folded
+    grid is <= 0 and the folded kernel reads it as |a * delta|."""
+
+    A = -0.9
 
 
 class TestHermiteLayout:
