@@ -580,12 +580,14 @@ def _build_parser() -> _Parser:
 
 # a non-threshold solve (the trapezoid rule on an unstable source) is a config
 # error, and so is a grid too large to allocate (numpy raises a MemoryError
-# subclass, so codes are looked up by isinstance)
+# subclass, so codes are looked up by isinstance); Monte Carlo costs that
+# overflow exit as an infeasible model does
 _EXIT_CODES = {
     ConfigError: 1,
     NonThresholdPolicyError: 1,
     MemoryError: 1,
     InfeasibleModelError: 2,
+    FloatingPointError: 2,
     EnumerationBudgetError: 3,
 }
 

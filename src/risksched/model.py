@@ -112,6 +112,22 @@ def step_source(x, w, params: ModelParams):
     return params.a * x + w
 
 
+def _check_uniforms(draw: np.ndarray) -> None:
+    # NaN propagates through min/max and fails both comparisons; initial=0.0
+    # lets an empty batch through.
+    if not (draw.min(initial=0.0) >= 0.0 and draw.max(initial=0.0) < 1.0):
+        raise ValueError("uniform_draw must lie in [0, 1)")
+
+
+def _channel_rule(draw, params: ModelParams):
+    """The transition rule as two bool arrays (from_bad, flip): the next
+    state is from_bad ^ (c & flip).  from_bad (draw < p01) is the next state
+    from c=0, and flip marks the draws whose next state from c=1
+    (draw >= p10) differs from it."""
+    from_bad = draw < params.p01
+    return from_bad, (draw >= params.p10) ^ from_bad
+
+
 def step_channel(c, uniform_draw, params: ModelParams):
     """Advance the two-state channel using one uniform draw in [0, 1).
 
@@ -121,12 +137,30 @@ def step_channel(c, uniform_draw, params: ModelParams):
     or a Python int for scalar input.
     """
     draw = np.asarray(uniform_draw)
-    # NaN propagates through min/max and fails both comparisons; initial=0.0
-    # lets an empty batch through.
-    if not (draw.min(initial=0.0) >= 0.0 and draw.max(initial=0.0) < 1.0):
-        raise ValueError("uniform_draw must lie in [0, 1)")
-    out = np.where(np.asarray(c) == 1, draw >= params.p10, draw < params.p01).astype(np.int_)
+    _check_uniforms(draw)
+    from_bad, flip = _channel_rule(draw, params)
+    out = (from_bad ^ ((np.asarray(c) == 1) & flip)).astype(np.int_)
     return out if out.ndim else int(out)
+
+
+def _channel_path(c0, uniform_draws, params: ModelParams) -> np.ndarray:
+    """The channel states c(0..T-1) of len(c0) rollouts, as a stage-major
+    (T, len(c0)) int8 array: row 0 is c0 (0 or 1), and row t+1 is
+    step_channel(row t, uniform_draws[t], params).
+
+    uniform_draws is (T, len(c0)) in any memory layout: it is checked and
+    compared whole, and only the two bool results are made stage-major.
+    Every draw is checked, the last row's too, although the c(T) it steps to
+    is not kept.
+    """
+    _check_uniforms(uniform_draws)
+    from_bad, flip = map(np.ascontiguousarray, _channel_rule(uniform_draws, params))
+    path = np.empty(uniform_draws.shape, dtype=bool)
+    path[:1] = c0
+    for t in range(1, len(path)):
+        np.bitwise_and(path[t - 1], flip[t - 1], out=path[t])
+        path[t] ^= from_bad[t - 1]
+    return path.view(np.int8)
 
 
 def update_estimate(x_hat_prev, x, u, c, params: ModelParams):

@@ -24,6 +24,14 @@ its noise normals first and its channel uniforms a row block at a time, as
 it steps that block, so each extra worker holds about one chunk's normals
 more (CHUNK_SIZE * T doubles, 10.5 MB at T = 20).
 
+A row block is stepped stage-major: its normals are kept as a (T, rows)
+array, so stage t reads one contiguous row.  The channel's next state does
+not depend on the sensor's action, so the block's whole channel path, an
+int8 (T, rows) array, is computed from its uniforms before the first
+decision, and the uniforms are checked once, there.  Each stage then makes
+one decision, one error step and one stage cost.  A chunk whose totals are
+not all finite (the error overflowed a float) raises FloatingPointError.
+
 Decision functions follow the package convention (delta, c, stages_to_go)
 and must accept equal-length arrays for delta and c.  They are called from
 several threads at once, so they must be safe to call concurrently; the
@@ -40,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, SimTrace, stage_cost, step_channel, step_error, step_source, update_estimate
+from .model import ModelParams, SimTrace, _channel_path, stage_cost, step_error, step_source, update_estimate
 from .solver import _logsumexp
 
 __all__ = [
@@ -53,10 +61,11 @@ __all__ = [
 CHUNK_SIZE = 1 << 16
 # Rollouts stepped together inside a chunk.  Large enough that numpy releases
 # the GIL in each stage's ufuncs and the per-stage Python overhead stays
-# small; small enough that a block's channel uniforms and stage temporaries
-# stay small beside the chunk's normals.  On two workers at T = 20, blocks of
-# 8192 rows ran about 8% faster but peaked about 3 MB higher, and blocks of
-# 2048 rows ran about a third slower.
+# small; small enough that a block's fill buffer, channel path and stage
+# temporaries stay small beside the chunk's normals.  For `simulate` of 10^6
+# rollouts at T = 20 on two workers (a shared 2-vCPU x86_64 VM), blocks of
+# 8192 rows took a median 1.20 s against 1.33 s for 4096 (9 runs each, spread
+# +-20%), but raised ru_maxrss from 60.8 to 62.8 MB.
 ROW_BLOCK = 1 << 12
 
 # Share of the estimated mean the top 0.1% of samples may carry before the
@@ -82,33 +91,51 @@ def _generator(seed: int, chunk: int) -> np.random.Generator:
 
 def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
     """Yield (c(0), noises w, channel uniforms u_chan) of m rollouts in row
-    blocks of at most ROW_BLOCK rollouts.
+    blocks of at most ROW_BLOCK rollouts; w and u_chan are stage-major
+    (T, rows).
 
     Stream order: the m c(0) uniforms (consumed even when c0 is pinned), the
     normals of every block, then each block's uniforms as that block is
     taken.  Each fill continues the stream, so the values are those of one
-    (m, T) normal fill followed by one (m, T) uniform fill.
+    (m, T) normal fill followed by one (m, T) uniform fill.  Every fill goes
+    row-major into one reused buffer: a block's normals are scaled from it
+    into a stage-major copy, and its uniforms are yielded as a transposed
+    view of it, which the next block's fill overwrites.
     """
     good = g.random(m) < params.stationary_good_prob()
     c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
     starts = range(0, m, ROW_BLOCK)
-    w = [g.normal(0.0, params.sigma, size=(min(ROW_BLOCK, m - s), params.horizon)) for s in starts]
+    fill = np.empty((min(ROW_BLOCK, m), params.horizon))  # one row-major fill, reused
+    w = []
+    for s in starts:
+        rows = fill[: min(ROW_BLOCK, m - s)]
+        g.standard_normal(out=rows)
+        w.append(np.multiply(rows.T, params.sigma, order="C"))
+        w[-1] += 0.0  # g.normal(0.0, sigma) is 0.0 + sigma * z, which maps a -0.0 draw to 0.0
     for s in starts:
         w_block = w.pop(0)  # freed once its block is stepped
-        yield c[s : s + len(w_block)], w_block, g.random(size=w_block.shape)
+        rows = fill[: w_block.shape[1]]
+        yield c[s : s + len(rows)], w_block, g.random(out=rows).T
 
 
 def _closed_loop(params: ModelParams, policy, delta0: float, c, w, u_chan):
     """Step len(c) rollouts through the T wall stages and yield (delta, c, u)
     at each: the sensor sees (delta, c) and decides u, then delta steps with
-    the noise w[:, t] and c with the channel uniform u_chan[:, t]."""
+    the noise w[t] and c with the channel uniform u_chan[t].  w and u_chan
+    are stage-major (T, len(c)).
+
+    The channel's path does not depend on u, so it is stepped whole before
+    the first stage (every uniform is checked there) and c(t) is row t of an
+    int8 array.
+    """
     T = params.horizon
+    path = _channel_path(c, u_chan, params)
     delta = np.full(len(c), float(delta0))
     for t in range(T):
+        c = path[t]
         u = np.asarray(policy(delta, c, T - t), dtype=np.int8)
         yield delta, c, u
-        delta = step_error(delta, w[:, t], u, c, params)
-        c = step_channel(c, u_chan[:, t], params)
+        delta = step_error(delta, w[t], u, c, params)
 
 
 def rollout(
@@ -132,8 +159,8 @@ def rollout(
     x = g.normal(0.0, 1.0, size=1)
     c, w, u_chan = next(_draws(params, g, 1, c0))
     if noise is not None:
-        w = np.asarray(noise, dtype=float)[np.newaxis]
-        if w.shape != (1, T):
+        w = np.asarray(noise, dtype=float)[:, np.newaxis]
+        if w.shape != (T, 1):
             raise ValueError(f"noise must have shape ({T},)")
     if params.a != 0.0:
         x_hat = (x - delta0) / params.a
@@ -144,7 +171,7 @@ def rollout(
     for t, (delta, c_t, u) in enumerate(_closed_loop(params, policy, delta0, c, w, u_chan)):
         x_hat = update_estimate(x_hat, x, u, c_t, params)
         rows[:, t] = x[0], x_hat[0], delta[0], c_t[0], u[0]
-        x = step_source(x, w[:, t], params)
+        x = step_source(x, w[t], params)
     x, x_hat, delta, c, u = rows
     c, u = c.astype(np.int8), u.astype(np.int8)
     cost = stage_cost(delta, c, u, params)
@@ -169,8 +196,14 @@ def _chunk_figures(
     params: ModelParams, policy, seed: int, delta0: float, c0, k_top: int, chunk: int, m: int
 ):
     """(m, mean, M2, log-sum-exps of gamma*S and 2*gamma*S, top k_top of
-    gamma*S, unordered) of the totals S of one chunk."""
-    s = _simulate_chunk(params, policy, m, _generator(seed, chunk), delta0, c0)
+    gamma*S, unordered) of the totals S of one chunk.  Raises
+    FloatingPointError if a total is not finite."""
+    # an overflowing error gives inf costs, and inf * 0 NaN ones on delivery:
+    # the chunk is refused below instead of warned about stage by stage
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _simulate_chunk(params, policy, m, _generator(seed, chunk), delta0, c0)
+    if not np.isfinite(s).all():
+        raise FloatingPointError(f"a rollout's total cost overflows a float (chunk {chunk})")
     mean = float(s.mean())
     m2 = float(np.square(s - mean).sum())
     gs = params.gamma * s

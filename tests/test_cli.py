@@ -336,6 +336,21 @@ class TestBadInputs:
         assert "infeasible at stage 2" in captured.out + captured.err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("source", ["builtin:always", "builtin:idle"])
+    def test_overflowing_rollout_cost_exit_2(self, tmp_path, capsys, source):
+        # a = 1e200 at T = 3 solves nothing here: delta(2) overflows to inf,
+        # and on a delivered stage (1 - u*c) * delta**2 is 0 * inf = nan, so
+        # the estimate would be nan or inf; numpy's RuntimeWarning would raise
+        cfg = write_config(tmp_path / "c.cfg", a="1e200", T=3, n_rollouts=1000)
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--policy-source", source])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_gain_solves_at_one_stage(self, tmp_path):
         # beta_1 = gamma for every a, so T = 1 is feasible: the drift centers
         # a*delta square to inf, and the lerp across the all-zero W_0 stays 0;

@@ -17,6 +17,8 @@ from risksched import (
     idle_policy,
     rollout,
     stage_cost,
+    step_channel,
+    step_error,
     threshold_policy,
 )
 from risksched import sim
@@ -153,6 +155,24 @@ class TestRiskEstimate:
         with pytest.raises(ValueError):
             estimate_risk_objective(mk(), idle_policy(), 0, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("policy", [idle_policy(), always_transmit_policy()], ids=["idle", "always"])
+    def test_overflowing_costs_raise(self, policy):
+        # delta(2) ~ 1e200 * w: its square is inf, and 0 * inf = nan where delivered
+        with pytest.raises(FloatingPointError, match="overflow"):
+            estimate_risk_objective(mk(a=1e200), policy, 100, seed=0)
+
+    def test_pinned_at_twenty_stages(self):
+        # the mc-rollouts model over two full chunks and a partial one; the
+        # floats were taken from a loop that stepped the channel stage by stage
+        p = ModelParams(a=0.8, sigma2=1.0, lam=1.0, gamma=0.02, horizon=20, p01=0.3, p10=0.2)
+        thr = np.array([[np.inf, np.inf]] + [[np.inf, 1.0 + 0.05 * j] for j in range(1, 21)])
+        est = estimate_risk_objective(p, threshold_policy(ThresholdSchedule(thr)), 2 * CHUNK_SIZE + 3, seed=7)
+        assert repr(tuple(est)) == (
+            "(0.5015433291263314, 0.0016679346483924667, 131075, 0.01227213594711723, True, "
+            "22.440844721592256, 188.96782638331555)"
+        )
+
 
 class TestMeanVariance:
     def test_degenerate_cases(self):
@@ -277,12 +297,12 @@ class TestClosedLoop:
         m = 9
         g = np.random.default_rng(3)
         c = (g.random(m) < 0.6).astype(np.int8)
-        w = g.normal(0.0, p.sigma, size=(m, p.horizon))
-        u_chan = g.random(size=(m, p.horizon))
+        w = g.normal(0.0, p.sigma, size=(p.horizon, m))  # stage-major
+        u_chan = g.random(size=(p.horizon, m))
         batch = list(sim._closed_loop(p, THRESHOLD, 0.75, c, w, u_chan))
         assert len(batch) == p.horizon
         for r in range(m):
-            rows = (c[r : r + 1], w[r : r + 1], u_chan[r : r + 1])
+            rows = (c[r : r + 1], w[:, r : r + 1], u_chan[:, r : r + 1])
             one = list(sim._closed_loop(p, THRESHOLD, 0.75, *rows))
             assert len(one) == p.horizon
             for stage, one_stage in zip(batch, one):
@@ -290,17 +310,42 @@ class TestClosedLoop:
                     assert got.dtype == want.dtype
                     assert got[r : r + 1].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bad", [1.0, math.nan])
+    def test_uniforms_are_checked_before_the_first_stage(self, bad):
+        # the one bad uniform steps c(T-1) to c(T) in the block's last row
+        p = mk(horizon=6)
+        m = ROW_BLOCK
+        g = np.random.default_rng(4)
+        u_chan = g.random(size=(p.horizon, m))
+        u_chan[-1, -1] = bad
+        calls = []
 
-def _one_fill_chunk(params, policy, m, g, delta0, c0):
-    """_simulate_chunk as one (m, T) fill of the normals, one of the channel
-    uniforms, and one closed loop over all m rollouts."""
+        def policy(delta, c, t):
+            calls.append(t)
+            return np.zeros(len(delta), dtype=np.int8)
+
+        loop = sim._closed_loop(p, policy, 0.0, np.ones(m, np.int8), np.zeros((p.horizon, m)), u_chan)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            next(loop)
+        assert calls == []
+
+
+def _public_reference_chunk(params, policy, m, g, delta0, c0):
+    """_simulate_chunk from the public model functions only: one (m, T) fill
+    of the normals and one of the channel uniforms, then every rollout
+    stepped a stage at a time with step_error, step_channel and stage_cost."""
+    T = params.horizon
     good = g.random(m) < params.stationary_good_prob()
-    c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
-    w = g.normal(0.0, params.sigma, size=(m, params.horizon))
-    u_chan = g.random(size=(m, params.horizon))
+    c = np.full(m, c0) if c0 is not None else good.astype(int)
+    w = g.normal(0.0, params.sigma, size=(m, T))
+    u_chan = g.random(size=(m, T))
+    delta = np.full(m, float(delta0))
     total = np.zeros(m)
-    for delta, c_t, u in sim._closed_loop(params, policy, delta0, c, w, u_chan):
-        total += stage_cost(delta, c_t, u, params)
+    for t in range(T):
+        u = policy(delta, c, T - t)
+        total += stage_cost(delta, c, u, params)
+        delta = step_error(delta, w[:, t], u, c, params)
+        c = step_channel(c, u_chan[:, t], params)
     return total
 
 
@@ -316,7 +361,7 @@ class TestChunks:
         p = mk(horizon=6)
         g, g_ref = sim._generator(5, 3), sim._generator(5, 3)
         total = sim._simulate_chunk(p, policy, m, g, 0.75, c0)
-        want = _one_fill_chunk(p, policy, m, g_ref, 0.75, c0)
+        want = _public_reference_chunk(p, policy, m, g_ref, 0.75, c0)
         assert total.tobytes() == want.tobytes()
         assert g.random(4).tolist() == g_ref.random(4).tolist()  # same stream position
 
