@@ -5,22 +5,32 @@ E[exp(gamma * sum of the T stage costs)], computed by the multiplicative
 Bellman recursion V_0 := 1, V_{j+1} = min_u Q_{j+1}(., u).  Index j always
 means "stages to go"; wall stage s of a horizon-T episode uses iterate T - s.
 
-Values grow like exp(beta_j * delta^2), so everything is stored as logs and
-reduced with log-sum-exp.  The risk-neutral recursion (the gamma -> 0 limit
-of W / gamma) runs through the same stage operator on additive values, where
-the reductions are plain weighted sums.  Gaussian integrals use Gauss-Hermite
-quadrature centered at the kernel mean (default) or a trapezoid rule on the
-grid itself (cross-check).  Off-grid values of W = log V are taken by
-piecewise-linear interpolation in z = delta^2, which matches the exact
-never-transmit shape log K_j + beta_j * delta^2 and hence is exact for that
-envelope; beyond delta_max the last two nodes extrapolate linearly in z.
-Kernel centers and quadrature abscissae are the same at every stage, so
-where each integral reads the table is fixed once per solve, and a stage is
-a gather, a lerp and one reduction per kernel branch.  The Hermite stencil
-is abscissa-major, (n_nodes, n_centers): each reduction over the 64 terms
-then adds whole rows of centers, where a reduction over a short last axis
-spent its time on memory layout.  The trapezoid stencil stays center-major,
-(n_centers, n_points), as its long rows already reduce along memory.
+Values grow like exp(beta_j * delta^2), so they are stored as logs W = log
+V.  The risk-neutral recursion (the gamma -> 0 limit of W / gamma) runs
+through the same stage operator on additive values, where the expectations
+are plain weighted sums.  Gaussian integrals use Gauss-Hermite quadrature
+centered at the kernel mean (default) or a trapezoid rule on the grid itself
+(cross-check).  Kernel centers and quadrature abscissae are the same at
+every stage, so each rule's stencil is built once per solve.
+
+Hermite reads off-grid values of W by piecewise-linear interpolation in z =
+delta^2, which matches the exact never-transmit shape log K_j + beta_j *
+delta^2 and hence is exact for that envelope; beyond delta_max the last two
+nodes extrapolate linearly in z.  Its stage is a gather, a lerp and one
+log-sum-exp per kernel branch, laid out abscissa-major, (n_nodes,
+n_centers): each reduction over the 64 terms then adds whole rows of
+centers, where a reduction over a short last axis spent its time on memory
+layout.
+
+The trapezoid rule reads the table's own nodes, so each branch's kernel is
+one fixed (n_centers, n) matrix, exponentiated once per solve: K =
+exp(log_weight + beta* z - r), tilted by the largest beta_t a stage reads
+and scaled by each row's max r.  A log-domain stage is then one matrix
+product per branch, log(exp(W_t - beta* z - s) @ K.T) + s + r with s the
+table's max, whose terms all lie in [0, 1]; feasibility (2 sigma2 beta* <
+1) keeps the tilted rows decaying.  A product entry that underflows is
+redone for its row alone as a log-sum-exp.  The risk-neutral stage is the
+same product, untilted and with no log.
 """
 
 from __future__ import annotations
@@ -341,9 +351,9 @@ def _log_channel(params: ModelParams) -> np.ndarray:
         return np.log(params.channel_matrix())
 
 
-def _stencil(
-    params: ModelParams, grid: GridSpec, quad: QuadratureSpec, space: str, center: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
+def _hermite_stencil(
+    params: ModelParams, grid: GridSpec, n_nodes: int, space: str, center: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where one kernel branch reads a node table: (lo, hi, th, log_weight).
 
     Hermite reads W at center + sqrt(2) sigma y_k, interpolated in z =
@@ -352,48 +362,33 @@ def _stencil(
     are abscissa-major, (n_nodes, len(center)), and log_weight is
     (n_nodes, 1).  Original space assumes no evenness, so lo and hi are
     signed around the center node and negative abscissae read the left
-    half; folded space reads |x|.  Trapezoid reads the table's own nodes
-    with no lerp (lo is np.newaxis, hi and th None): the expectation at
-    center i reduces log_weight[i, k] + W[k] over k, center-major.  In
-    folded space its kernel is the folded one, N(x; m, sigma2) +
-    N(-x; m, sigma2), evaluated on the folded nodes alone: node x > 0
-    carries the weights of +x and -x, node 0 its own, and only the
-    delta_max end weight is halved.
+    half; folded space reads |x|.
     """
-    if quad.rule == RULE_HERMITE:
-        mid = grid.n_points // 2
-        y, wt = _hermite_nodes(quad.n_nodes)
-        x = center[None, :] + math.sqrt(2.0) * params.sigma * y[:, None]
-        pos = grid.folded_nodes()
-        zpos = pos * pos
-        j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
-        z0 = zpos[j - 1]
-        # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
-        with np.errstate(over="ignore"):
-            th = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
-        side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
-        log_weight = np.log(wt) - 0.5 * math.log(math.pi)
-        return origin + side * (j - 1), origin + side * j, th, log_weight[:, None]
-    nodes = grid.nodes_for(space)
-    w = np.full(len(nodes), grid.spacing)
-    w[-1] *= 0.5
-    if space == "original":
-        w[0] *= 0.5
-    else:
-        center = np.abs(center)  # the folded kernel is even in m; |m| keeps both terms small
-    s2 = params.sigma2
-    log_norm = 0.5 * math.log(2.0 * math.pi * s2)
-    # One expression, so numpy reuses its (n_centers, n) temporaries in place.
-    log_weight = np.log(w) + (-np.square(nodes[None, :] - center[:, None]) / (2.0 * s2) - log_norm)
-    if space == "folded":
-        # N(-x; m, s2) = N(x; m, s2) exp(-2 m x / s2), an exponent <= 0 at x > 0
-        log_weight[:, 1:] += np.logaddexp(0.0, -2.0 / s2 * center[:, None] * nodes[None, 1:])
-    # The table is read as it stands: np.newaxis makes the gather a view.
-    return np.newaxis, None, None, log_weight
+    mid = grid.n_points // 2
+    y, wt = _hermite_nodes(n_nodes)
+    x = center[None, :] + math.sqrt(2.0) * params.sigma * y[:, None]
+    pos = grid.folded_nodes()
+    zpos = pos * pos
+    j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
+    z0 = zpos[j - 1]
+    # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
+    with np.errstate(over="ignore"):
+        th = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
+    side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
+    log_weight = np.log(wt) - 0.5 * math.log(math.pi)
+    return origin + side * (j - 1), origin + side * j, th, log_weight[:, None]
 
 
 # Kernel branches: idle or lost attempt (center a*delta), delivery (center 0).
 _DRIFT, _RESET = 0, 1
+
+# Rows of the trapezoid kernel built, or recomputed by the guard, at a time.
+_ROW_BLOCK = 64
+
+# Smallest trusted entry of the tilted product, 2^-970.  What a product loses
+# to underflow, a few subnormal ulps per term, stays far below the last bit
+# of any entry above it.
+_PRODUCT_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 class _BellmanStage:
@@ -404,8 +399,9 @@ class _BellmanStage:
     acts on additive values v: costs are unscaled and expectations are
     weighted sums.  Both domains share the quadrature, the interpolant, the
     channel mix and the idle/transmit branches.  Each branch's stencil is
-    built once, here; a stage is then a gather, a lerp and one reduction per
-    branch.
+    built once, here.  Under Hermite a stage is then a gather, a lerp and
+    one reduction per branch; under the trapezoid rule it is one matrix
+    product per branch against the kernel exponentiated here.
     """
 
     def __init__(
@@ -422,17 +418,113 @@ class _BellmanStage:
         self.grid = grid
         self.space = space
         self.risk_neutral = risk_neutral
+        self.trapezoid = quad.rule == RULE_TRAPEZOID
         self.nodes = grid.nodes_for(space)
         self.z = np.square(self.nodes)
         self.logp = _log_channel(params)
         self.cost_scale = 1.0 if risk_neutral else params.gamma
         # Unnormalized kernels scale every branch by sqrt(2 pi sigma2).
         self.stage_shift = 0.0 if normalized else 0.5 * math.log(2.0 * math.pi * params.sigma2)
-        # Indexed by _DRIFT and _RESET; additive weights in the risk-neutral domain.
+        # Indexed by _DRIFT and _RESET, as is the stencil.
+        self.centers = (params.a * self.nodes, np.zeros(1))
+        if self.trapezoid:
+            # W_t grows like beta_t z, so tilting by the largest beta_t read
+            # (t < T) keeps exp(W_t - tilt z) bounded; value_iterate has
+            # checked that every beta_t is feasible.
+            beta = check_feasibility(params).beta[: params.horizon]
+            self.tilt = 0.0 if risk_neutral else float(beta.max(initial=0.0))
+            self.stencil = [self._kernel(center) for center in self.centers]
+            return
         self.stencil = []
-        for center in (params.a * self.nodes, np.zeros(1)):
-            lo, hi, th, log_weight = _stencil(params, grid, quad, space, center)
+        for center in self.centers:
+            lo, hi, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, center)
             self.stencil.append((lo, hi, th, np.exp(log_weight) if risk_neutral else log_weight))
+
+    def _log_weight(self, center: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Trapezoid log-weights of the kernel rows at center, (len(center), n).
+
+        The expectation at center i is the sum over nodes k of
+        exp(log_weight[i, k] + W[k]): the rule reads the table's own nodes,
+        with no lerp, and only the end weights are halved (in folded space
+        only the delta_max one).  In folded space the kernel is the folded
+        one, N(x; m, sigma2) + N(-x; m, sigma2), evaluated on the folded
+        nodes alone: node x > 0 carries the weights of +x and -x, node 0 its
+        own.
+        """
+        nodes, s2 = self.nodes, self.params.sigma2
+        w = np.full(len(nodes), self.grid.spacing)
+        w[-1] *= 0.5
+        if self.space == "original":
+            w[0] *= 0.5
+        else:
+            center = np.abs(center)  # the folded kernel is even in m; |m| keeps both terms small
+        out = np.empty((len(center), len(nodes))) if out is None else out
+        # In place, so a block of rows needs no temporary of its size but
+        # the folded term; a far center's square overflows to a -inf weight.
+        with np.errstate(over="ignore"):
+            np.subtract(nodes[None, :], center[:, None], out=out)
+            np.square(out, out=out)
+        out /= -2.0 * s2
+        out -= 0.5 * math.log(2.0 * math.pi * s2)
+        out += np.log(w)
+        if self.space == "folded":
+            # N(-x; m, s2) = N(x; m, s2) exp(y), y = -2 m x / s2 <= 0 at x > 0;
+            # log1p(exp(y)) is logaddexp(0, y) to 2 ulps, at half its cost.
+            fold = -2.0 / s2 * center[:, None] * nodes[None, 1:]
+            np.exp(fold, out=fold)
+            out[:, 1:] += np.log1p(fold, out=fold)
+        return out
+
+    def _kernel(self, center: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(K, r, log_mass) of the kernel rows at center.
+
+        K = exp(log_weight + tilt * z - r), with r_i row i's max, is built in
+        blocks of rows written into K in place, so the build holds K and a
+        block or two.  A row whose max is -inf (the kernel wholly off the
+        grid) keeps K = 0 and r = 0, as _logsumexp does.  log_mass_i, the
+        log-sum-exp of row i's log-weights, is taken in the log domain only.
+        """
+        kernel = np.empty((len(center), len(self.nodes)))
+        r = np.empty(len(center))
+        log_mass = None if self.risk_neutral else np.empty(len(center))
+        tilt_z = self.tilt * self.z
+        for start in range(0, len(center), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            block = self._log_weight(center[rows], out=kernel[rows])
+            if log_mass is not None:
+                log_mass[rows] = _logsumexp(block, 1)
+            block += tilt_z
+            mx = np.max(block, axis=1)
+            mx[~np.isfinite(mx)] = 0.0
+            block -= mx[:, None]
+            np.exp(block, out=block)
+            r[rows] = mx
+        return kernel, r, log_mass
+
+    def _tilted_product(
+        self, w_t: np.ndarray, kernel: np.ndarray, r: np.ndarray, center: np.ndarray
+    ) -> np.ndarray:
+        """Log-domain trapezoid expectations of w_t, (2, len(center)) over c+.
+
+        With u = W_t - tilt z and s_c its max, exp(u - s) <= 1, so the
+        product with K is a sum of terms in [0, 1] and per_next = log(exp(u -
+        s) @ K.T) + s + r.  Guard: an entry that underflowed below
+        _PRODUCT_FLOOR, or met inf * 0, is redone row by row as a log-sum-exp
+        of recomputed log-weights, which keeps -inf, +inf and every finite
+        value of that reduction.
+        """
+        u = w_t - self.tilt * self.z
+        s = np.max(u, axis=1, keepdims=True)
+        s[~np.isfinite(s)] = 0.0
+        prod = np.exp(u - s) @ kernel.T
+        with np.errstate(divide="ignore"):
+            per_next = np.log(prod) + s + r
+        bad = np.flatnonzero(~np.all(prod >= _PRODUCT_FLOOR, axis=0))
+        for start in range(0, len(bad), _ROW_BLOCK):
+            rows = bad[start : start + _ROW_BLOCK]
+            terms = self._log_weight(center[rows]) + w_t[:, None, :]
+            per_next[:, rows] = _logsumexp(terms, 2, _overwrite=True)
+        return per_next
 
     def _integrate(self, w_t: np.ndarray, branch: int) -> np.ndarray:
         """Expected next-stage value from the kernel centers of branch.
@@ -443,32 +535,36 @@ class _BellmanStage:
         channel mix is a second, 2-term reduction.  Returns
         (2, len(centers)) over the current channel c.
         """
+        if self.trapezoid:
+            # One BLAS product per branch in both domains.  Threaded BLAS is
+            # not slower here: the solve-fine model's folded solve at
+            # n_points = 4001 took 0.14-0.16 s with OpenBLAS's default two
+            # threads and 0.17-0.21 s with one, on a 2-vCPU x86_64 host.
+            kernel, r, log_mass = self.stencil[branch]
+            if self.risk_neutral:
+                return np.exp(self.logp) @ ((w_t @ kernel.T) * np.exp(r))
+            if (w_t == w_t[:, :1]).all():
+                # A table flat along the nodes, as W_0 = 0 is, integrates to
+                # its value plus each row's log-mass.  So the first stage is
+                # a log-sum-exp of the log-weights, to the bit, as its
+                # margins tie exactly where delta^2 = lambda on a node.
+                per_next = w_t[:, :1] + log_mass
+            else:
+                per_next = self._tilted_product(w_t, kernel, r, self.centers[branch])
+            return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
+        # Hermite: (2, n_terms, len(centers)) over c+, terms on axis 1, so
+        # each reduction runs over whole rows of centers.  Gathering rows of
+        # w_t.T keeps c+ innermost in memory, where the center-major fancy
+        # index w_t[:, lo.T] also puts it; numpy sums in memory order, so
+        # both layouts sum in one order, to the bit.
         lo, hi, th, weight = self.stencil[branch]
-        if th is None:
-            # Trapezoid: every center reads the whole table, (2, 1, n) over
-            # c+, so the terms are on the last axis.
-            vals, axis = w_t[:, lo], 2
-        else:
-            # Hermite: (2, n_terms, len(centers)) over c+, terms on axis 1,
-            # so each reduction runs over whole rows of centers.  Gathering
-            # rows of w_t.T keeps c+ innermost in memory, where the
-            # center-major fancy index w_t[:, lo.T] also puts it; numpy sums
-            # in memory order, so both layouts sum in one order, to the bit.
-            vals = np.take(w_t.T, lo, axis=0).transpose(2, 0, 1)
-            vals *= 1.0 - th
-            vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th
-            axis = 1
+        vals = np.take(w_t.T, lo, axis=0).transpose(2, 0, 1)
+        vals *= 1.0 - th
+        vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th
         if self.risk_neutral:
-            # A contraction, not a broadcast sum: no (2, n_centers, n)
-            # temporary for the trapezoid rule.  einsum, not matmul: a
-            # threaded BLAS matmul here took up to 0.14 s per solve against
-            # 0.02 s at n_points=2001 on a 2-core host.
-            per_next = np.einsum("ik,cik->ci" if axis == 2 else "ki,cki->ci", weight, vals)
-            return np.exp(self.logp) @ per_next
-        # The Hermite gather is a fresh array, so it takes the weights in place;
-        # the trapezoid one is a view of w_t.
-        terms = np.add(weight, vals, out=None if th is None else vals)
-        per_next = _logsumexp(terms, axis, _overwrite=True)
+            return np.exp(self.logp) @ np.einsum("ki,cki->ci", weight, vals)
+        # The gather is a fresh array, so it takes the weights in place.
+        per_next = _logsumexp(np.add(weight, vals, out=vals), 1, _overwrite=True)
         return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
 
     def q_values(self, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -507,10 +603,11 @@ def _iterate(stage: _BellmanStage, force_u: int | None) -> tuple[np.ndarray, Pol
         if force_u is not None:
             take = np.full_like(take, bool(force_u))
         w[j] = np.where(take, q1, q0)
-        u_star[j] = take
-        q_margin[j] = q1 - q0
+        # Checked before the margin: two -inf q-values would make it NaN.
         if not np.all(np.isfinite(w[j])):
             raise InfeasibleModelError(j, f"value table overflowed at stage {j}")
+        u_star[j] = take
+        q_margin[j] = q1 - q0
     return w, PolicyTable(u_star=u_star, q_margin=q_margin, grid=stage.grid, space=stage.space)
 
 

@@ -106,6 +106,17 @@ class TestDecide:
         out = decide(s, np.array([1.0, 1.0, -3.0]), np.array([1, 0, 0]), 1)
         assert np.array_equal(out, [1, 0, 1])
 
+    def test_scalar_and_array_channels_agree(self):
+        s = ThresholdSchedule(np.array([[np.inf, np.inf], [2.0, 1.0]]))
+        delta = np.array([0.5, 1.0, 1.5, -2.0, 3.0])
+        for c in (0, 1):
+            out = decide(s, delta, np.full(len(delta), c, dtype=np.int8), 1)
+            assert out.tolist() == [decide(s, d, c, 1) for d in delta]
+        with pytest.raises(IndexError):
+            decide(s, 0.0, 2, 1)
+        with pytest.raises(IndexError):
+            decide(s, np.zeros(2), np.array([0, 2]), 1)
+
     def test_stage_bounds(self):
         s = ThresholdSchedule(np.array([[np.inf, np.inf], [np.inf, 1.0]]))
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 quadrature rules, structural invariants of the value tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,16 @@ from risksched import (
     truncation_report,
     value_iterate,
 )
-from risksched.solver import _DRIFT, _RESET, _BellmanStage, _iterate, _log_channel, _logsumexp
+from risksched.policy import NonThresholdPolicyError
+from risksched.solver import (
+    _DRIFT,
+    _PRODUCT_FLOOR,
+    _RESET,
+    _BellmanStage,
+    _iterate,
+    _log_channel,
+    _logsumexp,
+)
 
 HERMITE = QuadratureSpec()
 TRAPEZOID = QuadratureSpec(rule="trapezoid-on-grid")
@@ -328,15 +338,20 @@ class TestFoldedStage:
             assert_allclose(got, want[:, mid:], rtol=0, atol=1e-12)
 
     def test_folded_trapezoid_kernel_keeps_the_row_mass(self):
-        # node m > 0 of the folded kernel carries the weights of +m and -m
+        # node m > 0 of the folded kernel carries the weights of +m and -m;
+        # a row's mass is sum_k K[i, k] exp(r_i - tilt z_k)
         mid = self.GRID.n_points // 2
         folded = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "folded", True)
         original = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "original", True)
+        assert folded.tilt == original.tilt > 0.0
+
+        def mass(stage, branch):
+            kernel, r, _ = stage.stencil[branch]
+            return (kernel * np.exp(r[:, None] - stage.tilt * stage.z[None, :])).sum(axis=1)
+
         for branch, rows in ((0, slice(mid, None)), (1, slice(None))):
-            got = np.exp(folded.stencil[branch][3]).sum(axis=1)
-            want = np.exp(original.stencil[branch][3][rows]).sum(axis=1)
-            assert folded.stencil[branch][3].shape[1] == self.GRID.n_folded
-            assert_allclose(got, want, rtol=1e-14, atol=0)
+            assert folded.stencil[branch][0].shape[1] == self.GRID.n_folded
+            assert_allclose(mass(folded, branch), mass(original, branch)[rows], rtol=1e-14, atol=0)
 
 
 class TestFoldedStageNegativeGain(TestFoldedStage):
@@ -389,6 +404,144 @@ class TestHermiteLayout:
                     want = self.center_major(stage, w_t, branch)
                 assert got.shape == want.shape == (2, len(stage.nodes) if branch == _DRIFT else 1)
                 assert np.array_equal(got, want, equal_nan=True), (name, branch)
+
+
+class TestTrapezoidProduct:
+    """The tilted product stage reproduces the log-sum-exp trapezoid stage.
+
+    The reference is that stage as it stood before the product: each
+    branch's log-weights formed whole, center-major, then reduced with a
+    log-sum-exp (log domain) or contracted with exp(log_weight) (risk
+    neutral).  Differences are bounded in ulps of max(1, |W|); infinities
+    and NaNs must match exactly.
+    """
+
+    GRID = GridSpec(10.0, 201)
+    ULPS = 8
+
+    @staticmethod
+    def reference(stage, w_t, branch):
+        p, grid, nodes = stage.params, stage.grid, stage.nodes
+        center = (p.a * nodes, np.zeros(1))[branch]
+        w = np.full(len(nodes), grid.spacing)
+        w[-1] *= 0.5
+        if stage.space == "original":
+            w[0] *= 0.5
+        else:
+            center = np.abs(center)
+        s2 = p.sigma2
+        log_norm = 0.5 * math.log(2.0 * math.pi * s2)
+        log_weight = np.log(w) + (-np.square(nodes[None, :] - center[:, None]) / (2.0 * s2) - log_norm)
+        if stage.space == "folded":
+            log_weight[:, 1:] += np.logaddexp(0.0, -2.0 / s2 * center[:, None] * nodes[None, 1:])
+        if stage.risk_neutral:
+            per_next = np.einsum("ik,cik->ci", np.exp(log_weight), w_t[:, np.newaxis])
+            return np.exp(stage.logp) @ per_next
+        per_next = _logsumexp(log_weight + w_t[:, np.newaxis], axis=2)
+        return _logsumexp(stage.logp[:, :, None] + per_next[None, :, :], axis=1)
+
+    def assert_close(self, got, want, label):
+        assert np.array_equal(np.isnan(got), np.isnan(want)), label
+        inf = np.isinf(want)
+        assert np.array_equal(got[inf], want[inf]), label
+        fin = np.isfinite(want)
+        assert np.all(np.isfinite(got[fin])), label
+        bound = self.ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(want[fin]))
+        assert np.all(np.abs(got[fin] - want[fin]) <= bound), label
+
+    def tables(self, nodes):
+        quadratic = np.stack([0.04 * nodes**2, 0.3 + 0.05 * nodes**2 - 0.2 * np.tanh(nodes)])
+        neg_inf = quadratic.copy()
+        neg_inf[0, np.abs(nodes) <= 3.0] = -np.inf
+        neg_inf[1, (2.0 <= np.abs(nodes)) & (np.abs(nodes) <= 6.0)] = -np.inf
+        pos_inf = quadratic.copy()
+        pos_inf[1, len(nodes) // 3] = np.inf
+        flat = np.stack([np.zeros(len(nodes)), np.full(len(nodes), 0.7)])
+        return {"quadratic": quadratic, "-inf": neg_inf, "+inf": pos_inf, "flat": flat}
+
+    @pytest.mark.parametrize("p01", [0.3, 0.0])
+    @pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    def test_integrate_matches_log_sum_exp(self, space, risk_neutral, p01):
+        stage = _BellmanStage(mk(p01=p01), self.GRID, TRAPEZOID, space, True, risk_neutral)
+        assert stage.tilt == (0.0 if risk_neutral else check_feasibility(mk()).beta[2])
+        for name, w_t in self.tables(stage.nodes).items():
+            for branch in (_DRIFT, _RESET):
+                with np.errstate(all="ignore"):
+                    got = stage._integrate(w_t, branch)
+                    want = self.reference(stage, w_t, branch)
+                assert got.shape == want.shape == (2, len(stage.nodes) if branch == _DRIFT else 1)
+                self.assert_close(got, want, (name, branch))
+
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    def test_underflowing_product_falls_back_per_row(self, space):
+        # sigma = 0.2: the only finite entry, at delta = 9.5, sits 47.5 sigma
+        # from the reset center and from the drift centers near 0, so their
+        # product underflows to 0, while drift centers near 9 see it closely
+        stage = _BellmanStage(mk(sigma2=0.04), self.GRID, TRAPEZOID, space, True)
+        w_t = np.full((2, len(stage.nodes)), -np.inf)
+        w_t[:, np.flatnonzero(np.isclose(stage.nodes, 9.5))] = 1.0
+        for branch in (_DRIFT, _RESET):
+            kernel = stage.stencil[branch][0]
+            u = w_t - stage.tilt * stage.z
+            prod = np.exp(u - u.max(axis=1, keepdims=True)) @ kernel.T
+            under = ~np.all(prod >= _PRODUCT_FLOOR, axis=0)
+            assert under[0]
+            if branch == _DRIFT:
+                assert not under[-1]
+            got = stage._integrate(w_t, branch)
+            want = self.reference(stage, w_t, branch)
+            assert np.all(np.isfinite(want))
+            self.assert_close(got, want, branch)
+
+
+class TestTrapezoidEdges:
+    """The product stage on instances at the edges of what it must survive."""
+
+    BOUNDARY = dict(a=0.0, sigma2=87.6, lam=41.5, gamma=0.00569, horizon=2)
+
+    @pytest.mark.parametrize("n,tol", [(401, 2.0e-4), (1601, 3.2e-5)])
+    def test_boundary_two_stage_value(self, n, tol):
+        # 2 sigma2 beta* = 0.9969 and the kernel spans e^-6780 of the grid;
+        # tol is the log-sum-exp stage's error (1.97e-4, 3.17e-5 at c = 1).
+        # W_2(0, c) = log sum_c+ P[c][c+] E[exp(W_1(w, c+))], w ~ N(0, s2),
+        # with W_1(x, 0) = gamma x^2 and W_1(x, 1) = gamma min(x^2, lam).
+        p = mk(**self.BOUNDARY)
+        k = 1.0 - 2.0 * p.sigma2 * p.gamma
+        r = math.sqrt(p.lam / p.sigma2)
+        e_min = k**-0.5 * (2.0 * ndtr(r * math.sqrt(k)) - 1.0) + math.exp(p.gamma * p.lam) * 2.0 * ndtr(-r)
+        exact = np.log(p.channel_matrix() @ np.array([k**-0.5, e_min]))
+        assert_allclose(exact, [2.557185, 1.508977], atol=5e-7)
+        grid = GridSpec(auto_delta_max(p, TRAPEZOID), n)
+        table, _ = value_iterate(p, grid, TRAPEZOID, space="folded")
+        assert np.max(np.abs(table.w[2, :, 0] - exact)) <= tol
+
+    @pytest.mark.parametrize("n,node", [(401, 185), (1601, 737)])
+    def test_unstable_source_is_refused_at_the_same_node(self, n, node):
+        p = mk(a=1.2, gamma=0.01, horizon=5)
+        grid = GridSpec(auto_delta_max(p, TRAPEZOID), n)
+        _, policy = value_iterate(p, grid, TRAPEZOID, space="folded")
+        with pytest.raises(NonThresholdPolicyError) as err:
+            extract_thresholds(policy, grid)
+        assert (err.value.stages_to_go, err.value.c, err.value.node) == (1, 1, node)
+
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    def test_kernel_off_the_grid_is_infeasible(self, space):
+        # a^2 overflows: every drift center but delta = 0 lies off the grid,
+        # so those kernel rows are all -inf, kept as K = 0 and r = 0
+        p = mk(a=1e200, horizon=1)
+        grid = GridSpec(auto_delta_max(p, TRAPEZOID), 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage = _BellmanStage(p, grid, TRAPEZOID, space, True)
+            kernel, r, _ = stage.stencil[_DRIFT]
+            off = np.abs(stage.nodes) > 0
+            assert not kernel[off].any() and not r[off].any()
+            q0, q1 = stage.q_values(np.zeros((2, len(stage.nodes))))
+            assert not np.isnan(q0).any() and not np.isnan(q1).any()
+            with pytest.raises(InfeasibleModelError) as err:
+                value_iterate(p, grid, TRAPEZOID, space=space)
+        assert err.value.stage == 1
 
 
 class TestQuadratureRules:
