@@ -60,7 +60,7 @@ class ModelParams:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.horizon < 0 or int(self.horizon) != self.horizon:
+        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 0:
             raise ValueError(f"horizon must be an integer >= 0, got {self.horizon}")
         for name in ("p01", "p10"):
             p = getattr(self, name)

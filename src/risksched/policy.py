@@ -59,7 +59,7 @@ class ThresholdSchedule:
         thr = np.asarray(self.threshold, dtype=float)
         if thr.ndim != 2 or thr.shape[1] != 2:
             raise ValueError(f"threshold must have shape (T+1, 2), got {thr.shape}")
-        if np.any(thr < 0):
+        if not np.all(thr >= 0):  # NaN too: it compares false and never transmits
             raise ValueError("thresholds must be non-negative (or +inf)")
         object.__setattr__(self, "threshold", thr)
 

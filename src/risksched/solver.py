@@ -10,27 +10,29 @@ V.  The risk-neutral recursion (the gamma -> 0 limit of W / gamma) runs
 through the same stage operator on additive values, where the expectations
 are plain weighted sums.  Gaussian integrals use Gauss-Hermite quadrature
 centered at the kernel mean (default) or a trapezoid rule on the grid itself
-(cross-check).  Kernel centers and quadrature abscissae are the same at
-every stage, so each rule's stencil is built once per solve.
+(cross-check).  A stage integrates one kernel, the idle step delta -> a *
+delta + w from every node: a delivery resets the error to w, which is that
+step from delta = 0, so its expectation is the idle one at the zero node.
+The centers a * delta and the quadrature abscissae are the same at every
+stage, so each rule's stencil is built once per solve.
 
 Hermite reads off-grid values of W by piecewise-linear interpolation in z =
 delta^2, which matches the exact never-transmit shape log K_j + beta_j *
 delta^2 and hence is exact for that envelope; beyond delta_max the last two
 nodes extrapolate linearly in z.  Its stage is a gather, a lerp and one
-log-sum-exp per kernel branch, laid out abscissa-major, (n_nodes,
-n_centers): each reduction over the 64 terms then adds whole rows of
-centers, where a reduction over a short last axis spent its time on memory
-layout.
+log-sum-exp, laid out abscissa-major, (n_nodes, n_centers): each reduction
+over the 64 terms then adds whole rows of centers, where a reduction over
+a short last axis spent its time on memory layout.
 
-The trapezoid rule reads the table's own nodes, so each branch's kernel is
-one fixed (n_centers, n) matrix, exponentiated once per solve: K =
-exp(log_weight + beta* z - r), tilted by the largest beta_t a stage reads
-and scaled by each row's max r.  A log-domain stage is then one matrix
-product per branch, log(exp(W_t - beta* z - s) @ K.T) + s + r with s the
-table's max, whose terms all lie in [0, 1]; feasibility (2 sigma2 beta* <
-1) keeps the tilted rows decaying.  A product entry that underflows is
-redone for its row alone as a log-sum-exp.  The risk-neutral stage is the
-same product, untilted and with no log.
+The trapezoid rule reads the table's own nodes, so its kernel is one fixed
+(n, n) matrix, exponentiated once per solve: K = exp(log_weight + beta* z -
+r), tilted by the largest beta_t a stage reads and scaled by each row's
+max r.  A log-domain stage is then one matrix product, log(exp(W_t - beta*
+z - s) @ K.T) + s + r with s the table's max, whose terms all lie in
+[0, 1]; feasibility (2 sigma2 beta* < 1) keeps the tilted rows decaying.
+A product entry that underflows is redone for its row alone as a
+log-sum-exp.  The risk-neutral stage is the same product, untilted and
+with no log.
 """
 
 from __future__ import annotations
@@ -354,7 +356,7 @@ def _log_channel(params: ModelParams) -> np.ndarray:
 def _hermite_stencil(
     params: ModelParams, grid: GridSpec, n_nodes: int, space: str, center: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where one kernel branch reads a node table: (lo, hi, th, log_weight).
+    """Where the kernels at center read a node table: (lo, hi, th, log_weight).
 
     Hermite reads W at center + sqrt(2) sigma y_k, interpolated in z =
     delta^2: the expectation at center i reduces log_weight[k, 0] +
@@ -379,9 +381,6 @@ def _hermite_stencil(
     return origin + side * (j - 1), origin + side * j, th, log_weight[:, None]
 
 
-# Kernel branches: idle or lost attempt (center a*delta), delivery (center 0).
-_DRIFT, _RESET = 0, 1
-
 # Rows of the trapezoid kernel built, or recomputed by the guard, at a time.
 _ROW_BLOCK = 64
 
@@ -397,11 +396,11 @@ class _BellmanStage:
     By default the operator acts on W = log V: stage costs are scaled by
     gamma and expectations are log-sum-exp reductions.  With risk_neutral it
     acts on additive values v: costs are unscaled and expectations are
-    weighted sums.  Both domains share the quadrature, the interpolant, the
-    channel mix and the idle/transmit branches.  Each branch's stencil is
-    built once, here.  Under Hermite a stage is then a gather, a lerp and
-    one reduction per branch; under the trapezoid rule it is one matrix
-    product per branch against the kernel exponentiated here.
+    weighted sums.  Both domains share the quadrature, the interpolant and
+    the channel mix.  The stencil of the idle step from every node is built
+    once, here, and both actions read it.  Under Hermite a stage is then a
+    gather, a lerp and one reduction; under the trapezoid rule it is one
+    matrix product against the kernel exponentiated here.
     """
 
     def __init__(
@@ -423,22 +422,21 @@ class _BellmanStage:
         self.z = np.square(self.nodes)
         self.logp = _log_channel(params)
         self.cost_scale = 1.0 if risk_neutral else params.gamma
-        # Unnormalized kernels scale every branch by sqrt(2 pi sigma2).
+        # Unnormalized kernels scale every expectation by sqrt(2 pi sigma2).
         self.stage_shift = 0.0 if normalized else 0.5 * math.log(2.0 * math.pi * params.sigma2)
-        # Indexed by _DRIFT and _RESET, as is the stencil.
-        self.centers = (params.a * self.nodes, np.zeros(1))
+        # Kernel means of the idle step, and the node a delivery starts from.
+        self.centers = params.a * self.nodes
+        self.zero = 0 if space == "folded" else grid.n_points // 2
         if self.trapezoid:
             # W_t grows like beta_t z, so tilting by the largest beta_t read
             # (t < T) keeps exp(W_t - tilt z) bounded; value_iterate has
             # checked that every beta_t is feasible.
             beta = check_feasibility(params).beta[: params.horizon]
             self.tilt = 0.0 if risk_neutral else float(beta.max(initial=0.0))
-            self.stencil = [self._kernel(center) for center in self.centers]
+            self.stencil = self._kernel()
             return
-        self.stencil = []
-        for center in self.centers:
-            lo, hi, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, center)
-            self.stencil.append((lo, hi, th, np.exp(log_weight) if risk_neutral else log_weight))
+        lo, hi, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, self.centers)
+        self.stencil = (lo, hi, th, np.exp(log_weight) if risk_neutral else log_weight)
 
     def _log_weight(self, center: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Trapezoid log-weights of the kernel rows at center, (len(center), n).
@@ -475,8 +473,8 @@ class _BellmanStage:
             out[:, 1:] += np.log1p(fold, out=fold)
         return out
 
-    def _kernel(self, center: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(K, r, log_mass) of the kernel rows at center.
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(K, r, log_mass) of the kernel rows at the centers.
 
         K = exp(log_weight + tilt * z - r), with r_i row i's max, is built in
         blocks of rows written into K in place, so the build holds K and a
@@ -484,13 +482,13 @@ class _BellmanStage:
         grid) keeps K = 0 and r = 0, as _logsumexp does.  log_mass_i, the
         log-sum-exp of row i's log-weights, is taken in the log domain only.
         """
-        kernel = np.empty((len(center), len(self.nodes)))
-        r = np.empty(len(center))
-        log_mass = None if self.risk_neutral else np.empty(len(center))
+        kernel = np.empty((len(self.centers), len(self.nodes)))
+        r = np.empty(len(self.centers))
+        log_mass = None if self.risk_neutral else np.empty(len(self.centers))
         tilt_z = self.tilt * self.z
-        for start in range(0, len(center), _ROW_BLOCK):
+        for start in range(0, len(self.centers), _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            block = self._log_weight(center[rows], out=kernel[rows])
+            block = self._log_weight(self.centers[rows], out=kernel[rows])
             if log_mass is not None:
                 log_mass[rows] = _logsumexp(block, 1)
             block += tilt_z
@@ -501,10 +499,8 @@ class _BellmanStage:
             r[rows] = mx
         return kernel, r, log_mass
 
-    def _tilted_product(
-        self, w_t: np.ndarray, kernel: np.ndarray, r: np.ndarray, center: np.ndarray
-    ) -> np.ndarray:
-        """Log-domain trapezoid expectations of w_t, (2, len(center)) over c+.
+    def _tilted_product(self, w_t: np.ndarray, kernel: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Log-domain trapezoid expectations of w_t, (2, n_nodes) over c+.
 
         With u = W_t - tilt z and s_c its max, exp(u - s) <= 1, so the
         product with K is a sum of terms in [0, 1] and per_next = log(exp(u -
@@ -522,25 +518,25 @@ class _BellmanStage:
         bad = np.flatnonzero(~np.all(prod >= _PRODUCT_FLOOR, axis=0))
         for start in range(0, len(bad), _ROW_BLOCK):
             rows = bad[start : start + _ROW_BLOCK]
-            terms = self._log_weight(center[rows]) + w_t[:, None, :]
+            terms = self._log_weight(self.centers[rows]) + w_t[:, None, :]
             per_next[:, rows] = _logsumexp(terms, 2, _overwrite=True)
         return per_next
 
-    def _integrate(self, w_t: np.ndarray, branch: int) -> np.ndarray:
-        """Expected next-stage value from the kernel centers of branch.
+    def _integrate(self, w_t: np.ndarray) -> np.ndarray:
+        """Expected next-stage value of the idle step from every node.
 
-        Log domain: log sum_{c+} p[c][c+] * int N(x; center, sigma2)
+        Log domain: log sum_{c+} p[c][c+] * int N(x; a * delta, sigma2)
         exp(W_t(x, c+)) dx.  Risk-neutral: the same sum with v_t(x, c+) in
         place of exp(W_t).  The rule integrates each next-channel table; the
-        channel mix is a second, 2-term reduction.  Returns
-        (2, len(centers)) over the current channel c.
+        channel mix is a second, 2-term reduction.  Returns (2, n_nodes)
+        over the current channel c.
         """
         if self.trapezoid:
-            # One BLAS product per branch in both domains.  Threaded BLAS is
-            # not slower here: the solve-fine model's folded solve at
-            # n_points = 4001 took 0.14-0.16 s with OpenBLAS's default two
-            # threads and 0.17-0.21 s with one, on a 2-vCPU x86_64 host.
-            kernel, r, log_mass = self.stencil[branch]
+            # One BLAS product in both domains.  Threaded BLAS is not slower
+            # here: the solve-fine model's folded solve at n_points = 4001
+            # took 0.14-0.16 s with OpenBLAS's default two threads and
+            # 0.17-0.21 s with one, on a 2-vCPU x86_64 host.
+            kernel, r, log_mass = self.stencil
             if self.risk_neutral:
                 return np.exp(self.logp) @ ((w_t @ kernel.T) * np.exp(r))
             if (w_t == w_t[:, :1]).all():
@@ -550,14 +546,14 @@ class _BellmanStage:
                 # margins tie exactly where delta^2 = lambda on a node.
                 per_next = w_t[:, :1] + log_mass
             else:
-                per_next = self._tilted_product(w_t, kernel, r, self.centers[branch])
+                per_next = self._tilted_product(w_t, kernel, r)
             return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
         # Hermite: (2, n_terms, len(centers)) over c+, terms on axis 1, so
         # each reduction runs over whole rows of centers.  Gathering rows of
         # w_t.T keeps c+ innermost in memory, where the center-major fancy
         # index w_t[:, lo.T] also puts it; numpy sums in memory order, so
         # both layouts sum in one order, to the bit.
-        lo, hi, th, weight = self.stencil[branch]
+        lo, hi, th, weight = self.stencil
         vals = np.take(w_t.T, lo, axis=0).transpose(2, 0, 1)
         vals *= 1.0 - th
         vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th
@@ -574,14 +570,14 @@ class _BellmanStage:
         # Overflow here means the expectation diverged; it surfaces as a
         # non-finite entry that _iterate turns into InfeasibleModelError.
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = self._integrate(w_t, _DRIFT)
-            reset = self._integrate(w_t, _RESET)
+            drift = self._integrate(w_t)
         price = self.cost_scale * p.lam
         q0 = self.cost_scale * self.z[None, :] + drift + self.stage_shift
         q1 = np.empty_like(q0)
         # Bad channel: the attempt is lost, so only the price is added.
         q1[0] = price + q0[0]
-        q1[1] = price + reset[1, 0] + self.stage_shift
+        # Good channel: Delta(t+1) = w(t), the idle step from delta = 0.
+        q1[1] = price + drift[1, self.zero] + self.stage_shift
         return q0, q1
 
 

@@ -29,6 +29,7 @@ class TestModelParams:
         p = mk()
         assert p.sigma == 1.0
         assert p.horizon == 3
+        assert mk(horizon=np.int64(4)).horizon == 4
 
     @pytest.mark.parametrize(
         "field,value",
@@ -40,6 +41,7 @@ class TestModelParams:
             ("gamma", -0.1),
             ("horizon", -1),
             ("horizon", 2.5),
+            ("horizon", 2.0),  # a whole float still cannot size the beta trace
             ("p01", -0.01),
             ("p01", 1.01),
             ("p10", 1.5),

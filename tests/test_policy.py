@@ -49,6 +49,8 @@ class TestThresholdSchedule:
             ThresholdSchedule(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             ThresholdSchedule(np.array([[-1.0, np.inf], [0.0, np.inf]]))
+        with pytest.raises(ValueError, match="non-negative"):
+            ThresholdSchedule(np.array([[np.inf, np.inf], [np.inf, np.nan]]))
 
     def test_stage_indexing(self):
         thr = np.array([[np.inf, np.inf], [np.inf, 2.0], [np.inf, 1.0]])

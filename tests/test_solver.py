@@ -26,9 +26,7 @@ from risksched import (
 )
 from risksched.policy import NonThresholdPolicyError
 from risksched.solver import (
-    _DRIFT,
     _PRODUCT_FLOOR,
-    _RESET,
     _BellmanStage,
     _iterate,
     _log_channel,
@@ -220,13 +218,13 @@ class TestSingleStageTables:
         assert np.all(schedule.threshold[0] == np.inf)
 
 
-def stages_with_tables(p, grid, j):
+def stages_with_tables(p, grid, j, quad=HERMITE):
     """(stage, table at j stages to go, transmit price) for both domains."""
-    table, _ = value_iterate(p, grid, HERMITE)
-    rn, _ = risk_neutral_value_iterate(p, grid, HERMITE)
+    table, _ = value_iterate(p, grid, quad)
+    rn, _ = risk_neutral_value_iterate(p, grid, quad)
     return [
-        (_BellmanStage(p, grid, HERMITE, "original", True), table.w[j], p.gamma * p.lam),
-        (_BellmanStage(p, grid, HERMITE, "original", True, risk_neutral=True), rn.v[j], p.lam),
+        (_BellmanStage(p, grid, quad, "original", True), table.w[j], p.gamma * p.lam),
+        (_BellmanStage(p, grid, quad, "original", True, risk_neutral=True), rn.v[j], p.lam),
     ]
 
 
@@ -237,6 +235,15 @@ class TestQValues:
             q0, q1 = stage.q_values(w)
             # bitwise: the transmit branch is computed as price + idle branch
             assert np.array_equal(q1[0], price + q0[0])
+
+    @pytest.mark.parametrize("quad", [HERMITE, TRAPEZOID], ids=["hermite", "trapezoid"])
+    def test_good_channel_transmit_is_idle_from_zero_plus_price(self, quad):
+        # a delivery resets the error to w, the idle step from delta = 0
+        p = mk()
+        for stage, w, price in stages_with_tables(p, GridSpec(6.0, 121), 2, quad):
+            zero = np.flatnonzero(stage.nodes == 0.0)[0]
+            q0, q1 = stage.q_values(w)
+            assert np.array_equal(q1[1], np.full(len(stage.nodes), price + q0[1, zero]))
 
     def test_good_channel_transmit_is_flat(self):
         p = mk()
@@ -345,13 +352,12 @@ class TestFoldedStage:
         original = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "original", True)
         assert folded.tilt == original.tilt > 0.0
 
-        def mass(stage, branch):
-            kernel, r, _ = stage.stencil[branch]
+        def mass(stage):
+            kernel, r, _ = stage.stencil
             return (kernel * np.exp(r[:, None] - stage.tilt * stage.z[None, :])).sum(axis=1)
 
-        for branch, rows in ((0, slice(mid, None)), (1, slice(None))):
-            assert folded.stencil[branch][0].shape[1] == self.GRID.n_folded
-            assert_allclose(mass(folded, branch), mass(original, branch)[rows], rtol=1e-14, atol=0)
+        assert folded.stencil[0].shape == (self.GRID.n_folded, self.GRID.n_folded)
+        assert_allclose(mass(folded), mass(original)[mid:], rtol=1e-14, atol=0)
 
 
 class TestFoldedStageNegativeGain(TestFoldedStage):
@@ -365,16 +371,16 @@ class TestHermiteLayout:
     """The abscissa-major Hermite stage reproduces the center-major one bit for bit.
 
     The reference gathers with a fancy index on the transposed stencil,
-    (2, len(centers), n_terms) over c+, and reduces the last axis out of
-    place; numpy's sums follow memory order, so a gather that changed it
-    would move the reset branch by an ulp.
+    (2, n_nodes, n_terms) over c+, and reduces the last axis out of place;
+    numpy's sums follow memory order, so a gather that changed it could move
+    a sum by an ulp.
     """
 
     GRID = GridSpec(10.0, 201)
 
     @staticmethod
-    def center_major(stage, w_t, branch):
-        lo, hi, th, weight = stage.stencil[branch]
+    def center_major(stage, w_t):
+        lo, hi, th, weight = stage.stencil
         vals = w_t[:, lo.T]
         vals = vals * (1.0 - th.T) + w_t[:, hi.T] * th.T
         if stage.risk_neutral:
@@ -398,19 +404,18 @@ class TestHermiteLayout:
     def test_integrate_matches_center_major(self, space, risk_neutral, p01):
         stage = _BellmanStage(mk(p01=p01), self.GRID, HERMITE, space, True, risk_neutral)
         for name, w_t in self.tables(stage.nodes).items():
-            for branch in (_DRIFT, _RESET):
-                with np.errstate(all="ignore"):
-                    got = stage._integrate(w_t, branch)
-                    want = self.center_major(stage, w_t, branch)
-                assert got.shape == want.shape == (2, len(stage.nodes) if branch == _DRIFT else 1)
-                assert np.array_equal(got, want, equal_nan=True), (name, branch)
+            with np.errstate(all="ignore"):
+                got = stage._integrate(w_t)
+                want = self.center_major(stage, w_t)
+            assert got.shape == want.shape == (2, len(stage.nodes))
+            assert np.array_equal(got, want, equal_nan=True), name
 
 
 class TestTrapezoidProduct:
     """The tilted product stage reproduces the log-sum-exp trapezoid stage.
 
-    The reference is that stage as it stood before the product: each
-    branch's log-weights formed whole, center-major, then reduced with a
+    The reference is that stage as it stood before the product: the
+    kernel's log-weights formed whole, center-major, then reduced with a
     log-sum-exp (log domain) or contracted with exp(log_weight) (risk
     neutral).  Differences are bounded in ulps of max(1, |W|); infinities
     and NaNs must match exactly.
@@ -420,9 +425,9 @@ class TestTrapezoidProduct:
     ULPS = 8
 
     @staticmethod
-    def reference(stage, w_t, branch):
+    def reference(stage, w_t):
         p, grid, nodes = stage.params, stage.grid, stage.nodes
-        center = (p.a * nodes, np.zeros(1))[branch]
+        center = p.a * nodes
         w = np.full(len(nodes), grid.spacing)
         w[-1] *= 0.5
         if stage.space == "original":
@@ -466,33 +471,30 @@ class TestTrapezoidProduct:
         stage = _BellmanStage(mk(p01=p01), self.GRID, TRAPEZOID, space, True, risk_neutral)
         assert stage.tilt == (0.0 if risk_neutral else check_feasibility(mk()).beta[2])
         for name, w_t in self.tables(stage.nodes).items():
-            for branch in (_DRIFT, _RESET):
-                with np.errstate(all="ignore"):
-                    got = stage._integrate(w_t, branch)
-                    want = self.reference(stage, w_t, branch)
-                assert got.shape == want.shape == (2, len(stage.nodes) if branch == _DRIFT else 1)
-                self.assert_close(got, want, (name, branch))
+            with np.errstate(all="ignore"):
+                got = stage._integrate(w_t)
+                want = self.reference(stage, w_t)
+            assert got.shape == want.shape == (2, len(stage.nodes))
+            self.assert_close(got, want, name)
 
     @pytest.mark.parametrize("space", ["original", "folded"])
     def test_underflowing_product_falls_back_per_row(self, space):
         # sigma = 0.2: the only finite entry, at delta = 9.5, sits 47.5 sigma
-        # from the reset center and from the drift centers near 0, so their
-        # product underflows to 0, while drift centers near 9 see it closely
+        # or more from the centers at and left of 0, so their product
+        # underflows to 0, while centers near 9 see it closely
         stage = _BellmanStage(mk(sigma2=0.04), self.GRID, TRAPEZOID, space, True)
         w_t = np.full((2, len(stage.nodes)), -np.inf)
         w_t[:, np.flatnonzero(np.isclose(stage.nodes, 9.5))] = 1.0
-        for branch in (_DRIFT, _RESET):
-            kernel = stage.stencil[branch][0]
-            u = w_t - stage.tilt * stage.z
-            prod = np.exp(u - u.max(axis=1, keepdims=True)) @ kernel.T
-            under = ~np.all(prod >= _PRODUCT_FLOOR, axis=0)
-            assert under[0]
-            if branch == _DRIFT:
-                assert not under[-1]
-            got = stage._integrate(w_t, branch)
-            want = self.reference(stage, w_t, branch)
-            assert np.all(np.isfinite(want))
-            self.assert_close(got, want, branch)
+        kernel = stage.stencil[0]
+        u = w_t - stage.tilt * stage.z
+        prod = np.exp(u - u.max(axis=1, keepdims=True)) @ kernel.T
+        under = ~np.all(prod >= _PRODUCT_FLOOR, axis=0)
+        zero = np.flatnonzero(stage.nodes == 0.0)[0]
+        assert under[0] and under[zero] and not under[-1]
+        got = stage._integrate(w_t)
+        want = self.reference(stage, w_t)
+        assert np.all(np.isfinite(want))
+        self.assert_close(got, want, space)
 
 
 class TestTrapezoidEdges:
@@ -534,7 +536,7 @@ class TestTrapezoidEdges:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stage = _BellmanStage(p, grid, TRAPEZOID, space, True)
-            kernel, r, _ = stage.stencil[_DRIFT]
+            kernel, r, _ = stage.stencil
             off = np.abs(stage.nodes) > 0
             assert not kernel[off].any() and not r[off].any()
             q0, q1 = stage.q_values(np.zeros((2, len(stage.nodes))))
@@ -542,6 +544,28 @@ class TestTrapezoidEdges:
             with pytest.raises(InfeasibleModelError) as err:
                 value_iterate(p, grid, TRAPEZOID, space=space)
         assert err.value.stage == 1
+
+
+class TestExactTie:
+    """At a = 0 every node's idle expectation is the delivery's, so where
+    delta^2 = lambda on a node the two actions cost the same to the bit,
+    and the tie idles."""
+
+    @pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    @pytest.mark.parametrize("quad", [HERMITE, TRAPEZOID], ids=["hermite", "trapezoid"])
+    def test_node_at_lambda_ties_idle(self, quad, space, risk_neutral):
+        p = mk(a=0.0, horizon=5)
+        grid = GridSpec(4.0, 81)
+        nodes = grid.nodes_for(space)
+        (i,) = np.flatnonzero(nodes == 1.0)
+        assert nodes[i] ** 2 == p.lam
+        if risk_neutral:
+            _, policy = risk_neutral_value_iterate(p, grid, quad, space)
+        else:
+            _, policy = value_iterate(p, grid, quad, space)
+        assert np.all(policy.q_margin[1:, 1, i] == 0.0), policy.q_margin[1:, 1, i]
+        assert np.all(policy.u_star[1:, 1, i] == 0)
 
 
 class TestQuadratureRules:
