@@ -8,8 +8,9 @@ _write_csv: '#' header lines with the fully resolved config ('\n'), then
 comma-separated rows ('\r\n') whose floats are written by repr, so they
 read back exactly, and every other cell by str.  Every command that solves
 goes through _solve, which solves the folded MDP (the value is even in
-delta); solve writes policy.csv and values.csv on the full grid by
-mirroring the folded tables, so they are exactly even.  Exit codes: 0 ok,
+delta); solve writes policy.csv and values.csv on the full grid one
+(stages_to_go, c) group at a time, mirroring the text of each folded table
+row, so they are exactly even.  Exit codes: 0 ok,
 1 usage/config error, 2 infeasible parameters, 3 enumeration budget
 exceeded.
 """
@@ -163,46 +164,54 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
     return [f"# {k} = {_cells([v])[0]}" for k, v in items.items()]
 
 
-def _cells(column) -> list[str]:
-    """Cells of one column: tolist() turns numpy scalars into Python ones (repr of
-    a numpy float is "np.float64(...)"), and str of a Python float is its repr, an
-    exact round trip.  Flags come as ints.
+def _cells(column) -> np.ndarray:
+    """Cells of one column, as an object array of str: tolist() turns numpy
+    scalars into Python ones (repr of a numpy float is "np.float64(...)"), and
+    str of a Python float is its repr, an exact round trip.  Flags come as ints.
 
     A numeric column (bool, int, uint or float) is formatted once per distinct
     value, a float one per distinct bit pattern, so -0.0 and NaN keep their
-    text: solve's index columns hold T + 1, 2 and n_points distinct values in
-    2 * (T + 1) * n_points rows.  Any other column is formatted cell by cell.
+    text: a table row mirrored onto the full grid holds each value twice.  Any
+    other column is formatted cell by cell.
     """
     a = np.asarray(column)
     if a.dtype.kind not in "biuf":
-        return list(map(str, a.tolist()))
+        return np.array(list(map(str, a.tolist())), dtype=object)
     is_float = a.dtype.kind == "f"
     keys, inverse = np.unique(a.view(f"u{a.itemsize}") if is_float else a, return_inverse=True)
     values = keys.view(a.dtype) if is_float else keys
     text = np.array(list(map(str, values.tolist())), dtype=object)
-    return text[inverse].tolist()
+    return text[inverse]
 
 
-# Rows formatted at a time: the 168k-row policy.csv of a T=20, n_points=4001
-# solve, held as strings at once, would add about 48 MB to peak RSS.
+# Rows formatted at a time from whole columns.  A cell's text takes about
+# 75 bytes as a str, so a block of a wide table stays near 8 MB; solve's two
+# large tables come in their own blocks, one (stages_to_go, c) group each.
 _BLOCK_ROWS = 1 << 14
 
 
-def _write_csv(path: Path, header_lines: list[str], columns: dict) -> None:
-    """The one CSV writer: '#' header lines, then one row per index of the
-    equal-length columns (a dict from column name to sequence or array),
-    cells joined by ',' and rows ended by '\r\n'.  No cell is quoted: the
-    text cells the commands write (column names, oracle check names and
-    details, policy_source, axis) hold no ',', '"' or line break."""
-    arrays = [np.asarray(col) for col in columns.values()]
-    n_rows = max(len(a) for a in arrays)
+def _write_csv(path: Path, header_lines: list[str], columns: dict | list, blocks=None) -> None:
+    """The one CSV writer: '#' header lines, the column names, then rows
+    whose cells are joined by ',' and ended by '\r\n'.  columns maps each
+    name to a sequence or array of equal length, formatted by _cells in
+    blocks of _BLOCK_ROWS rows; or, with blocks, columns holds the names
+    alone and blocks yields lists of text columns, one per name.  No cell
+    is quoted: the text cells the commands write (column names, oracle
+    check names and details, policy_source, axis) hold no ',', '"' or line
+    break."""
+    if blocks is None:
+        arrays = [np.asarray(col) for col in columns.values()]
+        n_rows = max(len(a) for a in arrays)
+        blocks = (
+            [_cells(a[start : start + _BLOCK_ROWS]) for a in arrays]
+            for start in range(0, n_rows, _BLOCK_ROWS)
+        )
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             fh.writelines(line + "\n" for line in header_lines)
             fh.write(",".join(columns) + "\r\n")
-            for start in range(0, n_rows, _BLOCK_ROWS):
-                block = [_cells(a[start : start + _BLOCK_ROWS]) for a in arrays]
+            for block in blocks:
                 fh.write("\r\n".join(map(",".join, zip(*block, strict=True))) + "\r\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
@@ -259,14 +268,23 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
     }
     _write_csv(out / "feasibility.csv", _header_lines(cfg, grid, trunc_items), columns)
 
-    # one row per (stages_to_go, c, node) of the full grid, in C order; the
-    # folded tables are mirrored onto it, so every written table is even
-    j, c, i = np.indices((T + 1, 2, grid.n_points)).reshape(3, -1)
-    index = {"stages_to_go": j, "c": c, "delta": grid.nodes()[i]}
-    policy = {"u": grid.unfold(pol.u_star).ravel(), "q_margin": grid.unfold(pol.q_margin).ravel()}
-    _write_csv(out / "policy.csv", header, {**index, **policy})
+    # one row per (stages_to_go, c, node) of the full grid, in C order, one
+    # block per (stages_to_go, c): the text of each folded row is mirrored
+    # onto the grid, so every written table is even
+    n = grid.n_points
+    delta = _cells(grid.nodes())
+
+    def blocks(*tables):
+        for j in range(T + 1):
+            for c in (0, 1):
+                rows = (grid.unfold(_cells(t[j, c])) for t in tables)
+                yield [[str(j)] * n, [str(c)] * n, delta, *rows]
+
+    index = ["stages_to_go", "c", "delta"]
+    policy = blocks(pol.u_star, pol.q_margin)
+    _write_csv(out / "policy.csv", header, [*index, "u", "q_margin"], policy)
     if plot_data:
-        _write_csv(out / "values.csv", header, {**index, "w": grid.unfold(table.w).ravel()})
+        _write_csv(out / "values.csv", header, [*index, "w"], blocks(table.w))
     print(f"solved: delta_max={grid.delta_max} thresholds -> {out / 'thresholds.csv'}")
     return 0
 

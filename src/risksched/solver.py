@@ -22,7 +22,10 @@ delta^2 and hence is exact for that envelope; beyond delta_max the last two
 nodes extrapolate linearly in z.  Its stage is a gather, a lerp and one
 log-sum-exp, laid out abscissa-major, (n_nodes, n_centers): each reduction
 over the 64 terms then adds whole rows of centers, where a reduction over
-a short last axis spent its time on memory layout.
+a short last axis spent its time on memory layout.  The stencil is built,
+and the stage taken, over blocks of centers, so a solve holds one block's
+gathers, not the whole grid's; each center's terms keep their memory
+order, so the tables are those of the whole-grid stage to the bit.
 
 The trapezoid rule reads the table's own nodes, so its kernel is one fixed
 (n, n) matrix, exponentiated once per solve: K = exp(log_weight + beta* z -
@@ -364,25 +367,37 @@ def _hermite_stencil(
     are abscissa-major, (n_nodes, len(center)), and log_weight is
     (n_nodes, 1).  Original space assumes no evenness, so lo and hi are
     signed around the center node and negative abscissae read the left
-    half; folded space reads |x|.
+    half; folded space reads |x|.  They are written in blocks of centers,
+    so the build holds them and one block's temporaries.
     """
     mid = grid.n_points // 2
     y, wt = _hermite_nodes(n_nodes)
-    x = center[None, :] + math.sqrt(2.0) * params.sigma * y[:, None]
+    offset = math.sqrt(2.0) * params.sigma * y[:, None]
     pos = grid.folded_nodes()
     zpos = pos * pos
-    j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
-    z0 = zpos[j - 1]
-    # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
-    with np.errstate(over="ignore"):
-        th = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
-    side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
+    lo = np.empty((n_nodes, len(center)), dtype=np.intp)
+    hi, th = np.empty_like(lo), np.empty(lo.shape)
+    for start in range(0, len(center), _CENTER_BLOCK):
+        cols = slice(start, start + _CENTER_BLOCK)
+        x = center[None, cols] + offset
+        j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
+        z0 = zpos[j - 1]
+        # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
+        with np.errstate(over="ignore"):
+            th[:, cols] = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
+        side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
+        lo[:, cols] = origin + side * (j - 1)
+        hi[:, cols] = origin + side * j
     log_weight = np.log(wt) - 0.5 * math.log(math.pi)
-    return origin + side * (j - 1), origin + side * j, th, log_weight[:, None]
+    return lo, hi, th, log_weight[:, None]
 
 
 # Rows of the trapezoid kernel built, or recomputed by the guard, at a time.
 _ROW_BLOCK = 64
+
+# Centers of a Hermite stencil built, or of a Hermite stage integrated, at a
+# time: a block's (2, n_nodes, 256) gathers take 256 kB each at 64 nodes.
+_CENTER_BLOCK = 256
 
 # Smallest trusted entry of the tilted product, 2^-970.  What a product loses
 # to underflow, a few subnormal ulps per term, stays far below the last bit
@@ -399,8 +414,9 @@ class _BellmanStage:
     weighted sums.  Both domains share the quadrature, the interpolant and
     the channel mix.  The stencil of the idle step from every node is built
     once, here, and both actions read it.  Under Hermite a stage is then a
-    gather, a lerp and one reduction; under the trapezoid rule it is one
-    matrix product against the kernel exponentiated here.
+    gather, a lerp and one reduction per block of centers; under the
+    trapezoid rule it is one matrix product against the kernel exponentiated
+    here.
     """
 
     def __init__(
@@ -538,8 +554,8 @@ class _BellmanStage:
             # 0.17-0.21 s with one, on a 2-vCPU x86_64 host.
             kernel, r, log_mass = self.stencil
             if self.risk_neutral:
-                return np.exp(self.logp) @ ((w_t @ kernel.T) * np.exp(r))
-            if (w_t == w_t[:, :1]).all():
+                per_next = (w_t @ kernel.T) * np.exp(r)
+            elif (w_t == w_t[:, :1]).all():
                 # A table flat along the nodes, as W_0 = 0 is, integrates to
                 # its value plus each row's log-mass.  So the first stage is
                 # a log-sum-exp of the log-weights, to the bit, as its
@@ -547,20 +563,28 @@ class _BellmanStage:
                 per_next = w_t[:, :1] + log_mass
             else:
                 per_next = self._tilted_product(w_t, kernel, r)
-            return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
-        # Hermite: (2, n_terms, len(centers)) over c+, terms on axis 1, so
-        # each reduction runs over whole rows of centers.  Gathering rows of
-        # w_t.T keeps c+ innermost in memory, where the center-major fancy
-        # index w_t[:, lo.T] also puts it; numpy sums in memory order, so
-        # both layouts sum in one order, to the bit.
-        lo, hi, th, weight = self.stencil
-        vals = np.take(w_t.T, lo, axis=0).transpose(2, 0, 1)
-        vals *= 1.0 - th
-        vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th
+        else:
+            # Hermite, over blocks of centers: (2, n_terms, n_block) over c+,
+            # terms on axis 1, so each reduction runs over whole rows of
+            # centers.  Gathering rows of w_t.T keeps c+ innermost in memory,
+            # where the center-major fancy index w_t[:, lo.T] also puts it;
+            # numpy sums in memory order, so both layouts, and every block
+            # size, sum each center's terms in one order, to the bit.
+            lo, hi, th, weight = self.stencil
+            per_next = np.empty((2, len(self.centers)))
+            for start in range(0, len(self.centers), _CENTER_BLOCK):
+                cols = slice(start, start + _CENTER_BLOCK)
+                vals = np.take(w_t.T, lo[:, cols], axis=0).transpose(2, 0, 1)
+                vals *= 1.0 - th[:, cols]
+                vals += np.take(w_t.T, hi[:, cols], axis=0).transpose(2, 0, 1) * th[:, cols]
+                if self.risk_neutral:
+                    per_next[:, cols] = np.einsum("ki,cki->ci", weight, vals)
+                else:
+                    # The gather is a fresh array: it takes the weights in place.
+                    vals += weight
+                    per_next[:, cols] = _logsumexp(vals, 1, _overwrite=True)
         if self.risk_neutral:
-            return np.exp(self.logp) @ np.einsum("ki,cki->ci", weight, vals)
-        # The gather is a fresh array, so it takes the weights in place.
-        per_next = _logsumexp(np.add(weight, vals, out=vals), 1, _overwrite=True)
+            return np.exp(self.logp) @ per_next
         return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
 
     def q_values(self, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

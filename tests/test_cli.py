@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from risksched.cli import (
     ConfigError,
     _header_lines,
     _write_csv,
+    cmd_solve,
     load_threshold_csv,
     main,
     parse_config,
@@ -479,16 +481,32 @@ class TestSolve:
         assert len(tables[0]) == 1 + (3 + 1)  # column names, then T + 1 rows
         assert tables[0] == tables[1]
 
-    def test_output_bytes(self, tmp_path):
-        """Rows end in CRLF; floats are written by repr, actions as ints."""
-        cfg_path = write_config(tmp_path / "c.cfg", T=1, n_points=11, delta_max="3.0")
-        out = tmp_path / "out"
+    @pytest.mark.parametrize(
+        "shape, n_rows",
+        [
+            (dict(T=1, n_points=11, delta_max="6.0"), 2 * 2 * 11),
+            (dict(T=3, n_points=2049), _BLOCK_ROWS + 8),  # 2 * 4 * 2049 rows
+        ],
+        ids=["small", "past-block"],
+    )
+    @pytest.mark.parametrize("rule", ["gauss-hermite-centered", "trapezoid-on-grid"])
+    def test_output_bytes(self, tmp_path, rule, shape, n_rows):
+        """Rows end in CRLF; floats are written by repr, actions as ints.  The
+        reference mirrors the folded tables onto the full grid and writes them
+        row by row, and --no-plot-data writes the same policy.csv."""
+        cfg_path = write_config(tmp_path / "c.cfg", quad_rule=rule, **shape)
+        out, no_plot = tmp_path / "out", tmp_path / "no-plot"
         assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+        argv = ["solve", "--config", str(cfg_path), "--out", str(no_plot), "--no-plot-data"]
+        assert main(argv) == 0
         cfg = parse_config(cfg_path)
-        grid = GridSpec(3.0, 11)
-        table, pol = value_iterate(cfg.params, grid, cfg.quad, space="original")
-        nodes, u, q, w = (a.tolist() for a in (grid.nodes(), pol.u_star, pol.q_margin, table.w))
-        cells = [(j, c, i) for j in range(2) for c in (0, 1) for i in range(11)]
+        grid = GridSpec(cfg.delta_max or auto_delta_max(cfg.params, cfg.quad), cfg.n_points)
+        table, pol = value_iterate(cfg.params, grid, cfg.quad, space="folded")
+        nodes = grid.nodes().tolist()
+        u, q, w = (grid.unfold(a).tolist() for a in (pol.u_star, pol.q_margin, table.w))
+        T = cfg.params.horizon
+        cells = [(j, c, i) for j in range(T + 1) for c in (0, 1) for i in range(grid.n_points)]
+        assert len(cells) == n_rows
         header = "".join(line + "\n" for line in _header_lines(cfg, grid))
         policy = "".join(
             f"{j},{c},{nodes[i]!r},{u[j][c][i]},{q[j][c][i]!r}\r\n" for j, c, i in cells
@@ -498,6 +516,22 @@ class TestSolve:
             assert fh.read() == header + "stages_to_go,c,delta,u,q_margin\r\n" + policy
         with open(out / "values.csv", newline="") as fh:
             assert fh.read() == header + "stages_to_go,c,delta,w\r\n" + values
+        assert (no_plot / "policy.csv").read_bytes() == (out / "policy.csv").read_bytes()
+        assert not (no_plot / "values.csv").exists()
+
+    def test_solve_fine_peak_allocation(self, tmp_path):
+        """The solve-fine benchmark solve (T = 20, n_points = 4001) writes its
+        12 MB of CSV one (stages_to_go, c) group at a time: the whole command
+        stays within the solve's own peak plus a few row groups of text."""
+        cfg = parse_config(write_config(tmp_path / "c.cfg", a=0.8, gamma=0.02, T=20, n_points=4001))
+        tracemalloc.start()
+        try:
+            assert cmd_solve(cfg, tmp_path / "out", plot_data=True) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "out" / "values.csv").stat().st_size > 5e6
+        assert peak <= 7 * 2**20
 
     @pytest.mark.parametrize("rule", ["gauss-hermite-centered", "trapezoid-on-grid"])
     def test_folded_solve_matches_original(self, tmp_path, rule):

@@ -1,7 +1,10 @@
 """Solver tests: feasibility, closed form vs numeric integration, both
 quadrature rules, structural invariants of the value tables."""
 
+import copy
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,10 +27,13 @@ from risksched import (
     truncation_report,
     value_iterate,
 )
+from risksched import solver
 from risksched.policy import NonThresholdPolicyError
 from risksched.solver import (
+    _CENTER_BLOCK,
     _PRODUCT_FLOOR,
     _BellmanStage,
+    _hermite_nodes,
     _iterate,
     _log_channel,
     _logsumexp,
@@ -409,6 +415,108 @@ class TestHermiteLayout:
                 want = self.center_major(stage, w_t)
             assert got.shape == want.shape == (2, len(stage.nodes))
             assert np.array_equal(got, want, equal_nan=True), name
+
+
+class TestHermiteBlocks:
+    """The Hermite stage taken over blocks of centers reproduces the
+    whole-grid stage bit for bit, stencil and all.
+
+    The reference is the stage as it stood before the blocks: the stencil
+    built for every center at once, then one abscissa-major gather, lerp and
+    reduction over the whole grid.  Each center's terms keep their memory
+    order, so a block boundary must not move a sum by an ulp.
+    """
+
+    INSTANCES = {
+        "standard": {},
+        "boundary": dict(a=0.0, sigma2=87.6, lam=41.5, gamma=0.00569, horizon=2),
+        "a=-0.9": dict(a=-0.9),
+    }
+    COUNTS = {
+        "B-1": lambda b: b - 1,
+        "B": lambda b: b,
+        "B+1": lambda b: b + 1,
+        "2B+1": lambda b: 2 * b + 1,
+    }
+
+    @staticmethod
+    def whole_grid_stencil(stage, n_nodes):
+        p, grid = stage.params, stage.grid
+        mid = grid.n_points // 2
+        y, wt = _hermite_nodes(n_nodes)
+        x = stage.centers[None, :] + math.sqrt(2.0) * p.sigma * y[:, None]
+        pos = grid.folded_nodes()
+        zpos = pos * pos
+        j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
+        z0 = zpos[j - 1]
+        with np.errstate(over="ignore"):
+            th = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
+        side, origin = (np.where(x < 0, -1, 1), mid) if stage.space == "original" else (1, 0)
+        log_weight = (np.log(wt) - 0.5 * math.log(math.pi))[:, None]
+        weight = np.exp(log_weight) if stage.risk_neutral else log_weight
+        return origin + side * (j - 1), origin + side * j, th, weight
+
+    @staticmethod
+    def whole_grid_integrate(stage, w_t):
+        lo, hi, th, weight = stage.stencil
+        vals = np.take(w_t.T, lo, axis=0).transpose(2, 0, 1)
+        vals *= 1.0 - th
+        vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th
+        if stage.risk_neutral:
+            return np.exp(stage.logp) @ np.einsum("ki,cki->ci", weight, vals)
+        per_next = _logsumexp(np.add(weight, vals, out=vals), 1, _overwrite=True)
+        return _logsumexp(stage.logp[:, :, None] + per_next[None, :, :], axis=1)
+
+    @pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS.keys())
+    @pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    @pytest.mark.parametrize("instance", INSTANCES.values(), ids=INSTANCES.keys())
+    def test_q_values_match_whole_grid(self, monkeypatch, instance, space, risk_neutral, count):
+        block = _CENTER_BLOCK
+        if space == "original" and count(block) % 2 == 0:
+            # an original grid has an odd number of centers, so shrink the block
+            block -= 1
+            monkeypatch.setattr(solver, "_CENTER_BLOCK", block)
+        n_centers = count(block)
+        p = mk(**instance)
+        n_points = n_centers if space == "original" else 2 * n_centers - 1
+        grid = GridSpec(auto_delta_max(p, HERMITE), n_points)
+        stage = _BellmanStage(p, grid, HERMITE, space, True, risk_neutral)
+        assert len(stage.centers) == n_centers
+        whole = copy.copy(stage)
+        whole.stencil = self.whole_grid_stencil(stage, HERMITE.n_nodes)
+        whole._integrate = functools.partial(self.whole_grid_integrate, whole)
+        for got, want in zip(stage.stencil, whole.stencil):
+            assert got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes()
+        nodes = stage.nodes
+        flat = np.zeros((2, len(nodes)))
+        tables = {
+            "stage 1": np.minimum(*stage.q_values(flat)),
+            "quadratic": np.stack([0.04 * nodes**2, 0.3 + 0.05 * nodes**2 - 0.2 * np.tanh(nodes)]),
+        }
+        neg_inf = tables["quadratic"].copy()
+        neg_inf[0, np.abs(nodes) <= grid.delta_max / 3] = -np.inf
+        tables["-inf"] = neg_inf
+        for name, w_t in tables.items():
+            with np.errstate(all="ignore"):
+                got, want = stage.q_values(w_t), whole.q_values(w_t)
+            for g, w in zip(got, want):
+                assert g.shape == (2, n_centers)
+                assert g.tobytes() == w.tobytes(), name
+
+    def test_solve_fine_peak_allocation(self):
+        # the solve-fine benchmark solve (T = 20, n_points = 4001, folded):
+        # its tables and stencil take 4.5 MiB, and the whole-grid stage's
+        # gathers took 5 MiB more, a 10.3 MiB peak
+        p = mk(a=0.8, gamma=0.02, horizon=20)
+        grid = GridSpec(auto_delta_max(p, HERMITE), 4001)
+        tracemalloc.start()
+        try:
+            value_iterate(p, grid, HERMITE, space="folded")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
 
 
 class TestTrapezoidProduct:
