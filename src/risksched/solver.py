@@ -27,15 +27,25 @@ and the stage taken, over blocks of centers, so a solve holds one block's
 gathers, not the whole grid's; each center's terms keep their memory
 order, so the tables are those of the whole-grid stage to the bit.
 
-The trapezoid rule reads the table's own nodes, so its kernel is one fixed
-(n, n) matrix, exponentiated once per solve: K = exp(log_weight + beta* z -
-r), tilted by the largest beta_t a stage reads and scaled by each row's
-max r.  A log-domain stage is then one matrix product, log(exp(W_t - beta*
-z - s) @ K.T) + s + r with s the table's max, whose terms all lie in
-[0, 1]; feasibility (2 sigma2 beta* < 1) keeps the tilted rows decaying.
-A product entry that underflows is redone for its row alone as a
-log-sum-exp.  The risk-neutral stage is the same product, untilted and
-with no log.
+The trapezoid rule reads the table's own nodes, taken at x_k = k h.  On
+signed node indices, a * x_i = +-alpha i h with alpha = |a|, and (k -+ alpha
+i)^2 = alpha (i -+ k)^2 + (1 - alpha) k^2 - alpha (1 - alpha) i^2, so the
+kernel factors as K = D_r G D_c: G is Toeplitz (Hankel for a < 0) in one
+Gaussian g(m) = exp(-alpha h^2 m^2 / 2 sigma2), and two diagonals carry the
+rest, the trapezoid weights and the normalization in D_c.  A solve stores
+g and the two log diagonals, O(n) numbers; the folded kernel N(x; m,
+sigma2) + N(-x; m, sigma2) is the same product over the mirrored table.  A
+log-domain stage is log(G y) + s + log D_r with y = exp(W_t + log D_c - s)
+and s the exponent's max, so every term lies in [0, 1].  The log diagonals
+are large where the sum is small, so they are double-doubles and cancel
+exactly; G y is taken as direct sums of nonnegative terms, in short runs
+added pairwise, never by FFT, whose error is relative to the largest entry.
+Each entry is then good to a few ulps of max(1, |W|).  An entry that
+underflows is redone for its row alone as a log-sum-exp, and where a log
+diagonal leaves the float range every row is.  A flat table, as W_0 = 0
+is, integrates to each row's log-mass, summed at offsets from the row's
+nearest node: rows whose kernels are shifts of each other tie to the bit.
+The risk-neutral stage is the same product on v_t, with no log.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ModelParams
 
@@ -359,24 +370,30 @@ def _log_channel(params: ModelParams) -> np.ndarray:
 def _hermite_stencil(
     params: ModelParams, grid: GridSpec, n_nodes: int, space: str, center: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where the kernels at center read a node table: (lo, hi, th, log_weight).
+    """Where the kernels at center read a node table: (lo, side, th, log_weight).
 
     Hermite reads W at center + sqrt(2) sigma y_k, interpolated in z =
     delta^2: the expectation at center i reduces log_weight[k, 0] +
-    W[lo[k, i]], lerped towards W[hi[k, i]] by th[k, i], over k.  The arrays
-    are abscissa-major, (n_nodes, len(center)), and log_weight is
-    (n_nodes, 1).  Original space assumes no evenness, so lo and hi are
-    signed around the center node and negative abscissae read the left
-    half; folded space reads |x|.  They are written in blocks of centers,
-    so the build holds them and one block's temporaries.
+    W[lo[k, i]], lerped towards W[lo[k, i] + side[k, i]] by th[k, i], over
+    k.  The arrays are abscissa-major, (n_nodes, len(center)), and
+    log_weight is (n_nodes, 1).  Original space assumes no evenness, so lo
+    is signed around the center node and side is -1 where the abscissa is
+    negative, which reads the left half; folded space reads |x|, and side is
+    1 throughout, a broadcast view of one int8.  lo is int32.  They are
+    written in blocks of centers, so the build holds them and one block's
+    temporaries.
     """
     mid = grid.n_points // 2
     y, wt = _hermite_nodes(n_nodes)
     offset = math.sqrt(2.0) * params.sigma * y[:, None]
     pos = grid.folded_nodes()
     zpos = pos * pos
-    lo = np.empty((n_nodes, len(center)), dtype=np.intp)
-    hi, th = np.empty_like(lo), np.empty(lo.shape)
+    lo = np.empty((n_nodes, len(center)), dtype=np.int32)
+    th = np.empty(lo.shape)
+    if space == "original":
+        side = np.empty(lo.shape, dtype=np.int8)
+    else:
+        side = np.broadcast_to(np.int8(1), lo.shape)
     for start in range(0, len(center), _CENTER_BLOCK):
         cols = slice(start, start + _CENTER_BLOCK)
         x = center[None, cols] + offset
@@ -385,24 +402,92 @@ def _hermite_stencil(
         # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
         with np.errstate(over="ignore"):
             th[:, cols] = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
-        side, origin = (np.where(x < 0, -1, 1), mid) if space == "original" else (1, 0)
-        lo[:, cols] = origin + side * (j - 1)
-        hi[:, cols] = origin + side * j
+        if space == "original":
+            side[:, cols] = np.where(x < 0, -1, 1)
+            lo[:, cols] = mid + side[:, cols] * (j - 1)
+        else:
+            lo[:, cols] = j - 1
     log_weight = np.log(wt) - 0.5 * math.log(math.pi)
-    return lo, hi, th, log_weight[:, None]
+    return lo, side, th, log_weight[:, None]
 
 
-# Rows of the trapezoid kernel built, or recomputed by the guard, at a time.
-_ROW_BLOCK = 64
+# A kernel term below e^-40 of its peak is left out of a flat table's
+# stage: all of them add e^-40 / (2 sqrt(40 pi)) < 2^-61 of the row's mass.
+_FLAT_REACH = 40.0
+
+# Terms of a trapezoid product entry that einsum sums in one run: a run's
+# rounding stays near an ulp, and the runs are added pairwise.
+_RUN = 64
+
+# Terms per next channel of a trapezoid block: the flat stage and the guard
+# take 2^15 // row length whole kernel rows at a time, and the product as
+# many rows of run sums, so a block's terms take about 512 kB.
+_BLOCK_TERMS = 2**15
 
 # Centers of a Hermite stencil built, or of a Hermite stage integrated, at a
 # time: a block's (2, n_nodes, 256) gathers take 256 kB each at 64 nodes.
 _CENTER_BLOCK = 256
 
-# Smallest trusted entry of the tilted product, 2^-970.  What a product loses
-# to underflow, a few subnormal ulps per term, stays far below the last bit
-# of any entry above it.
+# Smallest trusted entry of a trapezoid product, 2^-970.  Its terms lie in
+# [0, 1], and what a product loses to underflow, a few subnormal ulps per
+# term, stays far below the last bit of any entry above it.
 _PRODUCT_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+# Error-free transformations: a double-double (hi, lo) stands for hi + lo.
+# The trapezoid factors are large numbers whose sum is small, so each is
+# carried to about 2^-104 of its size and only their sum is rounded.
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker), for |a|, |b|
+    below 2^995."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return p, e + (x[0] * y[1] + x[1] * y[0])
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return s, e + (x[1] + y[1])
+
+
+def _dd_exp(x):
+    """exp(hi + lo) = exp(hi) (1 + lo) to about an ulp, for |lo| <= 2^-40."""
+    return np.exp(x[0]) * (1.0 + x[1])
+
+
+def _log_dd(x):
+    """log x as a double-double: np.log and one Newton step, lo = x exp(-hi)
+    - 1, which holds what rounding hi to a float lost.  lo = 0 where x is 0
+    or not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = np.log(x)
+        lo = x * np.exp(-hi) - 1.0
+    lo[~np.isfinite(lo)] = 0.0
+    return hi, lo
+
+
+def _dd_value(x):
+    """hi + lo, rounded once; hi itself where it is not finite, where the
+    error-free sums leave NaN in lo."""
+    return np.where(np.isfinite(x[0]), x[0] + x[1], x[0])
 
 
 class _BellmanStage:
@@ -415,8 +500,8 @@ class _BellmanStage:
     the channel mix.  The stencil of the idle step from every node is built
     once, here, and both actions read it.  Under Hermite a stage is then a
     gather, a lerp and one reduction per block of centers; under the
-    trapezoid rule it is one matrix product against the kernel exponentiated
-    here.
+    trapezoid rule it is one Toeplitz product per next channel against the
+    factored kernel built here.
     """
 
     def __init__(
@@ -444,98 +529,232 @@ class _BellmanStage:
         self.centers = params.a * self.nodes
         self.zero = 0 if space == "folded" else grid.n_points // 2
         if self.trapezoid:
-            # W_t grows like beta_t z, so tilting by the largest beta_t read
-            # (t < T) keeps exp(W_t - tilt z) bounded; value_iterate has
-            # checked that every beta_t is feasible.
-            beta = check_feasibility(params).beta[: params.horizon]
-            self.tilt = 0.0 if risk_neutral else float(beta.max(initial=0.0))
-            self.stencil = self._kernel()
+            self.stencil = self._factors()
             return
-        lo, hi, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, self.centers)
-        self.stencil = (lo, hi, th, np.exp(log_weight) if risk_neutral else log_weight)
+        lo, side, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, self.centers)
+        self.stencil = (lo, side, th, np.exp(log_weight) if risk_neutral else log_weight)
 
-    def _log_weight(self, center: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Trapezoid log-weights of the kernel rows at center, (len(center), n).
+    def _factors(self) -> tuple | None:
+        """(g, row, col): the trapezoid kernel K = D_r G D_c of the module docstring.
 
-        The expectation at center i is the sum over nodes k of
-        exp(log_weight[i, k] + W[k]): the rule reads the table's own nodes,
-        with no lerp, and only the end weights are halved (in folded space
-        only the delta_max one).  In folded space the kernel is the folded
-        one, N(x; m, sigma2) + N(-x; m, sigma2), evaluated on the folded
-        nodes alone: node x > 0 carries the weights of +x and -x, node 0 its
-        own.
+        With c = h^2 / 2 sigma2 and signed indices, log g(m) = -alpha c m^2,
+        row = log D_r,i = alpha (1 - alpha) c i^2 and col = log D_c,k = log
+        weight_k - log sqrt(2 pi sigma2) - (1 - alpha) c k^2, on the stage's
+        nodes.  The product reads the full grid's columns (in folded space
+        the mirrored table), so g covers every index difference a row reads:
+        len(centers) + n_points - 1 values.  row and col are double-doubles
+        from exact integer squares, and g is exp of one, so each is good to
+        about an ulp of its own size, not of the log factors'.
+
+        Risk-neutral, row and col are exponentiated around col's max t: col =
+        exp(log D_c - t) and row = exp(log D_r + t), NaN on a row whose
+        product with col falls below _PRODUCT_FLOOR, so the guard redoes it.
+        None where a factor leaves the float range, as alpha (1 - alpha) c
+        does at a = 1e200: every row then takes the guard's path.
         """
-        nodes, s2 = self.nodes, self.params.sigma2
-        w = np.full(len(nodes), self.grid.spacing)
-        w[-1] *= 0.5
-        if self.space == "original":
-            w[0] *= 0.5
-        else:
-            center = np.abs(center)  # the folded kernel is even in m; |m| keeps both terms small
-        out = np.empty((len(center), len(nodes))) if out is None else out
-        # In place, so a block of rows needs no temporary of its size but
-        # the folded term; a far center's square overflows to a -inf weight.
-        with np.errstate(over="ignore"):
-            np.subtract(nodes[None, :], center[:, None], out=out)
-            np.square(out, out=out)
-        out /= -2.0 * s2
-        out -= 0.5 * math.log(2.0 * math.pi * s2)
-        out += np.log(w)
+        p, h = self.params, np.float64(self.grid.spacing)
+        alpha = np.float64(abs(p.a))
+        idx = np.arange(len(self.nodes)) - self.zero
+        half = self.grid.n_points // 2
+        m2 = np.square(np.arange(idx[0] - half, idx[-1] + half + 1), dtype=float)
+        i2 = np.square(idx, dtype=float)
+        base = _dd_add(self._log_scale(), (np.log(self._weights()[-len(idx) :]), 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # c = h^2 / 2 sigma2: the quotient, and the remainder's
+            d, hh = np.float64(2.0 * p.sigma2), _two_prod(h, h)
+            q = hh[0] / d
+            qd = _two_prod(q, d)
+            c = (q, ((hh[0] - qd[0]) - qd[1] + hh[1]) / d)
+            slope = _dd_mul(_two_sum(np.float64(1.0), -alpha), c)  # (1 - alpha) c
+            log_g = _dd_mul(_dd_mul((alpha, 0.0), c), (-m2, 0.0))
+            row = _dd_mul(_dd_mul((alpha, 0.0), slope), (i2, 0.0))
+            col = _dd_add(base, _dd_mul(slope, (-i2, 0.0)))
+        if not all(np.isfinite(part).all() for part in (*log_g, *row, *col)):
+            return None
+        g = _dd_exp(log_g)
+        if self.risk_neutral:
+            top = col[0].max()
+            col = _dd_exp(_dd_add(col, (-top, 0.0)))
+            with np.errstate(over="ignore"):
+                row = _dd_exp(_dd_add(row, (top, 0.0)))
+            row[~(self._product(g, col[None, :])[0] >= _PRODUCT_FLOOR)] = np.nan
+        return g, row, col
+
+    def _product(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """G y for each row of y, a (c, n_nodes) table: (c, n_centers).
+
+        Entry i is the sum of the window g[i : i + n_points] times the
+        table: einsum sums it over runs of _RUN terms, and np.sum adds the
+        runs pairwise, so an entry keeps about an ulp at any n, where one
+        einsum over the whole row, a running sum, lost up to 12.  Neither
+        calls BLAS, whose dot (np.correlate's) sums in an order that
+        follows the CPU and, on long rows, the thread count.  That is a
+        Hankel product; G is Hankel for a < 0 but Toeplitz for a >= 0, so
+        original space then reads the reversed table.  Folded space reads
+        the mirrored table, its own reverse.
+        """
         if self.space == "folded":
-            # N(-x; m, s2) = N(x; m, s2) exp(y), y = -2 m x / s2 <= 0 at x > 0;
-            # log1p(exp(y)) is logaddexp(0, y) to 2 ulps, at half its cost.
-            fold = -2.0 / s2 * center[:, None] * nodes[None, 1:]
-            np.exp(fold, out=fold)
-            out[:, 1:] += np.log1p(fold, out=fold)
+            y = GridSpec.unfold(y)
+        elif self.params.a >= 0:
+            y = y[:, ::-1]
+        n = y.shape[1]
+        windows = sliding_window_view(g, n)
+        runs = range(0, n, _RUN)
+        out = np.empty((len(y), len(windows)))
+        step = max(1, _BLOCK_TERMS * _RUN // n)
+        partial = np.empty((len(y), step, len(runs)))
+        for first in range(0, len(windows), step):
+            rows = slice(first, first + step)
+            block = partial[:, : len(windows[rows])]
+            for r, k in enumerate(runs):
+                cols = slice(k, k + _RUN)
+                np.einsum("ik,ck->ci", windows[rows, cols], y[:, cols], out=block[:, :, r])
+            out[:, rows] = np.sum(block, axis=2)
         return out
 
-    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(K, r, log_mass) of the kernel rows at the centers.
+    def _weights(self) -> np.ndarray:
+        """Trapezoid weights of the full grid in spacings: 1, halved at both
+        ends.  A folded node reads its own and its mirror's."""
+        w = np.ones(self.grid.n_points)
+        w[[0, -1]] = 0.5
+        return w
 
-        K = exp(log_weight + tilt * z - r), with r_i row i's max, is built in
-        blocks of rows written into K in place, so the build holds K and a
-        block or two.  A row whose max is -inf (the kernel wholly off the
-        grid) keeps K = 0 and r = 0, as _logsumexp does.  log_mass_i, the
-        log-sum-exp of row i's log-weights, is taken in the log domain only.
+    def _log_scale(self) -> tuple:
+        """log(h / sqrt(2 pi sigma2)), a kernel's log-weight at its center,
+        as a double-double."""
+        log_norm = 0.5 * math.log(2.0 * math.pi * self.params.sigma2)
+        return _two_sum(np.float64(math.log(self.grid.spacing)), np.float64(-log_norm))
+
+    def _offsets(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(anchor, shift) of the kernel rows at rows, in nodes.
+
+        Row i's center a i (alpha i in folded space, whose mirrored table is
+        even) is split exactly into two floats and read from its nearest
+        node, or the nearest end node where it lies off the grid: the
+        anchor, a signed node index, and the center's offset from it.
         """
-        kernel = np.empty((len(self.centers), len(self.nodes)))
-        r = np.empty(len(self.centers))
-        log_mass = None if self.risk_neutral else np.empty(len(self.centers))
-        tilt_z = self.tilt * self.z
-        for start in range(0, len(self.centers), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            block = self._log_weight(self.centers[rows], out=kernel[rows])
-            if log_mass is not None:
-                log_mass[rows] = _logsumexp(block, 1)
-            block += tilt_z
-            mx = np.max(block, axis=1)
-            mx[~np.isfinite(mx)] = 0.0
-            block -= mx[:, None]
-            np.exp(block, out=block)
-            r[rows] = mx
-        return kernel, r, log_mass
+        half = self.grid.n_points // 2
+        a = self.params.a if self.space == "original" else abs(self.params.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            center, err = _two_prod(np.float64(a), rows - float(self.zero))
+            err[~np.isfinite(err)] = 0.0
+            node = np.rint(center)
+            anchor = np.clip(node, -half, half)
+            # anchor - node is an integer: only the product's rounding is lost
+            shift = (center - node) + err - (anchor - node)
+        shift[np.isnan(shift)] = np.inf  # an infinite center
+        return anchor.astype(np.intp), shift
 
-    def _tilted_product(self, w_t: np.ndarray, kernel: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Log-domain trapezoid expectations of w_t, (2, n_nodes) over c+.
+    def _rows(self, w_t: np.ndarray, rows: np.ndarray, reach: int) -> np.ndarray:
+        """Trapezoid expectations of w_t, a (c, n_nodes) table, at the centers
+        of rows, (c, len(rows)), each summed at offsets j = -reach..reach
+        from the row's anchor (_offsets).
 
-        With u = W_t - tilt z and s_c its max, exp(u - s) <= 1, so the
-        product with K is a sum of terms in [0, 1] and per_next = log(exp(u -
-        s) @ K.T) + s + r.  Guard: an entry that underflowed below
-        _PRODUCT_FLOOR, or met inf * 0, is redone row by row as a log-sum-exp
-        of recomputed log-weights, which keeps -inf, +inf and every finite
-        value of that reduction.
+        Term j of row i is log(weight_k / h) + W_t[k] - c (j - shift_i)^2 at
+        node k = anchor_i + j, -inf off the grid, and the row adds log(h /
+        sqrt(2 pi sigma2)) once.  Log domain: a log-sum-exp, which keeps
+        -inf, +inf and every finite value of that reduction, its log taken
+        to a double-double as in _trapezoid; risk-neutral, a weighted sum.
+        Each row sums its terms in offset order, so rows whose centers lie
+        at one offset from their anchors, and whose windows meet the grid
+        alike, give the same bits.  In blocks of rows.
         """
-        u = w_t - self.tilt * self.z
-        s = np.max(u, axis=1, keepdims=True)
-        s[~np.isfinite(s)] = 0.0
-        prod = np.exp(u - s) @ kernel.T
-        with np.errstate(divide="ignore"):
-            per_next = np.log(prod) + s + r
-        bad = np.flatnonzero(~np.all(prod >= _PRODUCT_FLOOR, axis=0))
-        for start in range(0, len(bad), _ROW_BLOCK):
-            rows = bad[start : start + _ROW_BLOCK]
-            terms = self._log_weight(self.centers[rows]) + w_t[:, None, :]
-            per_next[:, rows] = _logsumexp(terms, 2, _overwrite=True)
+        full = GridSpec.unfold(w_t) if self.space == "folded" else w_t
+        width = 2 * reach + 1
+        # log(weight / h), and the table padded past both ends: the log
+        # domain adds the two, the risk-neutral weights take the first, so
+        # that a weight below the float range is 0, as a whole kernel's is
+        log_w = np.full(full.shape[1] + 2 * reach, -np.inf)
+        log_w[reach:-reach] = np.log(self._weights())
+        padded = np.full((len(full), len(log_w)), 0.0 if self.risk_neutral else -np.inf)
+        padded[:, reach:-reach] = full if self.risk_neutral else full + log_w[reach:-reach]
+        table = sliding_window_view(padded, width, axis=1)
+        log_ws = sliding_window_view(log_w, width)
+        anchor, shift = self._offsets(rows)
+        start = anchor + self.grid.n_points // 2
+        c = self.grid.spacing**2 / (2.0 * self.params.sigma2)
+        scale = self._log_scale()
+        offset = np.arange(-reach, reach + 1.0)
+        # risk-neutral: the sums; log domain: each row's max and its sum of
+        # exp(term - max)
+        sums, top = np.empty((2, len(full), len(rows)))
+        step = max(1, _BLOCK_TERMS // width)
+        # each block's buffers, written in place
+        log_weights, table_rows = np.empty((step, width)), np.empty((len(full), step, width))
+        for first in range(0, len(rows), step):
+            block = slice(first, first + step)
+            log_weight = log_weights[: len(shift[block])]
+            terms = table_rows[:, : len(log_weight)]
+            with np.errstate(over="ignore"):
+                np.subtract(offset, shift[block, None], out=log_weight)
+                np.square(log_weight, out=log_weight)
+            log_weight *= -c
+            terms[...] = table[:, start[block]]
+            if self.risk_neutral:
+                log_weight += log_ws[start[block]]
+                log_weight += scale[0]
+                weight = _dd_exp((log_weight, scale[1]))
+                sums[:, block] = np.einsum("ik,cik->ci", weight, terms)
+                continue
+            terms += log_weight
+            peak = np.max(terms, axis=2, keepdims=True)
+            peak[~np.isfinite(peak)] = 0.0
+            terms -= peak
+            top[:, block] = peak[:, :, 0]
+            sums[:, block] = np.sum(np.exp(terms, out=terms), axis=2)
+        if self.risk_neutral:
+            return sums
+        with np.errstate(invalid="ignore"):  # an infinite log: _dd_value keeps it
+            return _dd_value(_dd_add(_dd_add((top, 0.0), scale), _log_dd(sums)))
+
+    def _trapezoid(self, w_t: np.ndarray) -> np.ndarray:
+        """Trapezoid expectations of w_t at every center, (2, n_centers) over c+.
+
+        Log domain: with u = W_t + log D_c and s its max per next channel,
+        every term of G exp(u - s) lies in [0, 1], and per_next = log(G
+        exp(u - s)) + s + log D_r.  u - s is a double-double, as is the log,
+        by one Newton step, so the large terms cancel exactly and only their
+        sum is rounded.  Risk-neutral: (G (v_t col)) row.  Guard: an entry
+        of the log-domain product below _PRODUCT_FLOOR, or not finite, and
+        a non-finite risk-neutral entry, is redone by _rows for its row
+        alone, over the whole grid.
+
+        A flat table, as W_0 = 0 is, integrates to its value plus each row's
+        log-mass.  Where a row's kernel, out to e^-_FLAT_REACH of its peak,
+        lies on the grid, _rows sums that log-mass over those offsets, so
+        rows whose kernels are shifts of each other tie to the bit, as where
+        a node's center is itself a node; a product cannot promise that.
+        (At a = 0 every product row sums the same terms in the same order.)
+        """
+        if self.stencil is None:
+            return self._rows(w_t, np.arange(len(self.nodes)), self.grid.n_points - 1)
+        g, row, col = self.stencil
+        if self.risk_neutral:
+            per_next = self._product(g, w_t * col) * row
+            bad = ~np.all(np.isfinite(per_next), axis=0)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = _dd_add((w_t, 0.0), col)
+                s = np.max(u[0], axis=1, keepdims=True)
+                s[~np.isfinite(s)] = 0.0
+                u = _dd_add(u, (-s, 0.0))
+                u[1][~np.isfinite(u[1])] = 0.0  # an infinite exponent is exact
+                prod = self._product(g, _dd_exp(u))
+                per_next = _dd_value(_dd_add(_dd_add((s, 0.0), row), _log_dd(prod)))
+            bad = ~np.all((prod >= _PRODUCT_FLOOR) & (prod < np.inf), axis=0)
+        rows = np.flatnonzero(bad)
+        if len(rows):
+            per_next[:, rows] = self._rows(w_t, rows, self.grid.n_points - 1)
+        if not self.risk_neutral and (w_t == w_t[:, :1]).all():
+            c = self.grid.spacing**2 / (2.0 * self.params.sigma2)
+            # the kernel's half-width in nodes, wider than the grid where c
+            # underflows
+            reach = math.ceil(math.sqrt(_FLAT_REACH / c)) + 1 if c > 0.0 else self.grid.n_points
+            anchor, _ = self._offsets(np.arange(len(self.nodes)))
+            rows = np.flatnonzero(np.abs(anchor) + reach <= self.grid.n_points // 2)
+            if len(rows):
+                flat = np.zeros((1, len(self.nodes)))
+                per_next[:, rows] = w_t[:, :1] + self._rows(flat, rows, reach)
         return per_next
 
     def _integrate(self, w_t: np.ndarray) -> np.ndarray:
@@ -548,21 +767,7 @@ class _BellmanStage:
         over the current channel c.
         """
         if self.trapezoid:
-            # One BLAS product in both domains.  Threaded BLAS is not slower
-            # here: the solve-fine model's folded solve at n_points = 4001
-            # took 0.14-0.16 s with OpenBLAS's default two threads and
-            # 0.17-0.21 s with one, on a 2-vCPU x86_64 host.
-            kernel, r, log_mass = self.stencil
-            if self.risk_neutral:
-                per_next = (w_t @ kernel.T) * np.exp(r)
-            elif (w_t == w_t[:, :1]).all():
-                # A table flat along the nodes, as W_0 = 0 is, integrates to
-                # its value plus each row's log-mass.  So the first stage is
-                # a log-sum-exp of the log-weights, to the bit, as its
-                # margins tie exactly where delta^2 = lambda on a node.
-                per_next = w_t[:, :1] + log_mass
-            else:
-                per_next = self._tilted_product(w_t, kernel, r)
+            per_next = self._trapezoid(w_t)
         else:
             # Hermite, over blocks of centers: (2, n_terms, n_block) over c+,
             # terms on axis 1, so each reduction runs over whole rows of
@@ -570,13 +775,14 @@ class _BellmanStage:
             # where the center-major fancy index w_t[:, lo.T] also puts it;
             # numpy sums in memory order, so both layouts, and every block
             # size, sum each center's terms in one order, to the bit.
-            lo, hi, th, weight = self.stencil
+            lo, side, th, weight = self.stencil
             per_next = np.empty((2, len(self.centers)))
             for start in range(0, len(self.centers), _CENTER_BLOCK):
                 cols = slice(start, start + _CENTER_BLOCK)
+                hi = lo[:, cols] + side[:, cols]
                 vals = np.take(w_t.T, lo[:, cols], axis=0).transpose(2, 0, 1)
                 vals *= 1.0 - th[:, cols]
-                vals += np.take(w_t.T, hi[:, cols], axis=0).transpose(2, 0, 1) * th[:, cols]
+                vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th[:, cols]
                 if self.risk_neutral:
                     per_next[:, cols] = np.einsum("ki,cki->ci", weight, vals)
                 else:

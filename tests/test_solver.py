@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import dblquad, quad
 from scipy.special import logsumexp, ndtr
@@ -33,6 +35,7 @@ from risksched.solver import (
     _CENTER_BLOCK,
     _PRODUCT_FLOOR,
     _BellmanStage,
+    _dd_exp,
     _hermite_nodes,
     _iterate,
     _log_channel,
@@ -352,18 +355,26 @@ class TestFoldedStage:
 
     def test_folded_trapezoid_kernel_keeps_the_row_mass(self):
         # node m > 0 of the folded kernel carries the weights of +m and -m;
-        # a row's mass is sum_k K[i, k] exp(r_i - tilt z_k)
+        # a row's mass is D_r (G D_c), the factored kernel's row sum
         mid = self.GRID.n_points // 2
         folded = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "folded", True)
         original = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "original", True)
-        assert folded.tilt == original.tilt > 0.0
 
         def mass(stage):
-            kernel, r, _ = stage.stencil
-            return (kernel * np.exp(r[:, None] - stage.tilt * stage.z[None, :])).sum(axis=1)
+            g, row, col = stage.stencil
+            return _dd_exp(row) * stage._product(g, _dd_exp(col)[None, :])[0]
 
-        assert folded.stencil[0].shape == (self.GRID.n_folded, self.GRID.n_folded)
+        # O(n) numbers: g at every index difference a row reads, and the two
+        # diagonals as double-doubles (hi, lo)
+        g, row, col = folded.stencil
+        assert g.shape == (self.GRID.n_folded + self.GRID.n_points - 1,)
+        assert all(part.shape == (self.GRID.n_folded,) for part in (*row, *col))
         assert_allclose(mass(folded), mass(original)[mid:], rtol=1e-14, atol=0)
+        # and it is the row sum of the kernel's own log-weights
+        rows = np.arange(self.GRID.n_folded)
+        flat = np.zeros((1, self.GRID.n_folded))
+        dense = np.exp(folded._rows(flat, rows, self.GRID.n_points - 1)[0])
+        assert_allclose(mass(folded), dense, rtol=1e-14, atol=0)
 
 
 class TestFoldedStageNegativeGain(TestFoldedStage):
@@ -386,7 +397,8 @@ class TestHermiteLayout:
 
     @staticmethod
     def center_major(stage, w_t):
-        lo, hi, th, weight = stage.stencil
+        lo, side, th, weight = stage.stencil
+        hi = lo + side
         vals = w_t[:, lo.T]
         vals = vals * (1.0 - th.T) + w_t[:, hi.T] * th.T
         if stage.risk_neutral:
@@ -486,7 +498,10 @@ class TestHermiteBlocks:
         whole = copy.copy(stage)
         whole.stencil = self.whole_grid_stencil(stage, HERMITE.n_nodes)
         whole._integrate = functools.partial(self.whole_grid_integrate, whole)
-        for got, want in zip(stage.stencil, whole.stencil):
+        # the stage keeps lo as int32 and hi as lo + side
+        lo, side, th, weight = stage.stencil
+        assert lo.dtype == np.int32 and side.dtype == np.int8
+        for got, want in zip((lo, lo + side, th, weight), whole.stencil):
             assert got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes()
         nodes = stage.nodes
         flat = np.zeros((2, len(nodes)))
@@ -504,29 +519,18 @@ class TestHermiteBlocks:
                 assert g.shape == (2, n_centers)
                 assert g.tobytes() == w.tobytes(), name
 
-    def test_solve_fine_peak_allocation(self):
-        # the solve-fine benchmark solve (T = 20, n_points = 4001, folded):
-        # its tables and stencil take 4.5 MiB, and the whole-grid stage's
-        # gathers took 5 MiB more, a 10.3 MiB peak
-        p = mk(a=0.8, gamma=0.02, horizon=20)
-        grid = GridSpec(auto_delta_max(p, HERMITE), 4001)
-        tracemalloc.start()
-        try:
-            value_iterate(p, grid, HERMITE, space="folded")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7 * 2**20
-
 
 class TestTrapezoidProduct:
-    """The tilted product stage reproduces the log-sum-exp trapezoid stage.
+    """The factored product stage reproduces the log-sum-exp trapezoid stage.
 
-    The reference is that stage as it stood before the product: the
-    kernel's log-weights formed whole, center-major, then reduced with a
-    log-sum-exp (log domain) or contracted with exp(log_weight) (risk
-    neutral).  Differences are bounded in ulps of max(1, |W|); infinities
-    and NaNs must match exactly.
+    The reference is that stage as a whole-kernel log-sum-exp (log domain)
+    or weighted sum (risk neutral), taken in extended precision on nodes
+    k h, so that its own rounding does not count against the stage: in
+    float64, on the nodes GridSpec rounds, it is itself up to 28 ulps from
+    the sum it takes at a = 1.3, sigma2 = e^-2.  The risk-neutral weights
+    are rounded to float64, so a weight that underflows is 0 in both, and
+    -inf * 0 is NaN in both.  Differences are bounded in ulps of max(1,
+    |W|); infinities and NaNs must match exactly.
     """
 
     GRID = GridSpec(10.0, 201)
@@ -534,24 +538,29 @@ class TestTrapezoidProduct:
 
     @staticmethod
     def reference(stage, w_t):
-        p, grid, nodes = stage.params, stage.grid, stage.nodes
-        center = p.a * nodes
-        w = np.full(len(nodes), grid.spacing)
-        w[-1] *= 0.5
-        if stage.space == "original":
-            w[0] *= 0.5
-        else:
-            center = np.abs(center)
-        s2 = p.sigma2
-        log_norm = 0.5 * math.log(2.0 * math.pi * s2)
-        log_weight = np.log(w) + (-np.square(nodes[None, :] - center[:, None]) / (2.0 * s2) - log_norm)
-        if stage.space == "folded":
-            log_weight[:, 1:] += np.logaddexp(0.0, -2.0 / s2 * center[:, None] * nodes[None, 1:])
+        ld = np.longdouble
+        assert np.finfo(ld).eps < np.finfo(float).eps / 2**8, "needs an extended long double"
+        p, grid = stage.params, stage.grid
+        half = grid.n_points // 2
+        k = np.arange(-half, half + 1).astype(ld)
+        i = (np.arange(len(stage.nodes)) - stage.zero).astype(ld)
+        # folded space mirrors its table onto the full grid, centers at |a| i
+        a = ld(p.a) if stage.space == "original" else ld(abs(p.a))
+        h, s2 = ld(grid.spacing), ld(p.sigma2)
+        w = np.full(len(k), h)
+        w[[0, -1]] /= 2
+        log_weight = (
+            np.log(w)
+            - np.log(2 * ld(math.pi) * s2) / 2
+            - np.square(h * (k[None, :] - a * i[:, None])) / (2 * s2)
+        )
+        table = (GridSpec.unfold(w_t) if stage.space == "folded" else w_t).astype(ld)
+        logp = stage.logp.astype(ld)
         if stage.risk_neutral:
-            per_next = np.einsum("ik,cik->ci", np.exp(log_weight), w_t[:, np.newaxis])
-            return np.exp(stage.logp) @ per_next
-        per_next = _logsumexp(log_weight + w_t[:, np.newaxis], axis=2)
-        return _logsumexp(stage.logp[:, :, None] + per_next[None, :, :], axis=1)
+            weight = np.exp(log_weight).astype(float).astype(ld)
+            return (np.exp(logp) @ np.einsum("ik,ck->ci", weight, table)).astype(float)
+        per_next = _logsumexp(log_weight + table[:, None, :], axis=2)
+        return _logsumexp(logp[:, :, None] + per_next[None, :, :], axis=1).astype(float)
 
     def assert_close(self, got, want, label):
         assert np.array_equal(np.isnan(got), np.isnan(want)), label
@@ -577,7 +586,6 @@ class TestTrapezoidProduct:
     @pytest.mark.parametrize("space", ["original", "folded"])
     def test_integrate_matches_log_sum_exp(self, space, risk_neutral, p01):
         stage = _BellmanStage(mk(p01=p01), self.GRID, TRAPEZOID, space, True, risk_neutral)
-        assert stage.tilt == (0.0 if risk_neutral else check_feasibility(mk()).beta[2])
         for name, w_t in self.tables(stage.nodes).items():
             with np.errstate(all="ignore"):
                 got = stage._integrate(w_t)
@@ -585,24 +593,97 @@ class TestTrapezoidProduct:
             assert got.shape == want.shape == (2, len(stage.nodes))
             self.assert_close(got, want, name)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.one_of(st.just(0.0), st.floats(-1.3, 1.3)),
+        log_sigma2=st.floats(-2.0, 3.0),
+        space=st.sampled_from(["original", "folded"]),
+        risk_neutral=st.booleans(),
+    )
+    def test_integrate_matches_log_sum_exp_over_models(self, a, log_sigma2, space, risk_neutral):
+        p = mk(a=a, sigma2=math.exp(log_sigma2))
+        stage = _BellmanStage(p, self.GRID, TRAPEZOID, space, True, risk_neutral)
+        for name, w_t in self.tables(stage.nodes).items():
+            with np.errstate(all="ignore"):
+                got = stage._integrate(w_t)
+                want = self.reference(stage, w_t)
+            self.assert_close(got, want, name)
+
     @pytest.mark.parametrize("space", ["original", "folded"])
-    def test_underflowing_product_falls_back_per_row(self, space):
+    def test_underflowing_product_falls_back_per_row(self, space, monkeypatch):
         # sigma = 0.2: the only finite entry, at delta = 9.5, sits 47.5 sigma
         # or more from the centers at and left of 0, so their product
         # underflows to 0, while centers near 9 see it closely
         stage = _BellmanStage(mk(sigma2=0.04), self.GRID, TRAPEZOID, space, True)
         w_t = np.full((2, len(stage.nodes)), -np.inf)
         w_t[:, np.flatnonzero(np.isclose(stage.nodes, 9.5))] = 1.0
-        kernel = stage.stencil[0]
-        u = w_t - stage.tilt * stage.z
-        prod = np.exp(u - u.max(axis=1, keepdims=True)) @ kernel.T
+        g, _, col = stage.stencil
+        u = w_t + col[0]
+        prod = stage._product(g, np.exp(u - u.max(axis=1, keepdims=True)))
         under = ~np.all(prod >= _PRODUCT_FLOOR, axis=0)
         zero = np.flatnonzero(stage.nodes == 0.0)[0]
         assert under[0] and under[zero] and not under[-1]
+        redone = []
+        rows = stage._rows
+        monkeypatch.setattr(stage, "_rows", lambda w, r, reach: redone.extend(r) or rows(w, r, reach))
         got = stage._integrate(w_t)
+        assert redone == list(np.flatnonzero(under))
         want = self.reference(stage, w_t)
         assert np.all(np.isfinite(want))
         self.assert_close(got, want, space)
+
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    @pytest.mark.parametrize("a", [0.5, -0.75])
+    def test_flat_table_ties_rows_whose_kernels_are_shifts(self, a, space):
+        # a dyadic gain puts every fourth center on a node, and a window of
+        # e^-40 around it spans 180 nodes each side; where that lies on the
+        # 240-node half grid, the row sums the zero row's numbers in the
+        # zero row's order, so the first stage gives it the same bits
+        grid = GridSpec(12.0, 481)
+        stage = _BellmanStage(mk(a=a), grid, TRAPEZOID, space, True)
+        drift = stage._integrate(np.zeros((2, len(stage.nodes))))
+        center = (a if space == "original" else abs(a)) * (np.arange(len(stage.nodes)) - stage.zero)
+        shifted = (center == np.rint(center)) & (np.abs(center) <= 60)
+        assert shifted.sum() >= 15
+        assert np.all(drift[:, shifted] == drift[:, [stage.zero]])
+
+    def test_thin_risk_neutral_rows_fall_back(self, monkeypatch):
+        # a = 1.3 on a wide grid: log D_c rises by about 690 towards the
+        # edge, so the rows near 0 keep their mass in terms far below the
+        # shared scale; the risk-neutral stencil marks them NaN, and the
+        # stage redoes exactly those rows from their log-weights
+        p = mk(a=1.3, sigma2=0.135)
+        stage = _BellmanStage(p, GridSpec(25.0, 501), TRAPEZOID, "folded", True, True)
+        thin = np.flatnonzero(np.isnan(stage.stencil[1]))
+        assert 0 in thin and len(thin) < len(stage.nodes) // 2
+        redone = []
+        rows = stage._rows
+        monkeypatch.setattr(stage, "_rows", lambda w, r, reach: redone.extend(r) or rows(w, r, reach))
+        w_t = self.tables(stage.nodes)["quadratic"]
+        got = stage._integrate(w_t)
+        assert redone == list(thin)
+        self.assert_close(got, self.reference(stage, w_t), "thin")
+
+@pytest.mark.parametrize(
+    "quad,mib",
+    [(HERMITE, 7), (TRAPEZOID, 3)],
+    ids=["hermite", "trapezoid"],
+)
+def test_solve_fine_peak_allocation(quad, mib):
+    # the solve-fine benchmark solve (T = 20, n_points = 4001, folded).
+    # Hermite: its tables and stencil take 2.9 MiB (4.5 MiB while hi was
+    # stored as int64), and the whole-grid stage's gathers took 5 MiB more,
+    # a 10.3 MiB peak.  Trapezoid: the dense (2001, 2001) kernel made the
+    # peak 32.3 MiB.
+    p = mk(a=0.8, gamma=0.02, horizon=20)
+    grid = GridSpec(auto_delta_max(p, quad), 4001)
+    tracemalloc.start()
+    try:
+        value_iterate(p, grid, quad, space="folded")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 class TestTrapezoidEdges:
@@ -637,16 +718,18 @@ class TestTrapezoidEdges:
 
     @pytest.mark.parametrize("space", ["original", "folded"])
     def test_kernel_off_the_grid_is_infeasible(self, space):
-        # a^2 overflows: every drift center but delta = 0 lies off the grid,
-        # so those kernel rows are all -inf, kept as K = 0 and r = 0
+        # a^2 overflows, and so does the log factor alpha (1 - alpha): every
+        # row takes the log-sum-exp row path, and every drift center but
+        # delta = 0 lies off the grid, so those rows have no mass on it
         p = mk(a=1e200, horizon=1)
         grid = GridSpec(auto_delta_max(p, TRAPEZOID), 201)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stage = _BellmanStage(p, grid, TRAPEZOID, space, True)
-            kernel, r, _ = stage.stencil
-            off = np.abs(stage.nodes) > 0
-            assert not kernel[off].any() and not r[off].any()
+            assert stage.stencil is None
+            off = np.flatnonzero(stage.nodes)
+            flat = np.zeros((1, len(stage.nodes)))
+            assert np.all(stage._rows(flat, off, grid.n_points - 1) == -np.inf)
             q0, q1 = stage.q_values(np.zeros((2, len(stage.nodes))))
             assert not np.isnan(q0).any() and not np.isnan(q1).any()
             with pytest.raises(InfeasibleModelError) as err:
