@@ -596,7 +596,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# a non-threshold solve (the trapezoid rule on an unstable source) is a config
+# a non-threshold solve (a transmit set that is not an up-set, which the
+# paper's structural result rules out, so a numerical fault) is a config
 # error, and so is a grid too large to allocate (numpy raises a MemoryError
 # subclass, so codes are looked up by isinstance); Monte Carlo costs that
 # overflow exit as an infeasible model does

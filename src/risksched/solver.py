@@ -27,25 +27,30 @@ and the stage taken, over blocks of centers, so a solve holds one block's
 gathers, not the whole grid's; each center's terms keep their memory
 order, so the tables are those of the whole-grid stage to the bit.
 
-The trapezoid rule reads the table's own nodes, taken at x_k = k h.  On
-signed node indices, a * x_i = +-alpha i h with alpha = |a|, and (k -+ alpha
-i)^2 = alpha (i -+ k)^2 + (1 - alpha) k^2 - alpha (1 - alpha) i^2, so the
-kernel factors as K = D_r G D_c: G is Toeplitz (Hankel for a < 0) in one
-Gaussian g(m) = exp(-alpha h^2 m^2 / 2 sigma2), and two diagonals carry the
-rest, the trapezoid weights and the normalization in D_c.  A solve stores
-g and the two log diagonals, O(n) numbers; the folded kernel N(x; m,
-sigma2) + N(-x; m, sigma2) is the same product over the mirrored table.  A
-log-domain stage is log(G y) + s + log D_r with y = exp(W_t + log D_c - s)
-and s the exponent's max, so every term lies in [0, 1].  The log diagonals
-are large where the sum is small, so they are double-doubles and cancel
-exactly; G y is taken as direct sums of nonnegative terms, in short runs
-added pairwise, never by FFT, whose error is relative to the largest entry.
-Each entry is then good to a few ulps of max(1, |W|).  An entry that
-underflows is redone for its row alone as a log-sum-exp, and where a log
-diagonal leaves the float range every row is.  A flat table, as W_0 = 0
-is, integrates to each row's log-mass, summed at offsets from the row's
-nearest node: rows whose kernels are shifts of each other tie to the bit.
-The risk-neutral stage is the same product on v_t, with no log.
+The trapezoid rule reads the table's own nodes, taken at x_k = k h, and
+scales each kernel row to mass 1 on the grid: what a kernel puts past
++-delta_max is spread over the grid's nodes in proportion, so a table
+constant in delta integrates to itself.  On signed node indices, a * x_i =
++-alpha i h with alpha = |a|, and (k -+ alpha i)^2 = alpha (i -+ k)^2 + (1 -
+alpha) k^2 - alpha (1 - alpha) i^2, so the kernel factors as K = D_r G D_c:
+G is Toeplitz (Hankel for a < 0) in one Gaussian g(m) = exp(-alpha h^2 m^2
+/ 2 sigma2), D_c carries the trapezoid weights and exp(-(1 - alpha) h^2 k^2
+/ 2 sigma2), and D_r, the normalization, is 1 over each row's sum of G D_c.
+A solve stores g and the two log diagonals, O(n) numbers; the folded
+kernel N(x; m, sigma2) + N(-x; m, sigma2) is the same product over the
+mirrored table.  A log-domain stage is log(G y) + s + log D_r with y =
+exp(W_t + log D_c - s) and s the exponent's max, so every term lies in [0,
+1].  The log diagonals are large where the sum is small, so they are
+double-doubles and cancel exactly; G y is taken as direct sums of
+nonnegative terms, in short runs added pairwise, never by FFT, whose error
+is relative to the largest entry.  Each entry is then good to a few ulps of
+max(1, |W|).  log D_r is minus the log of the product a flat table takes,
+so W_0 = 0 integrates to 0 on every row, to the bit.  An entry that
+underflows, or whose row's own sum does, is redone for its row alone as a
+log-sum-exp less that of the row's weights, and where a log diagonal
+leaves the float range every row is; a row with no mass on the grid
+integrates to -inf.  The risk-neutral
+stage is the same product on v_t, with no log.
 """
 
 from __future__ import annotations
@@ -203,7 +208,8 @@ class TruncationReport:
     0, never transmitting), coverage_tail the mass that law leaves beyond
     delta_max, and gh_cap_active whether the Hermite cap, not coverage,
     set the auto radius.  A small tail does not make W right, nor a large
-    one wrong: Hermite extrapolates past the grid.
+    one wrong: Hermite extrapolates past the grid, and the trapezoid rule
+    scales each kernel row to mass 1 on it.
     """
 
     delta_max: float
@@ -411,17 +417,13 @@ def _hermite_stencil(
     return lo, side, th, log_weight[:, None]
 
 
-# A kernel term below e^-40 of its peak is left out of a flat table's
-# stage: all of them add e^-40 / (2 sqrt(40 pi)) < 2^-61 of the row's mass.
-_FLAT_REACH = 40.0
-
 # Terms of a trapezoid product entry that einsum sums in one run: a run's
 # rounding stays near an ulp, and the runs are added pairwise.
 _RUN = 64
 
-# Terms per next channel of a trapezoid block: the flat stage and the guard
-# take 2^15 // row length whole kernel rows at a time, and the product as
-# many rows of run sums, so a block's terms take about 512 kB.
+# Terms per next channel of a trapezoid block: the guard takes 2^15 // row
+# length whole kernel rows at a time, and the product as many rows of run
+# sums, so a block's terms take about 512 kB.
 _BLOCK_TERMS = 2**15
 
 # Centers of a Hermite stencil built, or of a Hermite stage integrated, at a
@@ -490,6 +492,15 @@ def _dd_value(x):
     return np.where(np.isfinite(x[0]), x[0] + x[1], x[0])
 
 
+def _log_sum(terms):
+    """log(sum(exp(terms))) over the last axis as a double-double: the max,
+    0 where it is not finite, plus the log of the shifted sum (_log_dd)."""
+    peak = np.max(terms, axis=-1)
+    peak[~np.isfinite(peak)] = 0.0
+    sums = np.sum(np.exp(terms - peak[..., None]), axis=-1)
+    return _dd_add((peak, 0.0), _log_dd(sums))
+
+
 class _BellmanStage:
     """One application of the Bellman operator on a fixed grid.
 
@@ -535,30 +546,32 @@ class _BellmanStage:
         self.stencil = (lo, side, th, np.exp(log_weight) if risk_neutral else log_weight)
 
     def _factors(self) -> tuple | None:
-        """(g, row, col): the trapezoid kernel K = D_r G D_c of the module docstring.
+        """(g, row, col): the normalized trapezoid kernel K = D_r G D_c of the
+        module docstring.
 
-        With c = h^2 / 2 sigma2 and signed indices, log g(m) = -alpha c m^2,
-        row = log D_r,i = alpha (1 - alpha) c i^2 and col = log D_c,k = log
-        weight_k - log sqrt(2 pi sigma2) - (1 - alpha) c k^2, on the stage's
-        nodes.  The product reads the full grid's columns (in folded space
-        the mirrored table), so g covers every index difference a row reads:
-        len(centers) + n_points - 1 values.  row and col are double-doubles
-        from exact integer squares, and g is exp of one, so each is good to
-        about an ulp of its own size, not of the log factors'.
+        With c = h^2 / 2 sigma2 and signed indices, log g(m) = -alpha c m^2
+        and col = log D_c,k = log weight_k - (1 - alpha) c k^2 - t on the
+        stage's nodes, t the max of the rest, so every term of a row's sum
+        lies in [0, 1].  The product reads the full grid's columns (in
+        folded space the mirrored table), so g covers every index
+        difference a row reads: len(centers) + n_points - 1 values.  col is
+        a double-double from exact integer squares, and g is exp of one, so
+        each is good to about an ulp of its own size.
 
-        Risk-neutral, row and col are exponentiated around col's max t: col =
-        exp(log D_c - t) and row = exp(log D_r + t), NaN on a row whose
-        product with col falls below _PRODUCT_FLOOR, so the guard redoes it.
-        None where a factor leaves the float range, as alpha (1 - alpha) c
-        does at a = 1e200: every row then takes the guard's path.
+        row scales each row to mass 1.  Log domain: minus the log, a
+        double-double, of the product _scaled_product takes of a flat table,
+        so such a table's stage cancels it to the bit.  Risk-neutral, where
+        col is exponentiated: 1 over that product.  NaN on a row whose sum
+        falls below _PRODUCT_FLOOR, so the guard redoes it.  None where a
+        log factor leaves the float range: every row then takes the
+        guard's path.
         """
         p, h = self.params, np.float64(self.grid.spacing)
         alpha = np.float64(abs(p.a))
         idx = np.arange(len(self.nodes)) - self.zero
         half = self.grid.n_points // 2
         m2 = np.square(np.arange(idx[0] - half, idx[-1] + half + 1), dtype=float)
-        i2 = np.square(idx, dtype=float)
-        base = _dd_add(self._log_scale(), (np.log(self._weights()[-len(idx) :]), 0.0))
+        log_weight = np.log(self._weights()[-len(idx) :])
         with np.errstate(over="ignore", invalid="ignore"):
             # c = h^2 / 2 sigma2: the quotient, and the remainder's
             d, hh = np.float64(2.0 * p.sigma2), _two_prod(h, h)
@@ -567,18 +580,33 @@ class _BellmanStage:
             c = (q, ((hh[0] - qd[0]) - qd[1] + hh[1]) / d)
             slope = _dd_mul(_two_sum(np.float64(1.0), -alpha), c)  # (1 - alpha) c
             log_g = _dd_mul(_dd_mul((alpha, 0.0), c), (-m2, 0.0))
-            row = _dd_mul(_dd_mul((alpha, 0.0), slope), (i2, 0.0))
-            col = _dd_add(base, _dd_mul(slope, (-i2, 0.0)))
-        if not all(np.isfinite(part).all() for part in (*log_g, *row, *col)):
+            col = _dd_add((log_weight, 0.0), _dd_mul(slope, (-np.square(idx, dtype=float), 0.0)))
+        if not all(np.isfinite(part).all() for part in (*log_g, *col)):
             return None
         g = _dd_exp(log_g)
+        col = _dd_add(col, (-col[0].max(), 0.0))
+        mass = self._scaled_product(g, col, np.zeros((2, len(idx))))[1][0]
+        thin = ~(mass >= _PRODUCT_FLOOR)
         if self.risk_neutral:
-            top = col[0].max()
-            col = _dd_exp(_dd_add(col, (-top, 0.0)))
-            with np.errstate(over="ignore"):
-                row = _dd_exp(_dd_add(row, (top, 0.0)))
-            row[~(self._product(g, col[None, :])[0] >= _PRODUCT_FLOOR)] = np.nan
-        return g, row, col
+            with np.errstate(divide="ignore"):
+                row = 1.0 / mass
+            row[thin] = np.nan
+            return g, row, _dd_exp(col)
+        log_mass = _log_dd(mass)
+        return g, (np.where(thin, np.nan, -log_mass[0]), -log_mass[1]), col
+
+    def _scaled_product(self, g: np.ndarray, col: tuple, w_t: np.ndarray) -> tuple:
+        """(s, G exp(W_t + log D_c - s)) for w_t, a (c, n_nodes) table, with s
+        the exponent's max per next channel, 0 where that is not finite, so
+        every term lies in [0, 1].  The exponent is a double-double, so only
+        the sums are rounded."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _dd_add((w_t, 0.0), col)
+            s = np.max(u[0], axis=1, keepdims=True)
+            s[~np.isfinite(s)] = 0.0
+            u = _dd_add(u, (-s, 0.0))
+            u[1][~np.isfinite(u[1])] = 0.0  # an infinite exponent is exact
+            return s, self._product(g, _dd_exp(u))
 
     def _product(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
         """G y for each row of y, a (c, n_nodes) table: (c, n_centers).
@@ -590,13 +618,14 @@ class _BellmanStage:
         calls BLAS, whose dot (np.correlate's) sums in an order that
         follows the CPU and, on long rows, the thread count.  That is a
         Hankel product; G is Hankel for a < 0 but Toeplitz for a >= 0, so
-        original space then reads the reversed table.  Folded space reads
-        the mirrored table, its own reverse.
+        original space then reads the reversed table, copied: on a reversed
+        view einsum's loop sums each run as one running sum, up to 2 ulps
+        worse.  Folded space reads the mirrored table, its own reverse.
         """
         if self.space == "folded":
             y = GridSpec.unfold(y)
         elif self.params.a >= 0:
-            y = y[:, ::-1]
+            y = np.ascontiguousarray(y[:, ::-1])
         n = y.shape[1]
         windows = sliding_window_view(g, n)
         runs = range(0, n, _RUN)
@@ -619,142 +648,74 @@ class _BellmanStage:
         w[[0, -1]] = 0.5
         return w
 
-    def _log_scale(self) -> tuple:
-        """log(h / sqrt(2 pi sigma2)), a kernel's log-weight at its center,
-        as a double-double."""
-        log_norm = 0.5 * math.log(2.0 * math.pi * self.params.sigma2)
-        return _two_sum(np.float64(math.log(self.grid.spacing)), np.float64(-log_norm))
-
-    def _offsets(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(anchor, shift) of the kernel rows at rows, in nodes.
-
-        Row i's center a i (alpha i in folded space, whose mirrored table is
-        even) is split exactly into two floats and read from its nearest
-        node, or the nearest end node where it lies off the grid: the
-        anchor, a signed node index, and the center's offset from it.
-        """
-        half = self.grid.n_points // 2
-        a = self.params.a if self.space == "original" else abs(self.params.a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            center, err = _two_prod(np.float64(a), rows - float(self.zero))
-            err[~np.isfinite(err)] = 0.0
-            node = np.rint(center)
-            anchor = np.clip(node, -half, half)
-            # anchor - node is an integer: only the product's rounding is lost
-            shift = (center - node) + err - (anchor - node)
-        shift[np.isnan(shift)] = np.inf  # an infinite center
-        return anchor.astype(np.intp), shift
-
-    def _rows(self, w_t: np.ndarray, rows: np.ndarray, reach: int) -> np.ndarray:
+    def _rows(self, w_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Trapezoid expectations of w_t, a (c, n_nodes) table, at the centers
-        of rows, (c, len(rows)), each summed at offsets j = -reach..reach
-        from the row's anchor (_offsets).
+        of rows, (c, len(rows)), each from its kernel's own weights over the
+        whole grid, in blocks of rows.
 
-        Term j of row i is log(weight_k / h) + W_t[k] - c (j - shift_i)^2 at
-        node k = anchor_i + j, -inf off the grid, and the row adds log(h /
-        sqrt(2 pi sigma2)) once.  Log domain: a log-sum-exp, which keeps
-        -inf, +inf and every finite value of that reduction, its log taken
-        to a double-double as in _trapezoid; risk-neutral, a weighted sum.
-        Each row sums its terms in offset order, so rows whose centers lie
-        at one offset from their anchors, and whose windows meet the grid
-        alike, give the same bits.  In blocks of rows.
+        Term k of row i is log(weight_k h / sqrt(2 pi sigma2)) - c (k -
+        a i)^2 at signed node k, where a i (alpha i in folded space, whose
+        mirrored table is even) is split exactly into two floats.  Log
+        domain: the log-sum-exp of the terms plus W_t less that of the
+        terms, each to a double-double, so a flat table integrates to itself
+        to the bit; -inf on a row with no mass on the grid.  Risk-neutral:
+        the weighted sum over the sum of the weights.
         """
         full = GridSpec.unfold(w_t) if self.space == "folded" else w_t
-        width = 2 * reach + 1
-        # log(weight / h), and the table padded past both ends: the log
-        # domain adds the two, the risk-neutral weights take the first, so
-        # that a weight below the float range is 0, as a whole kernel's is
-        log_w = np.full(full.shape[1] + 2 * reach, -np.inf)
-        log_w[reach:-reach] = np.log(self._weights())
-        padded = np.full((len(full), len(log_w)), 0.0 if self.risk_neutral else -np.inf)
-        padded[:, reach:-reach] = full if self.risk_neutral else full + log_w[reach:-reach]
-        table = sliding_window_view(padded, width, axis=1)
-        log_ws = sliding_window_view(log_w, width)
-        anchor, shift = self._offsets(rows)
-        start = anchor + self.grid.n_points // 2
+        half = self.grid.n_points // 2
+        a = self.params.a if self.space == "original" else abs(self.params.a)
+        # log(h / sqrt(2 pi sigma2)), a kernel's log-weight at its center
+        log_norm = 0.5 * math.log(2.0 * math.pi * self.params.sigma2)
+        scale = _two_sum(np.float64(math.log(self.grid.spacing)), np.float64(-log_norm))
+        log_w = np.log(self._weights()) + scale[0]
+        nodes = np.arange(-half, half + 1.0)
         c = self.grid.spacing**2 / (2.0 * self.params.sigma2)
-        scale = self._log_scale()
-        offset = np.arange(-reach, reach + 1.0)
-        # risk-neutral: the sums; log domain: each row's max and its sum of
-        # exp(term - max)
-        sums, top = np.empty((2, len(full), len(rows)))
-        step = max(1, _BLOCK_TERMS // width)
-        # each block's buffers, written in place
-        log_weights, table_rows = np.empty((step, width)), np.empty((len(full), step, width))
-        for first in range(0, len(rows), step):
-            block = slice(first, first + step)
-            log_weight = log_weights[: len(shift[block])]
-            terms = table_rows[:, : len(log_weight)]
-            with np.errstate(over="ignore"):
-                np.subtract(offset, shift[block, None], out=log_weight)
-                np.square(log_weight, out=log_weight)
-            log_weight *= -c
-            terms[...] = table[:, start[block]]
-            if self.risk_neutral:
-                log_weight += log_ws[start[block]]
-                log_weight += scale[0]
-                weight = _dd_exp((log_weight, scale[1]))
-                sums[:, block] = np.einsum("ik,cik->ci", weight, terms)
-                continue
-            terms += log_weight
-            peak = np.max(terms, axis=2, keepdims=True)
-            peak[~np.isfinite(peak)] = 0.0
-            terms -= peak
-            top[:, block] = peak[:, :, 0]
-            sums[:, block] = np.sum(np.exp(terms, out=terms), axis=2)
-        if self.risk_neutral:
-            return sums
-        with np.errstate(invalid="ignore"):  # an infinite log: _dd_value keeps it
-            return _dd_value(_dd_add(_dd_add((top, 0.0), scale), _log_dd(sums)))
+        out = np.empty((len(full), len(rows)))
+        step = max(1, _BLOCK_TERMS // len(nodes))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            center, err = _two_prod(np.float64(a), rows - float(self.zero))
+            err[~np.isfinite(err)] = 0.0
+            for first in range(0, len(rows), step):
+                block = slice(first, first + step)
+                dist = (nodes - center[block, None]) - err[block, None]
+                log_weight = log_w - c * (dist * dist)
+                if self.risk_neutral:
+                    # a weight below the float range is 0, as in a whole kernel
+                    weight = _dd_exp((log_weight, scale[1]))
+                    out[:, block] = np.einsum("ik,ck->ci", weight, full) / np.sum(weight, axis=1)
+                    continue
+                mass = _log_sum(log_weight)
+                table = _log_sum(full[:, None, :] + log_weight)
+                value = _dd_value(_dd_add(table, (-mass[0], -mass[1])))
+                out[:, block] = np.where(mass[0] == -np.inf, -np.inf, value)
+        return out
 
     def _trapezoid(self, w_t: np.ndarray) -> np.ndarray:
         """Trapezoid expectations of w_t at every center, (2, n_centers) over c+.
 
         Log domain: with u = W_t + log D_c and s its max per next channel,
         every term of G exp(u - s) lies in [0, 1], and per_next = log(G
-        exp(u - s)) + s + log D_r.  u - s is a double-double, as is the log,
+        exp(u - s)) + log D_r + s.  u - s is a double-double, as is the log,
         by one Newton step, so the large terms cancel exactly and only their
         sum is rounded.  Risk-neutral: (G (v_t col)) row.  Guard: an entry
-        of the log-domain product below _PRODUCT_FLOOR, or not finite, and
-        a non-finite risk-neutral entry, is redone by _rows for its row
-        alone, over the whole grid.
-
-        A flat table, as W_0 = 0 is, integrates to its value plus each row's
-        log-mass.  Where a row's kernel, out to e^-_FLAT_REACH of its peak,
-        lies on the grid, _rows sums that log-mass over those offsets, so
-        rows whose kernels are shifts of each other tie to the bit, as where
-        a node's center is itself a node; a product cannot promise that.
-        (At a = 0 every product row sums the same terms in the same order.)
+        of the log-domain product below _PRODUCT_FLOOR, and an entry that is
+        not finite, as on a row that the stencil's row marks NaN, is redone
+        by _rows for its row alone.
         """
         if self.stencil is None:
-            return self._rows(w_t, np.arange(len(self.nodes)), self.grid.n_points - 1)
+            return self._rows(w_t, np.arange(len(self.nodes)))
         g, row, col = self.stencil
         if self.risk_neutral:
             per_next = self._product(g, w_t * col) * row
             bad = ~np.all(np.isfinite(per_next), axis=0)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = _dd_add((w_t, 0.0), col)
-                s = np.max(u[0], axis=1, keepdims=True)
-                s[~np.isfinite(s)] = 0.0
-                u = _dd_add(u, (-s, 0.0))
-                u[1][~np.isfinite(u[1])] = 0.0  # an infinite exponent is exact
-                prod = self._product(g, _dd_exp(u))
-                per_next = _dd_value(_dd_add(_dd_add((s, 0.0), row), _log_dd(prod)))
-            bad = ~np.all((prod >= _PRODUCT_FLOOR) & (prod < np.inf), axis=0)
+            s, prod = self._scaled_product(g, col, w_t)
+            with np.errstate(invalid="ignore"):
+                per_next = _dd_value(_dd_add(_dd_add(_log_dd(prod), row), (s, 0.0)))
+            bad = ~np.all((prod >= _PRODUCT_FLOOR) & np.isfinite(per_next), axis=0)
         rows = np.flatnonzero(bad)
         if len(rows):
-            per_next[:, rows] = self._rows(w_t, rows, self.grid.n_points - 1)
-        if not self.risk_neutral and (w_t == w_t[:, :1]).all():
-            c = self.grid.spacing**2 / (2.0 * self.params.sigma2)
-            # the kernel's half-width in nodes, wider than the grid where c
-            # underflows
-            reach = math.ceil(math.sqrt(_FLAT_REACH / c)) + 1 if c > 0.0 else self.grid.n_points
-            anchor, _ = self._offsets(np.arange(len(self.nodes)))
-            rows = np.flatnonzero(np.abs(anchor) + reach <= self.grid.n_points // 2)
-            if len(rows):
-                flat = np.zeros((1, len(self.nodes)))
-                per_next[:, rows] = w_t[:, :1] + self._rows(flat, rows, reach)
+            per_next[:, rows] = self._rows(w_t, rows)
         return per_next
 
     def _integrate(self, w_t: np.ndarray) -> np.ndarray:

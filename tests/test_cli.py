@@ -32,6 +32,7 @@ from risksched.cli import (
     main,
     parse_config,
 )
+from risksched.policy import NonThresholdPolicyError
 from risksched.sim import CHUNK_SIZE
 from risksched.solver import auto_delta_max
 
@@ -299,11 +300,14 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "command", [["solve"], ["simulate"], ["sweep", "--axis", "gamma", "--values", "0.05"]]
     )
-    def test_non_threshold_solve_exit_1(self, tmp_path, capsys, command):
-        # the trapezoid rule on an unstable source: drift centers a*delta leave
-        # the grid, the edge rows lose kernel mass, and the solved transmit set
-        # is not an up-set
-        cfg = write_config(tmp_path / "c.cfg", a=1.2, T=1, n_points=41, quad_rule="trapezoid-on-grid")
+    def test_non_threshold_solve_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        # a solved transmit set that is not an up-set: no model known to the
+        # solver gives one, so threshold extraction is made to refuse
+        def refuse(policy, grid):
+            raise NonThresholdPolicyError(1, 1, 20)
+
+        monkeypatch.setattr("risksched.cli.extract_thresholds", refuse)
+        cfg = write_config(tmp_path / "c.cfg", T=1, n_points=41)
         code = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
         assert code == 1
         assert capsys.readouterr().err == (
@@ -484,7 +488,7 @@ class TestSolve:
     @pytest.mark.parametrize(
         "shape, n_rows",
         [
-            (dict(T=1, n_points=11, delta_max="6.0"), 2 * 2 * 11),
+            (dict(T=1, n_points=11, delta_max="3.0"), 2 * 2 * 11),
             (dict(T=3, n_points=2049), _BLOCK_ROWS + 8),  # 2 * 4 * 2049 rows
         ],
         ids=["small", "past-block"],

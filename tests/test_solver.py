@@ -2,6 +2,7 @@
 quadrature rules, structural invariants of the value tables."""
 
 import copy
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import dblquad, quad
@@ -30,7 +31,6 @@ from risksched import (
     value_iterate,
 )
 from risksched import solver
-from risksched.policy import NonThresholdPolicyError
 from risksched.solver import (
     _CENTER_BLOCK,
     _PRODUCT_FLOOR,
@@ -286,13 +286,15 @@ class TestUnevenTable:
         return np.stack([0.04 * d**2 + 0.3 * np.tanh(d), 0.2 + 0.04 * d**2 - 0.5 * np.tanh(d / 2)])
 
     def expectations(self, p, quad, w, center):
-        """log E[exp(w(X, c+))] for X ~ N(center, sigma2), (2, len(center)) over c+."""
+        """log E[exp(w(X, c+))] for X ~ N(center, sigma2), (2, len(center)) over c+;
+        the trapezoid rule scales each kernel row to mass 1 on the grid."""
         d = self.GRID.nodes()
         if quad.rule == TRAPEZOID.rule:
             tw = np.full(len(d), self.GRID.spacing)
             tw[[0, -1]] *= 0.5
-            dens = norm.pdf(d[None, :], loc=center[:, None], scale=p.sigma)
-            return np.array([logsumexp(w[c][None, :], b=tw * dens, axis=1) for c in (0, 1)])
+            dens = tw * norm.pdf(d[None, :], loc=center[:, None], scale=p.sigma)
+            dens /= dens.sum(axis=1, keepdims=True)
+            return np.array([logsumexp(w[c][None, :], b=dens, axis=1) for c in (0, 1)])
         # per-side interpolation in z = delta^2 at the Hermite abscissae
         y, wt = np.polynomial.hermite.hermgauss(quad.n_nodes)
         x = center[:, None] + math.sqrt(2.0 * p.sigma2) * y[None, :]
@@ -354,27 +356,39 @@ class TestFoldedStage:
             assert_allclose(got, want[:, mid:], rtol=0, atol=1e-12)
 
     def test_folded_trapezoid_kernel_keeps_the_row_mass(self):
-        # node m > 0 of the folded kernel carries the weights of +m and -m;
-        # a row's mass is D_r (G D_c), the factored kernel's row sum
+        # node m > 0 of the folded kernel carries the weights of +m and -m:
+        # both spaces scale a row by the same mass, the row sum of the
+        # kernel's own trapezoid weights, and both domains by the same one
         mid = self.GRID.n_points // 2
         folded = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "folded", True)
         original = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "original", True)
-
-        def mass(stage):
-            g, row, col = stage.stencil
-            return _dd_exp(row) * stage._product(g, _dd_exp(col)[None, :])[0]
-
         # O(n) numbers: g at every index difference a row reads, and the two
         # diagonals as double-doubles (hi, lo)
         g, row, col = folded.stencil
         assert g.shape == (self.GRID.n_folded + self.GRID.n_points - 1,)
         assert all(part.shape == (self.GRID.n_folded,) for part in (*row, *col))
-        assert_allclose(mass(folded), mass(original)[mid:], rtol=1e-14, atol=0)
-        # and it is the row sum of the kernel's own log-weights
-        rows = np.arange(self.GRID.n_folded)
-        flat = np.zeros((1, self.GRID.n_folded))
-        dense = np.exp(folded._rows(flat, rows, self.GRID.n_points - 1)[0])
-        assert_allclose(mass(folded), dense, rtol=1e-14, atol=0)
+        ulps = 1e-14 * np.maximum(1.0, np.abs(row[0]))
+        assert np.all(np.abs(original.stencil[1][0][mid:] - row[0]) <= ulps)
+        # -row is the log of the row's sum of G D_c: the kernel's own
+        # trapezoid row sum over exp(alpha (1 - alpha) c i^2), as col's
+        # shift t is 0 here (col peaks at node 0)
+        ld = np.longdouble
+        h, s2, alpha = ld(self.GRID.spacing), ld(1.0), ld(abs(self.A))
+        i = np.arange(self.GRID.n_folded).astype(ld)[:, None]
+        k = np.arange(-mid, mid + 1).astype(ld)[None, :]
+        weight = np.where(np.abs(k) == mid, ld(0.5), ld(1.0))
+        c = h * h / (2 * s2)
+        mass = np.sum(weight * np.exp(-c * (k - alpha * i) ** 2), axis=1)
+        want = np.log(mass) - alpha * (1 - alpha) * c * i[:, 0] ** 2
+        assert np.all(np.abs((-row[0] - row[1]) - want.astype(float)) <= ulps)
+        # each row then has mass 1, and the risk-neutral stage scales its
+        # rows by the same mass
+        sums = folded._product(g, _dd_exp(col)[None, :])[0]
+        assert_allclose(np.exp(row[0]) * sums, 1.0, rtol=1e-14)
+        rn = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "folded", True, True)
+        _, rn_row, rn_col = rn.stencil
+        assert_allclose(rn_row, np.exp(row[0]), rtol=1e-14, atol=0)
+        assert_allclose(rn_row * rn._product(g, rn_col[None, :])[0], 1.0, rtol=1e-14)
 
 
 class TestFoldedStageNegativeGain(TestFoldedStage):
@@ -521,11 +535,13 @@ class TestHermiteBlocks:
 
 
 class TestTrapezoidProduct:
-    """The factored product stage reproduces the log-sum-exp trapezoid stage.
+    """The factored product stage reproduces the normalized log-sum-exp
+    trapezoid stage.
 
     The reference is that stage as a whole-kernel log-sum-exp (log domain)
-    or weighted sum (risk neutral), taken in extended precision on nodes
-    k h, so that its own rounding does not count against the stage: in
+    or weighted sum (risk neutral), less the log of, or over, the row's own
+    mass, taken in extended precision on nodes k h, so that its own
+    rounding does not count against the stage: in
     float64, on the nodes GridSpec rounds, it is itself up to 28 ulps from
     the sum it takes at a = 1.3, sigma2 = e^-2.  The risk-neutral weights
     are rounded to float64, so a weight that underflows is 0 in both, and
@@ -558,8 +574,11 @@ class TestTrapezoidProduct:
         logp = stage.logp.astype(ld)
         if stage.risk_neutral:
             weight = np.exp(log_weight).astype(float).astype(ld)
-            return (np.exp(logp) @ np.einsum("ik,ck->ci", weight, table)).astype(float)
-        per_next = _logsumexp(log_weight + table[:, None, :], axis=2)
+            per_next = np.einsum("ik,ck->ci", weight, table) / np.sum(weight, axis=1)
+            return (np.exp(logp) @ per_next).astype(float)
+        log_mass = _logsumexp(log_weight, axis=1)
+        per_next = _logsumexp(log_weight + table[:, None, :], axis=2) - log_mass
+        per_next[:, log_mass == -np.inf] = -np.inf  # no mass on the grid
         return _logsumexp(logp[:, :, None] + per_next[None, :, :], axis=1).astype(float)
 
     def assert_close(self, got, want, label):
@@ -625,7 +644,7 @@ class TestTrapezoidProduct:
         assert under[0] and under[zero] and not under[-1]
         redone = []
         rows = stage._rows
-        monkeypatch.setattr(stage, "_rows", lambda w, r, reach: redone.extend(r) or rows(w, r, reach))
+        monkeypatch.setattr(stage, "_rows", lambda w, r: redone.extend(r) or rows(w, r))
         got = stage._integrate(w_t)
         assert redone == list(np.flatnonzero(under))
         want = self.reference(stage, w_t)
@@ -633,19 +652,26 @@ class TestTrapezoidProduct:
         self.assert_close(got, want, space)
 
     @pytest.mark.parametrize("space", ["original", "folded"])
-    @pytest.mark.parametrize("a", [0.5, -0.75])
-    def test_flat_table_ties_rows_whose_kernels_are_shifts(self, a, space):
-        # a dyadic gain puts every fourth center on a node, and a window of
-        # e^-40 around it spans 180 nodes each side; where that lies on the
-        # 240-node half grid, the row sums the zero row's numbers in the
-        # zero row's order, so the first stage gives it the same bits
-        grid = GridSpec(12.0, 481)
-        stage = _BellmanStage(mk(a=a), grid, TRAPEZOID, space, True)
-        drift = stage._integrate(np.zeros((2, len(stage.nodes))))
-        center = (a if space == "original" else abs(a)) * (np.arange(len(stage.nodes)) - stage.zero)
-        shifted = (center == np.rint(center)) & (np.abs(center) <= 60)
-        assert shifted.sum() >= 15
-        assert np.all(drift[:, shifted] == drift[:, [stage.zero]])
+    @pytest.mark.parametrize("a", [0.5, -0.75, 0.9, 1.2])
+    def test_flat_table_integrates_to_zero(self, a, space):
+        # each kernel row is scaled to mass 1 by the very sum a flat table's
+        # stage takes, so W_0 = 0 integrates to 0 to the bit on every row,
+        # in the product and in the row path alike; every node then reads
+        # the zero node's channel mix, so where delta^2 = lambda the two
+        # actions tie at j = 1, and the tie idles
+        p = mk(a=a, horizon=1)
+        stage = _BellmanStage(p, GridSpec(12.0, 481), TRAPEZOID, space, True)
+        rows = np.arange(len(stage.nodes))
+        flat = np.zeros((2, len(stage.nodes)))
+        assert np.all(stage._trapezoid(flat) == 0.0)
+        assert np.all(stage._rows(flat, rows) == 0.0)
+        if a != 0.9:
+            return
+        # lambda enters only the price, so one stage serves every lambda
+        for i in np.flatnonzero(stage.nodes):
+            stage.params = dataclasses.replace(p, lam=stage.z[i])
+            _, policy = _iterate(stage, None)
+            assert policy.q_margin[1, 1, i] == 0.0 and policy.u_star[1, 1, i] == 0
 
     def test_thin_risk_neutral_rows_fall_back(self, monkeypatch):
         # a = 1.3 on a wide grid: log D_c rises by about 690 towards the
@@ -658,7 +684,7 @@ class TestTrapezoidProduct:
         assert 0 in thin and len(thin) < len(stage.nodes) // 2
         redone = []
         rows = stage._rows
-        monkeypatch.setattr(stage, "_rows", lambda w, r, reach: redone.extend(r) or rows(w, r, reach))
+        monkeypatch.setattr(stage, "_rows", lambda w, r: redone.extend(r) or rows(w, r))
         w_t = self.tables(stage.nodes)["quadratic"]
         got = stage._integrate(w_t)
         assert redone == list(thin)
@@ -707,34 +733,77 @@ class TestTrapezoidEdges:
         table, _ = value_iterate(p, grid, TRAPEZOID, space="folded")
         assert np.max(np.abs(table.w[2, :, 0] - exact)) <= tol
 
-    @pytest.mark.parametrize("n,node", [(401, 185), (1601, 737)])
-    def test_unstable_source_is_refused_at_the_same_node(self, n, node):
+    @pytest.mark.parametrize("n", [401, 1601])
+    def test_unstable_source_solves_to_a_threshold_policy(self, n):
+        # a = 1.2: the drift centers a * delta of the edge rows leave the
+        # grid, and each row, scaled to mass 1 on the grid, still gives a
+        # table nondecreasing in delta and an up-set of transmitting nodes
         p = mk(a=1.2, gamma=0.01, horizon=5)
         grid = GridSpec(auto_delta_max(p, TRAPEZOID), n)
-        _, policy = value_iterate(p, grid, TRAPEZOID, space="folded")
-        with pytest.raises(NonThresholdPolicyError) as err:
-            extract_thresholds(policy, grid)
-        assert (err.value.stages_to_go, err.value.c, err.value.node) == (1, 1, node)
+        table, policy = value_iterate(p, grid, TRAPEZOID, space="folded")
+        extract_thresholds(policy, grid)
+        w = table.w
+        assert np.all(np.diff(w, axis=2) >= -1e-9 * np.maximum(1.0, np.abs(w[..., 1:])))
 
+    @pytest.mark.parametrize("a", [1e200, 1e305])
     @pytest.mark.parametrize("space", ["original", "folded"])
-    def test_kernel_off_the_grid_is_infeasible(self, space):
-        # a^2 overflows, and so does the log factor alpha (1 - alpha): every
-        # row takes the log-sum-exp row path, and every drift center but
-        # delta = 0 lies off the grid, so those rows have no mass on it
-        p = mk(a=1e200, horizon=1)
+    def test_kernel_off_the_grid_is_infeasible(self, space, a):
+        # every drift center but delta = 0 lies off the grid, so those rows
+        # have no mass on it.  At a = 1e200 every row sum of the factored
+        # kernel underflows (row is NaN), and at a = 1e305 its log factors
+        # overflow (no stencil): either way every row takes the log-sum-exp
+        # row path, whose row at delta = 0 keeps its mass
+        p = mk(a=a, horizon=1)
         grid = GridSpec(auto_delta_max(p, TRAPEZOID), 201)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stage = _BellmanStage(p, grid, TRAPEZOID, space, True)
-            assert stage.stencil is None
+            assert stage.stencil is None or np.isnan(stage.stencil[1][0]).all()
             off = np.flatnonzero(stage.nodes)
             flat = np.zeros((1, len(stage.nodes)))
-            assert np.all(stage._rows(flat, off, grid.n_points - 1) == -np.inf)
+            assert np.all(stage._rows(flat, off) == -np.inf)
+            assert stage._rows(flat, np.array([stage.zero])) == 0.0
             q0, q1 = stage.q_values(np.zeros((2, len(stage.nodes))))
             assert not np.isnan(q0).any() and not np.isnan(q1).any()
             with pytest.raises(InfeasibleModelError) as err:
                 value_iterate(p, grid, TRAPEZOID, space=space)
         assert err.value.stage == 1
+
+
+class TestTrapezoidStructure:
+    """The paper's structural results under the folded trapezoid rule, over
+    the random model family: a threshold policy, tables nondecreasing in
+    delta, and no transmission on the bad channel or with no stage to go."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-1.3, 1.3),
+        log_sigma2=st.floats(-2.0, 3.0),
+        log_lam=st.floats(-2.0, 4.0),
+        log_gamma=st.floats(-6.0, 0.0),
+        horizon=st.integers(1, 7),
+        p01=st.floats(0.05, 0.95),
+        p10=st.floats(0.05, 0.95),
+    )
+    def test_threshold_policy_on_auto_grid(
+        self, a, log_sigma2, log_lam, log_gamma, horizon, p01, p10
+    ):
+        p = ModelParams(
+            a=a,
+            sigma2=math.exp(log_sigma2),
+            lam=math.exp(log_lam),
+            gamma=math.exp(log_gamma),
+            horizon=horizon,
+            p01=p01,
+            p10=p10,
+        )
+        assume(check_feasibility(p).feasible)
+        grid = GridSpec(auto_delta_max(p, TRAPEZOID), 401)
+        table, policy = value_iterate(p, grid, TRAPEZOID, space="folded")
+        extract_thresholds(policy, grid)
+        w = table.w
+        assert np.all(np.diff(w, axis=2) >= -1e-9 * np.maximum(1.0, np.abs(w[..., 1:])))
+        assert not policy.u_star[:, 0].any() and not policy.u_star[0].any()
 
 
 class TestExactTie:
