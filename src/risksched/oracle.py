@@ -1,8 +1,10 @@
 """Exact verification on small quantized instances.
 
 The continuous error is replaced by a finite uniform ladder of states and
-the Gaussian noise by a symmetric moment-matched atom set, giving a finite
+the Gaussian noise by a closed-form Gauss-Hermite atom set, giving a finite
 MDP whose risk-sensitive cost E[exp(gamma * sum d)] is computable exactly.
+Its Bellman stage gathers the next values at each atom's snapped state, so
+the oracle calls neither LAPACK nor BLAS.
 Three routes must then agree: exhaustive policy enumeration, backward
 induction, and direct evaluation of the certified policy.  Enumeration
 walks the policies stage by stage, so policies that share their last
@@ -16,12 +18,13 @@ expectations in the unit tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams
-from .solver import GridSpec, _hermite_nodes
+from .solver import GridSpec
 
 __all__ = [
     "EnumerationBudgetError",
@@ -77,7 +80,11 @@ class QuantizedChain:
         return int(_snap(np.asarray(delta, dtype=float), self.delta_states))
 
     def drift_matrix(self) -> np.ndarray:
-        """M[i, i+] = P(next state i+ | state i, no delivery)."""
+        """M[i, i+] = P(next state i+ | state i, no delivery).
+
+        The chain's law in matrix form, for outside checks: the Bellman
+        stage gathers over drift_to and reset_to instead.
+        """
         n = self.n_states
         m = np.zeros((n, n))
         np.add.at(m, (np.arange(n)[:, None], self.drift_to), self.noise_probs[None, :])
@@ -105,11 +112,27 @@ def _snap(x: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _noise_atoms(sigma: float, noise_points: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gaussian-quadrature atoms match N(0, sigma^2) moments up to degree
-    # 2*noise_points - 1 (2 points: +-sigma at 1/2; 3: {0, +-sigma*sqrt(3)}
-    # at {2/3, 1/6, 1/6}).
-    y, wt = _hermite_nodes(noise_points)
-    return np.sqrt(2.0) * sigma * y, wt / wt.sum()
+    # Gauss-Hermite atoms in closed form, which match the N(0, sigma^2)
+    # moments up to degree 2*noise_points - 1: 2 points are +-sigma at 1/2;
+    # 3 are {0, +-sigma*sqrt(3)} at {2/3, 1/6}; 5 are {0, +-sigma*sqrt(5 -+ sqrt(10))}
+    # at {8/15, (7 +- 2*sqrt(10))/60}.  The 5-point inner atom and outer
+    # probability are taken as sqrt(15)/sqrt(5 + sqrt(10)) and
+    # 3/(20*(7 + 2*sqrt(10))), which cancel nothing: each 5-point constant is
+    # then the correctly rounded value.  The positive half is mirrored, so the
+    # atoms are odd and their probabilities even bitwise.
+    if noise_points == 2:
+        centre, half, half_probs = [], [1.0], [0.5]
+    elif noise_points == 3:
+        centre, half, half_probs = [2.0 / 3.0], [math.sqrt(3.0)], [1.0 / 6.0]
+    else:
+        r = math.sqrt(10.0)
+        centre = [8.0 / 15.0]
+        half = [math.sqrt(15.0) / math.sqrt(5.0 + r), math.sqrt(5.0 + r)]
+        half_probs = [(7.0 + 2.0 * r) / 60.0, 3.0 / (20.0 * (7.0 + 2.0 * r))]
+    pos = sigma * np.array(half)
+    values = np.concatenate([-pos[::-1], np.zeros(len(centre)), pos])
+    probs = np.concatenate([half_probs[::-1], centre, half_probs])
+    return values, probs
 
 
 def quantize(
@@ -133,7 +156,8 @@ def quantize(
         raise ValueError(f"delta_q must be finite and > 0, got {delta_q}")
     states = GridSpec.unfold(np.linspace(0.0, delta_q, (n_delta + 1) // 2), odd=True)
     values, probs = _noise_atoms(params.sigma, noise_points)
-    drift_to = _snap(params.a * states[:, None] + values[None, :], states)
+    with np.errstate(over="ignore"):  # |a| * delta_q past the float range snaps to an end
+        drift_to = _snap(params.a * states[:, None] + values[None, :], states)
     reset_to = _snap(values, states)
     return QuantizedChain(
         delta_states=states,
@@ -158,22 +182,47 @@ def _stage_costs(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
     return e0, e1
 
 
+def _expect(g: np.ndarray, to: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum_k probs[k] * g[..., to[..., k], :]: the expectation of g over the
+    noise atoms, gathered at their snapped states."""
+    acc = g[..., to[..., 0], :] * probs[0]
+    for k in range(1, len(probs)):
+        acc += g[..., to[..., k], :] * probs[k]
+    return acc
+
+
+def _mix(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """sum_c row[c] * x[..., c] over x's next-channel axis, for one row of
+    the channel law.
+
+    Taken from the likelier channel b as x[b] + row[o] * (x[o] - x[b]), so
+    equal entries mix to themselves bitwise, and with row[o] <= 1/2 and
+    x > 0 the result stays within a few ulps.
+    """
+    b = int(row[1] > row[0])
+    o = 1 - b
+    return x[..., b] + row[o] * (x[..., o] - x[..., b])
+
+
 def _stage(chain: QuantizedChain, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One multiplicative Bellman stage: (idle, transmit) exp-values from g.
 
     g holds the exp-values with one stage fewer to go, shaped (..., n, 2)
     over any leading policy axes; both results have its shape.  A lost
     attempt (bad channel) pays lam on top of the idle cost and moves like
-    idle; a delivered one resets the error.
+    idle; a delivered one resets the error.  The expectations gather g at
+    each noise atom's snapped state, so no stage forms the chain's matrices.
     """
-    drift = chain.drift_matrix()
-    reset = chain.reset_vector()
     e0, e1 = _stage_costs(chain)
-    idle = (drift @ g) @ chain.channel.T  # E[g(next) | i, c, no delivery]
-    cont_reset = (reset @ g) @ chain.channel.T  # E[g(next) | c, delivery]
+    drift = _expect(g, chain.drift_to, chain.noise_probs)  # E[g(next) | i, no delivery]
+    reset = _expect(g, chain.reset_to, chain.noise_probs)  # E[g(next) | delivery]
+    idle = np.empty_like(drift)
+    for c in (0, 1):
+        idle[..., c] = _mix(drift, chain.channel[c])
+    del drift
     transmit = np.empty_like(idle)
     np.multiply(e1[:, 0], idle[..., 0], out=transmit[..., 0])
-    np.multiply(e1[:, 1], cont_reset[..., 1, None], out=transmit[..., 1])
+    np.multiply(e1[:, 1], _mix(reset, chain.channel[1])[..., None], out=transmit[..., 1])
     idle *= e0
     return idle, transmit
 

@@ -536,8 +536,10 @@ class _BellmanStage:
         self.cost_scale = 1.0 if risk_neutral else params.gamma
         # Unnormalized kernels scale every expectation by sqrt(2 pi sigma2).
         self.stage_shift = 0.0 if normalized else 0.5 * math.log(2.0 * math.pi * params.sigma2)
-        # Kernel means of the idle step, and the node a delivery starts from.
-        self.centers = params.a * self.nodes
+        # Kernel means of the idle step, and the node a delivery starts from;
+        # a mean past the float range is inf, whose kernel lies off the grid.
+        with np.errstate(over="ignore"):
+            self.centers = params.a * self.nodes
         self.zero = 0 if space == "folded" else grid.n_points // 2
         if self.trapezoid:
             self.stencil = self._factors()

@@ -369,6 +369,22 @@ class TestBadInputs:
         thr = [float(r["threshold"]) for r in rows if (r["stages_to_go"], r["c"]) == ("1", "1")]
         assert len(thr) == 1 and 1.0 < thr[0] <= 1.0 + 2 * 6.5 / 400
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gain_past_the_float_range_at_one_stage(self, tmp_path, capsys):
+        # a * delta leaves the float range: Hermite extrapolates the all-zero
+        # W_0, the trapezoid kernel lies off the grid, and the chain's drift
+        # snaps to the ladder ends; none may raise a RuntimeWarning
+        runs = [
+            ("gauss-hermite-centered", ["solve"], 0),
+            ("trapezoid-on-grid", ["solve"], 2),
+            ("gauss-hermite-centered", ["oracle", "--n-delta", "9"], 0),
+        ]
+        for rule, command, want in runs:
+            cfg = write_config(tmp_path / "c.cfg", a="1.7e308", T=1, quad_rule=rule)
+            out = tmp_path / "o"
+            assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == want
+            assert "Traceback" not in capsys.readouterr().err
+
     def test_unwritable_trace_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
         out = tmp_path / "o"
@@ -719,6 +735,18 @@ class TestOracle:
         assert len(rows) == 6
         assert all(r["pass"] == "1" for r in rows)
         assert any(h.startswith("# noise_values") for h in header)
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rule", ["gauss-hermite-centered", "trapezoid-on-grid"])
+    @pytest.mark.parametrize("a", ["0.9", "0.5", "0", "1.2"])
+    def test_report_all_pass_at_one_stage(self, tmp_path, capsys, rule, a):
+        # with one stage to go the solver and both chains are exact, so the
+        # refinement check sees rounding errors alone and must not fail on them
+        cfg = write_config(tmp_path / "c.cfg", a=a, T=1, quad_rule=rule)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "oracle_report.csv")
+        assert [r["check"] for r in rows if r["pass"] != "1"] == []
         assert "FAIL" not in capsys.readouterr().out
 
     def test_inexact_ladder_step_fits_budget(self, tmp_path, capsys):

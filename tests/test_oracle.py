@@ -17,7 +17,8 @@ from risksched import (
     always_transmit_policy,
     quantize,
 )
-from risksched.oracle import _evaluate, _threshold_cuts, enumeration_size
+from risksched.cli import cmd_oracle, parse_config
+from risksched.oracle import _evaluate, _stage, _stage_costs, _threshold_cuts, enumeration_size
 
 
 def mk(**kw):
@@ -29,24 +30,31 @@ def mk(**kw):
 class TestQuantize:
     def test_noise_atoms_two_point(self):
         chain = quantize(mk(sigma2=4.0), 5, 2)
-        assert_allclose(chain.noise_values, [-2.0, 2.0], atol=1e-12)
-        assert_allclose(chain.noise_probs, [0.5, 0.5], atol=1e-15)
+        assert chain.noise_values.tolist() == [-2.0, 2.0]
+        assert chain.noise_probs.tolist() == [0.5, 0.5]
 
     def test_noise_atoms_three_point(self):
         chain = quantize(mk(sigma2=1.0), 5, 3)
         s3 = math.sqrt(3.0)
-        assert_allclose(chain.noise_values, [-s3, 0.0, s3], atol=1e-12)
-        assert_allclose(chain.noise_probs, [1 / 6, 2 / 3, 1 / 6], atol=1e-15)
+        assert chain.noise_values.tolist() == [-s3, 0.0, s3]
+        assert chain.noise_probs.tolist() == [1 / 6, 2 / 3, 1 / 6]
 
-    @pytest.mark.parametrize("noise_points,max_degree", [(2, 3), (3, 5), (5, 9)])
-    def test_noise_moments_match_gaussian(self, noise_points, max_degree):
-        sigma2 = 1.7
+    @pytest.mark.parametrize("noise_points", [2, 3, 5])
+    @pytest.mark.parametrize("sigma2", [1e-6, 0.09, 1.0, 1.7, 87.6, 1e6])
+    def test_noise_moments_match_gaussian(self, noise_points, sigma2):
+        # the atoms are mirrored bitwise, and their moments up to degree
+        # 2k - 1 are N(0, sigma^2)'s to 1e-15 of the absolute moment
         chain = quantize(mk(sigma2=sigma2), 5, noise_points)
         v, p = chain.noise_values, chain.noise_probs
-        # Gaussian moments: 0 for odd k, sigma^k * (k-1)!! for even k
-        for k in range(max_degree + 1):
-            expected = 0.0 if k % 2 else sigma2 ** (k // 2) * math.prod(range(k - 1, 0, -2))
-            assert np.dot(p, v**k) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert len(v) == noise_points
+        assert np.array_equal(v[::-1], -v) and np.array_equal(p[::-1], p)
+        assert abs(math.fsum(p) - 1.0) <= 2 * np.spacing(1.0)
+        sigma = chain.params.sigma
+        for k in range(2 * noise_points):
+            # Gaussian moments: 0 for odd k, sigma^k * (k-1)!! for even k
+            expected = 0.0 if k % 2 else sigma**k * math.prod(range(k - 1, 0, -2))
+            scale = math.fsum(p * np.abs(v) ** k)
+            assert abs(math.fsum(p * v**k) - expected) <= 1e-15 * scale
 
     def test_snap_targets_and_ties(self):
         # states [-1, 0, 1]; a = 0.5, noise +-1; ties snap toward 0
@@ -145,6 +153,63 @@ class TestExactPolicyCost:
         a = exact_policy_cost(chain, idle_policy(), 1.9, 0)
         b = exact_policy_cost(chain, idle_policy(), 2.0, 0)
         assert a == b
+
+
+def _dense_stage(chain, g):
+    """_stage through the chain's law in matrix form, in extended precision."""
+    drift, reset, channel = (
+        np.asarray(m, dtype=np.longdouble)
+        for m in (chain.drift_matrix(), chain.reset_vector(), chain.channel)
+    )
+    e0, e1 = _stage_costs(chain)
+    g = g.astype(np.longdouble)
+    idle = (drift @ g) @ channel.T
+    cont_reset = (reset @ g) @ channel.T
+    transmit = np.stack([e1[:, 0] * idle[..., 0], e1[:, 1] * cont_reset[..., 1, None]], axis=-1)
+    return (idle * e0).astype(float), transmit.astype(float)
+
+
+class TestStage:
+    @pytest.mark.parametrize(
+        "kwargs,n_delta,noise_points,delta_q",
+        [
+            (dict(), 9, 3, None),
+            (dict(a=0.0), 5, 2, None),
+            (dict(a=-0.75, p01=0.9, p10=0.7), 17, 5, None),
+            (dict(p01=0.5, p10=0.5), 11, 3, 1.0),
+            # ladder ends: every row sends two or three atoms to one end
+            # state, and a delivery sends two to each end (reset_to 0 0 4 8 8)
+            (dict(a=1.2, sigma2=4.0), 9, 5, 2.0),
+        ],
+    )
+    def test_gather_matches_dense_law(self, kwargs, n_delta, noise_points, delta_q):
+        chain = quantize(mk(**kwargs), n_delta, noise_points, delta_q)
+        rng = np.random.default_rng(11)
+        for sd in (0.1, 1.0, 3.0):
+            g = np.exp(rng.normal(0.0, sd, (3, 4, n_delta, 2)))  # two leading policy axes
+            for got, ref in zip(_stage(chain, g), _dense_stage(chain, g)):
+                assert got.shape == g.shape
+                assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_runs_without_lapack(self, tmp_path, monkeypatch, capsys):
+        # the atoms are closed-form and the stage a gather: no eigensolver
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called LAPACK")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for noise_points in (2, 3, 5):
+            chain = quantize(mk(horizon=2), 9, noise_points)
+            result = brute_force_optimal(chain)
+            assert exact_policy_cost(chain, idle_policy(), 1.0, 0) > 1.0
+            assert result.value.shape == (9, 2)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "a = 0.9\nsigma2 = 1.0\nlambda = 1.0\ngamma = 0.05\nT = 2\np01 = 0.3\n"
+            "p10 = 0.2\nn_points = 201\nquad_rule = trapezoid-on-grid\n"
+        )
+        assert cmd_oracle(parse_config(cfg), tmp_path / "out", 9, 5, None, "auto") == 0
+        assert capsys.readouterr().out.count("PASS") == 6
 
 
 def _reference_policies(chain, mode):
