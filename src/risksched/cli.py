@@ -31,6 +31,7 @@ from .model import ModelParams
 from .oracle import (
     ENUM_BUDGET,
     EnumerationBudgetError,
+    _rel_gap,
     brute_force_optimal,
     chain_policy,
     enumeration_size,
@@ -387,59 +388,60 @@ def cmd_simulate(
     return 0
 
 
-def _budget_overflow(n_delta: int, horizon: int, mode: str) -> str | None:
+def _budget_overflow(n_delta: int, horizon: int) -> str | None:
     """Why cmd_oracle's enumerations overflow ENUM_BUDGET, or None if they fit:
     the requested n_delta chain, then its 2*n_delta-1 refinement."""
-    for label, n, m in (("requested", n_delta, mode), ("refinement", 2 * n_delta - 1, "threshold")):
-        m, base, exponent = enumeration_size(n, horizon, m)
+    for label, n in (("requested", n_delta), ("refinement", 2 * n_delta - 1)):
+        base, exponent = enumeration_size(n, horizon)
         if base**exponent > ENUM_BUDGET:
-            need = f"{base}**{exponent} policies in {m} mode (> {ENUM_BUDGET})"
+            need = f"{base}**{exponent} policies (> {ENUM_BUDGET})"
             return f"{label} chain (n_delta={n}) needs {need}"
     return None
 
 
-def _largest_fitting_n_delta(horizon: int, mode: str) -> int | None:
+def _largest_fitting_n_delta(horizon: int) -> int | None:
     """Largest odd n_delta whose oracle enumerations all fit ENUM_BUDGET, or None.
 
     Every count grows with n_delta, so the scan stops at the first overflow;
     it ends because horizon >= 1, which holds whenever an enumeration overflows.
     """
     n = 3
-    while _budget_overflow(n, horizon, mode) is None:
+    while _budget_overflow(n, horizon) is None:
         n += 2
     return n - 2 if n > 3 else None
 
 
 def cmd_oracle(
-    cfg: Config, out: Path, n_delta: int, noise_points: int, delta_q: float | None, mode: str
+    cfg: Config, out: Path, n_delta: int, noise_points: int, delta_q: float | None
 ) -> int:
     params = cfg.params
+    # the budget needs only n_delta and T, so an overflow builds no chain
+    overflow = _budget_overflow(n_delta, params.horizon)
+    if overflow:
+        best = _largest_fitting_n_delta(params.horizon)
+        hint = "no odd n_delta >= 3 fits" if best is None else f"the largest n_delta that fits is {best}"
+        raise EnumerationBudgetError(f"{overflow}; {hint}")
     try:
         chain = quantize(params, n_delta, noise_points, delta_q)
         fine = quantize(params, 2 * n_delta - 1, 5, delta_q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    overflow = _budget_overflow(n_delta, params.horizon, mode)
-    if overflow:
-        best = _largest_fitting_n_delta(params.horizon, mode)
-        hint = "no odd n_delta >= 3 fits" if best is None else f"the largest n_delta that fits is {best}"
-        raise EnumerationBudgetError(f"{overflow}; with --mode {mode}, {hint}")
     # an infeasible model exits 2 here: the chain's finite noise atoms keep
     # every enumerated value finite, so the checks below cannot see it
     _, table, _ = _solve(cfg)
     w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
-    result = brute_force_optimal(chain, mode=mode)
+    result = brute_force_optimal(chain)
     checks: list[tuple[str, bool, str]] = []
 
-    gap = float(np.max(np.abs(result.value - result.enum_value) / np.abs(result.value)))
+    # a NaN gap (+inf on one side only) fails, as any comparison with NaN does
+    gap = _rel_gap(result.value, result.enum_value)
     checks.append(("enumeration_matches_backward_induction", gap <= 1e-12, f"rel_gap={gap:.3e}"))
 
     pol_fn = chain_policy(result.policy, chain)
-    eval_gap = 0.0
-    for i, s in enumerate(chain.delta_states):
-        for c in (0, 1):
-            v = exact_policy_cost(chain, pol_fn, float(s), c)
-            eval_gap = max(eval_gap, abs(v - result.value[i, c]) / result.value[i, c])
+    evaluated = np.array(
+        [[exact_policy_cost(chain, pol_fn, float(s), c) for c in (0, 1)] for s in chain.delta_states]
+    )
+    eval_gap = _rel_gap(result.value, evaluated)
     checks.append(
         ("exact_policy_cost_matches_certified_optimum", eval_gap <= 1e-12, f"rel_gap={eval_gap:.3e}")
     )
@@ -461,7 +463,7 @@ def cmd_oracle(
     checks.append(("optimal_policy_threshold_structure", upset_ok, "up-set in |delta|"))
 
     disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
-    fine_result = brute_force_optimal(fine, mode="threshold")
+    fine_result = brute_force_optimal(fine)
     disc_fine = float(np.max(np.abs(np.log(fine_result.value[fine.n_states // 2]) - w0)))
     # a discrepancy within rounding counts as none: at T = 1 the solver and
     # both chains are exact, and only their rounding errors would be compared
@@ -485,7 +487,6 @@ def cmd_oracle(
             "noise_values": " ".join(_cells(chain.noise_values)),
             "noise_probs": " ".join(_cells(chain.noise_probs)),
             "noise_scheme": chain.noise_scheme,
-            "enum_mode": result.enum_mode,
             "n_enumerated": result.n_enumerated,
         },
     )
@@ -587,7 +588,6 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--n-delta", type=int, default=9)
     p_oracle.add_argument("--noise-points", type=int, default=3, choices=[2, 3, 5])
     p_oracle.add_argument("--delta-q", type=float, default=None)
-    p_oracle.add_argument("--mode", default="auto", choices=["auto", "full", "threshold"])
 
     p_sweep = sub.add_parser("sweep", help="thresholds and values along a parameter axis")
     common(p_sweep)
@@ -638,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg, out, args.policy_source, args.threshold_file, args.delta0, c0
             )
         if args.command == "oracle":
-            return cmd_oracle(cfg, out, args.n_delta, args.noise_points, args.delta_q, args.mode)
+            return cmd_oracle(cfg, out, args.n_delta, args.noise_points, args.delta_q)
         # "sweep", the one command left by the required subparser
         try:
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]

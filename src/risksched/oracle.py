@@ -5,15 +5,17 @@ the Gaussian noise by a closed-form Gauss-Hermite atom set, giving a finite
 MDP whose risk-sensitive cost E[exp(gamma * sum d)] is computable exactly.
 Its Bellman stage gathers the next values at each atom's snapped state, so
 the oracle calls neither LAPACK nor BLAS.
-Three routes must then agree: exhaustive policy enumeration, backward
-induction, and direct evaluation of the certified policy.  Enumeration
-walks the policies stage by stage, so policies that share their last
-stages share that tail's values.  All three apply one chain Bellman stage,
-so their agreement does not test that stage: it tests that the optimum
-lies in the enumerated family (in 'threshold' mode, that it is an even
-magnitude-threshold policy) and that the certified table is evaluated back
-to its own value.  The stage itself is guarded by the hand-computed
-expectations in the unit tests.
+Three routes must then agree: enumeration of every even
+magnitude-threshold policy (one cut on |delta| per stage and channel),
+backward induction, and direct evaluation of the certified policy.
+Enumeration walks the policies stage by stage, so policies that share
+their last stages share that tail's values.  All three apply one chain
+Bellman stage, so their agreement does not test that stage: it tests that
+the optimum is an even magnitude-threshold policy, the paper's structural
+result, and that the certified table is evaluated back to its own value.
+The stage itself is guarded by the hand-computed expectations in the unit
+tests.  A value past the float range is +inf: such a policy never wins a
+minimum, and equal +inf entries agree.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ __all__ = [
     "enumeration_size",
 ]
 
-# Full enumeration walks 2**(n_states * 2 * stages) policies; threshold
-# enumeration walks (n_magnitudes + 1)**(2 * stages).  Either count must
-# stay below this before we start.
+# Enumeration walks (n_magnitudes + 1)**(2 * stages) policies; the count
+# must stay below this before we start.
 ENUM_BUDGET = 1 << 21
 
 
@@ -172,13 +173,15 @@ def quantize(
 
 
 def _stage_costs(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
-    """exp-costs exp(gamma*d) for u=0 and u=1, each (n_states, 2)."""
+    """exp-costs exp(gamma*d) for u=0 and u=1, each (n_states, 2); +inf
+    past the float range."""
     p = chain.params
     z = np.square(chain.delta_states)
-    e0 = np.exp(p.gamma * z)[:, None] * np.ones((1, 2))
-    e1 = np.empty_like(e0)
-    e1[:, 0] = np.exp(p.gamma * (p.lam + z))
-    e1[:, 1] = np.exp(p.gamma * p.lam)
+    with np.errstate(over="ignore"):
+        e0 = np.exp(p.gamma * z)[:, None] * np.ones((1, 2))
+        e1 = np.empty_like(e0)
+        e1[:, 0] = np.exp(p.gamma * (p.lam + z))
+        e1[:, 1] = np.exp(p.gamma * p.lam)
     return e0, e1
 
 
@@ -197,11 +200,17 @@ def _mix(x: np.ndarray, row: np.ndarray) -> np.ndarray:
 
     Taken from the likelier channel b as x[b] + row[o] * (x[o] - x[b]), so
     equal entries mix to themselves bitwise, and with row[o] <= 1/2 and
-    x > 0 the result stays within a few ulps.
+    x > 0 the result stays within a few ulps.  An entry is +inf where a
+    channel of positive probability has +inf; the formula gives NaN where
+    that channel is b, and row[o] = 0 would weigh an infinite x[o] as NaN.
     """
     b = int(row[1] > row[0])
     o = 1 - b
-    return x[..., b] + row[o] * (x[..., o] - x[..., b])
+    if row[o] == 0:
+        return x[..., b]
+    with np.errstate(invalid="ignore"):
+        mixed = x[..., b] + row[o] * (x[..., o] - x[..., b])
+    return np.where(np.isnan(mixed), np.inf, mixed)
 
 
 def _stage(chain: QuantizedChain, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,18 +221,20 @@ def _stage(chain: QuantizedChain, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     attempt (bad channel) pays lam on top of the idle cost and moves like
     idle; a delivered one resets the error.  The expectations gather g at
     each noise atom's snapped state, so no stage forms the chain's matrices.
+    A value past the float range is +inf.
     """
     e0, e1 = _stage_costs(chain)
-    drift = _expect(g, chain.drift_to, chain.noise_probs)  # E[g(next) | i, no delivery]
-    reset = _expect(g, chain.reset_to, chain.noise_probs)  # E[g(next) | delivery]
-    idle = np.empty_like(drift)
-    for c in (0, 1):
-        idle[..., c] = _mix(drift, chain.channel[c])
-    del drift
-    transmit = np.empty_like(idle)
-    np.multiply(e1[:, 0], idle[..., 0], out=transmit[..., 0])
-    np.multiply(e1[:, 1], _mix(reset, chain.channel[1])[..., None], out=transmit[..., 1])
-    idle *= e0
+    with np.errstate(over="ignore"):
+        drift = _expect(g, chain.drift_to, chain.noise_probs)  # E[g(next) | i, no delivery]
+        reset = _expect(g, chain.reset_to, chain.noise_probs)  # E[g(next) | delivery]
+        idle = np.empty_like(drift)
+        for c in (0, 1):
+            idle[..., c] = _mix(drift, chain.channel[c])
+        del drift
+        transmit = np.empty_like(idle)
+        np.multiply(e1[:, 0], idle[..., 0], out=transmit[..., 0])
+        np.multiply(e1[:, 1], _mix(reset, chain.channel[1])[..., None], out=transmit[..., 1])
+        idle *= e0
     return idle, transmit
 
 
@@ -280,35 +291,17 @@ def _threshold_cuts(chain: QuantizedChain) -> np.ndarray:
     return np.append(np.unique(np.abs(chain.delta_states)), np.inf)
 
 
-def enumeration_size(n_states: int, horizon: int, mode: str) -> tuple[str, int, int]:
-    """(mode, base, exponent) such that brute_force_optimal walks
-    base**exponent policies on a quantize(..., n_states, ...) chain.
-
-    mode 'auto' resolves to 'full' when that fits ENUM_BUDGET, else to
-    'threshold'; the resolved mode is returned.
-    """
-    full_bits = n_states * 2 * horizon
-    if mode == "auto":
-        mode = "full" if 2**full_bits <= ENUM_BUDGET else "threshold"
-    if mode == "full":
-        return mode, 2, full_bits
-    if mode == "threshold":
-        return mode, (n_states + 1) // 2 + 1, 2 * horizon
-    raise ValueError(f"unknown enumeration mode {mode!r}")
+def enumeration_size(n_states: int, horizon: int) -> tuple[int, int]:
+    """(base, exponent) such that brute_force_optimal walks base**exponent
+    policies on a quantize(..., n_states, ...) chain: a cut at each of the
+    (n_states + 1) // 2 magnitudes or none, per stage and channel."""
+    return (n_states + 1) // 2 + 1, 2 * horizon
 
 
-def _stage_actions(chain: QuantizedChain, mode: str) -> np.ndarray:
-    """Per-stage action tables (A, n, 2) of the enumerated family.
-
-    Both families are the product over wall stages of this one set: mode
-    'full' holds every deterministic table (A = 2**(2n)), 'threshold' every
-    even magnitude-threshold table (one cut per channel, A = k**2 cut pairs).
-    """
-    n = chain.n_states
-    if mode == "full":
-        codes = np.arange(2 ** (2 * n), dtype=np.int64)
-        bits = (codes[:, None] >> np.arange(2 * n, dtype=np.int64)[None, :]) & 1
-        return bits.reshape(-1, n, 2).astype(bool)
+def _stage_actions(chain: QuantizedChain) -> np.ndarray:
+    """Per-stage action tables (A, n, 2) of the enumerated family: every
+    even magnitude-threshold table (one cut per channel, A = k**2 cut
+    pairs).  The family is the product of this set over wall stages."""
     cuts = _threshold_cuts(chain)
     k = len(cuts)
     codes = np.arange(k * k)
@@ -316,7 +309,7 @@ def _stage_actions(chain: QuantizedChain, mode: str) -> np.ndarray:
     return np.abs(chain.delta_states)[None, :, None] >= pair[:, None, :]
 
 
-def _enumerated_minimum(chain: QuantizedChain, mode: str) -> np.ndarray:
+def _enumerated_minimum(chain: QuantizedChain) -> np.ndarray:
     """Elementwise minimum exp-value (n, 2) over every policy that takes
     each wall stage's table from _stage_actions.
 
@@ -330,7 +323,7 @@ def _enumerated_minimum(chain: QuantizedChain, mode: str) -> np.ndarray:
     tails = np.ones((1, chain.n_states, 2))
     if T == 0:  # the one empty policy
         return tails[0]
-    actions = _stage_actions(chain, mode)
+    actions = _stage_actions(chain)
     for _ in range(T - 1):
         idle, transmit = _stage(chain, tails)
         tails = np.where(actions[:, None], transmit, idle).reshape(-1, chain.n_states, 2)
@@ -349,50 +342,58 @@ def chain_policy(u_table: np.ndarray, chain: QuantizedChain):
     return rule
 
 
+def _rel_gap(ref: np.ndarray, x: np.ndarray) -> float:
+    """max |x - ref| / |ref|, with equal entries (+inf included) at 0; NaN
+    where an entry is +inf on one side only."""
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(x - ref) / np.abs(ref)
+    rel[x == ref] = 0.0
+    return float(np.max(rel))
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     """Certified optimum: DP tables plus the enumeration cross-check.
 
     policy[j][i][c] is the argmin action with j stages to go; value[i][c]
     the optimal exp-cost from each start; enum_value the elementwise
-    minimum over all enumerated policies (equal to value within 1e-12
-    relative, or brute_force_optimal would have raised).
+    minimum over every even magnitude-threshold policy (equal to value
+    within 1e-12 relative, or brute_force_optimal would have raised), and
+    n_enumerated their number.
     """
 
     policy: np.ndarray
     value: np.ndarray
     enum_value: np.ndarray
-    enum_mode: str
     n_enumerated: int
 
 
-def brute_force_optimal(chain: QuantizedChain, mode: str = "auto") -> BruteForceResult:
-    """Enumerate policies, run backward induction, insist the minima agree.
+def brute_force_optimal(chain: QuantizedChain, mode: str = "threshold") -> BruteForceResult:
+    """Enumerate the even magnitude-threshold policies, run backward
+    induction, insist the minima agree.
 
-    The enumeration evaluates every policy of the family, each tail of
-    stages once for all the policies that share it, and gives each policy
-    bitwise the value exact_policy_cost would.  mode 'auto' tries the full sweep when it fits the budget and falls back
-    to the magnitude-threshold family (the optimum of a symmetric chain
-    lies there; the acceptance suite confirms this on instances where the
-    full sweep is affordable).
+    Agreement certifies that an optimal policy of the chain is an even
+    threshold on |delta| per stage and channel, the paper's structural
+    result.  The enumeration evaluates every policy of the family, each
+    tail of stages once for all the policies that share it, and gives each
+    policy bitwise the value exact_policy_cost would.  mode names the
+    family; 'threshold' is the only one.
     """
+    if mode != "threshold":
+        raise ValueError(f"unknown enumeration mode {mode!r}: the only family is 'threshold'")
     T = chain.params.horizon
-    mode, base, exponent = enumeration_size(chain.n_states, T, mode)
+    base, exponent = enumeration_size(chain.n_states, T)
     if base**exponent > ENUM_BUDGET:
         raise EnumerationBudgetError(
-            f"{mode} enumeration needs {base}**{exponent} policies (> {ENUM_BUDGET})"
+            f"threshold enumeration needs {base}**{exponent} policies (> {ENUM_BUDGET})"
         )
-    enum_value = _enumerated_minimum(chain, mode)
+    enum_value = _enumerated_minimum(chain)
     v_dp, u_dp = _backward_induction(chain)
-    gap = np.max(np.abs(v_dp[T] - enum_value) / np.abs(v_dp[T]))
-    if gap > 1e-12:
+    gap = _rel_gap(v_dp[T], enum_value)
+    if not gap <= 1e-12:
         raise OracleMismatchError(
             f"enumeration and backward induction disagree: rel gap {gap:.3e}"
         )
     return BruteForceResult(
-        policy=u_dp,
-        value=v_dp[T],
-        enum_value=enum_value,
-        enum_mode=mode,
-        n_enumerated=base**exponent,
+        policy=u_dp, value=v_dp[T], enum_value=enum_value, n_enumerated=base**exponent
     )

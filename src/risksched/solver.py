@@ -682,8 +682,13 @@ class _BellmanStage:
                 dist = (nodes - center[block, None]) - err[block, None]
                 log_weight = log_w - c * (dist * dist)
                 if self.risk_neutral:
-                    # a weight below the float range is 0, as in a whole kernel
-                    weight = _dd_exp((log_weight, scale[1]))
+                    # shifted by the row's max, as _log_sum shifts, which
+                    # keeps the weights' ratios: unshifted, a kernel many
+                    # sigmas from every node underflows to 0 / 0.  A weight
+                    # below the float range is 0, as in a whole kernel.
+                    peak = np.max(log_weight, axis=1, keepdims=True)
+                    peak[~np.isfinite(peak)] = 0.0
+                    weight = _dd_exp((log_weight - peak, scale[1]))
                     out[:, block] = np.einsum("ik,ck->ci", weight, full) / np.sum(weight, axis=1)
                     continue
                 mass = _log_sum(log_weight)

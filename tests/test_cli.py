@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from risksched import (
     rollout,
     value_iterate,
 )
-from risksched import sim
+from risksched import cli, sim
 from risksched.cli import (
     _BLOCK_ROWS,
     _KEYS,
@@ -781,12 +782,54 @@ class TestOracle:
         assert code == 3
         assert "no odd n_delta >= 3 fits" in capsys.readouterr().err
 
-    def test_budget_exit_3(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg")  # T=3
+    def test_budget_exit_3_builds_no_chain(self, tmp_path, monkeypatch, capsys):
+        # the budget is checked from n_delta and T alone: a 200001-state
+        # ladder is never quantized
+        def refuse(*args, **kwargs):
+            raise AssertionError("quantize called past the budget")
+
+        monkeypatch.setattr(cli, "quantize", refuse)
+        cfg = write_config(tmp_path / "c.cfg", T=1)
         code = main(
-            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--mode", "full"]
+            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "200001"]
         )
         assert code == 3
+        assert "the largest n_delta that fits is 1447" in capsys.readouterr().err
+
+    def test_one_stage_report_header(self, tmp_path, capsys):
+        # the threshold family at T = 1, n_delta = 9: 6 cuts per channel
+        cfg = write_config(tmp_path / "c.cfg", T=1)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", "9"]) == 0
+        header, rows = read_csv(out / "oracle_report.csv")
+        assert "# n_enumerated = 36" in header
+        assert not any(h.startswith("# enum_mode") for h in header)
+        assert [r["pass"] for r in rows] == ["1"] * 6
+
+    def test_mode_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", T=1)
+        with pytest.raises(SystemExit) as ei:
+            main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--mode", "threshold"])
+        assert ei.value.code == 1
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,args",
+        [
+            # exp(gamma * lam) = e^800: every transmit value overflows
+            (dict(T=2, **{"lambda": "2e4", "gamma": "0.04"}), []),
+            (dict(T=2), ["--delta-q", "1e3"]),  # exp(gamma * delta^2) overflows
+        ],
+    )
+    def test_overflowing_chain_values_pass(self, tmp_path, capsys, overrides, args):
+        cfg = write_config(tmp_path / "c.cfg", **overrides)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["oracle", "--config", str(cfg), "--out", str(out), *args]) == 0
+        _, rows = read_csv(out / "oracle_report.csv")
+        assert [r["pass"] for r in rows] == ["1"] * 6
+        assert capsys.readouterr().out.count("PASS") == 6
 
 
 class TestSweep:

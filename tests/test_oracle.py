@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from risksched import (
@@ -15,10 +18,11 @@ from risksched import (
     exact_policy_cost,
     idle_policy,
     always_transmit_policy,
+    check_feasibility,
     quantize,
 )
 from risksched.cli import cmd_oracle, parse_config
-from risksched.oracle import _evaluate, _stage, _stage_costs, _threshold_cuts, enumeration_size
+from risksched.oracle import _evaluate, _mix, _stage, _stage_costs, _threshold_cuts, enumeration_size
 
 
 def mk(**kw):
@@ -83,8 +87,8 @@ class TestQuantize:
             states = chain.delta_states
             assert np.array_equal(states, -states[::-1])
             assert len(np.unique(np.abs(states))) == (n + 1) // 2
-            _, base, exponent = enumeration_size(n, 1, "threshold")
-            assert brute_force_optimal(chain, "threshold").n_enumerated == base**exponent
+            base, exponent = enumeration_size(n, 1)
+            assert brute_force_optimal(chain).n_enumerated == base**exponent
 
     def test_transition_laws_are_stochastic(self):
         chain = quantize(mk(), 9, 3)
@@ -208,19 +212,13 @@ class TestStage:
             "a = 0.9\nsigma2 = 1.0\nlambda = 1.0\ngamma = 0.05\nT = 2\np01 = 0.3\n"
             "p10 = 0.2\nn_points = 201\nquad_rule = trapezoid-on-grid\n"
         )
-        assert cmd_oracle(parse_config(cfg), tmp_path / "out", 9, 5, None, "auto") == 0
+        assert cmd_oracle(parse_config(cfg), tmp_path / "out", 9, 5, None) == 0
         assert capsys.readouterr().out.count("PASS") == 6
 
 
-def _reference_policies(chain, mode):
+def _reference_policies(chain):
     """Every enumerated policy's action table (P, T, n, 2), by wall stage."""
     T = chain.params.horizon
-    n = chain.n_states
-    if mode == "full":
-        bits = n * 2 * T
-        codes = np.arange(2**bits, dtype=np.int64)
-        flat = (codes[:, None] >> np.arange(bits, dtype=np.int64)[None, :]) & 1
-        return flat.reshape(len(codes), T, n, 2).astype(np.int8)
     cuts = _threshold_cuts(chain)
     k = len(cuts)
     rem = np.arange(k ** (2 * T), dtype=np.int64)
@@ -233,16 +231,13 @@ def _reference_policies(chain, mode):
 
 
 class TestBruteForce:
-    @pytest.mark.parametrize(
-        "mode,horizon,n_delta",
-        [("full", 0, 9), ("full", 1, 5), ("full", 2, 3), ("threshold", 2, 17), ("threshold", 3, 9)],
-    )
-    def test_enumeration_matches_per_policy_evaluation(self, mode, horizon, n_delta):
+    @pytest.mark.parametrize("horizon,n_delta", [(0, 9), (1, 5), (2, 17), (3, 9)])
+    def test_enumeration_matches_per_policy_evaluation(self, horizon, n_delta):
         # the stage-by-stage pass must find bitwise the minimum of every
         # enumerated policy evaluated on its own
         chain = quantize(mk(horizon=horizon), n_delta, 3)
-        actions = _reference_policies(chain, mode)
-        result = brute_force_optimal(chain, mode)
+        actions = _reference_policies(chain)
+        result = brute_force_optimal(chain)
         assert result.n_enumerated == len(actions)
         assert np.array_equal(result.enum_value, _evaluate(chain, actions).min(axis=0))
 
@@ -251,29 +246,12 @@ class TestBruteForce:
         chain = quantize(mk(horizon=2), 33, 5)
         tracemalloc.start()
         try:
-            result = brute_force_optimal(chain, "threshold")
+            result = brute_force_optimal(chain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert result.n_enumerated == 18**4
         assert peak < 80e6
-
-    def test_full_and_threshold_sweeps_agree(self):
-        # 3 states, T=2: the unrestricted sweep (4096 policies) and the
-        # even-threshold family (81) certify the same optimum
-        chain = quantize(mk(horizon=2), 3, 3, delta_q=1.5)
-        full = brute_force_optimal(chain, mode="full")
-        thr = brute_force_optimal(chain, mode="threshold")
-        assert full.enum_mode == "full" and full.n_enumerated == 4096
-        assert thr.enum_mode == "threshold" and thr.n_enumerated == 81
-        assert np.array_equal(full.value, thr.value)
-        assert np.array_equal(full.policy, thr.policy)
-
-    def test_auto_mode_selection(self):
-        small = quantize(mk(horizon=2), 3, 3, delta_q=1.5)
-        assert brute_force_optimal(small).enum_mode == "full"
-        big = quantize(mk(horizon=3), 9, 3)
-        assert brute_force_optimal(big).enum_mode == "threshold"
 
     def test_certified_value_matches_direct_evaluation(self):
         chain = quantize(mk(horizon=3), 9, 3)
@@ -289,19 +267,94 @@ class TestBruteForce:
         assert result.policy[:, :, 0].sum() == 0  # bad channel: always idle
         assert np.array_equal(result.policy, result.policy[:, ::-1, :])  # even
 
-    def test_full_budget_error(self):
-        chain = quantize(mk(horizon=3), 9, 3)  # 2**54 action tables
-        with pytest.raises(EnumerationBudgetError):
-            brute_force_optimal(chain, mode="full")
-
     def test_threshold_budget_error(self):
         chain = quantize(mk(horizon=10), 9, 3)  # 6**20 threshold tables
         with pytest.raises(EnumerationBudgetError):
-            brute_force_optimal(chain, mode="threshold")
+            brute_force_optimal(chain)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            brute_force_optimal(quantize(mk(horizon=2), 3, 3), mode="greedy")
+    @pytest.mark.parametrize("mode", ["full", "auto", "greedy"])
+    def test_threshold_is_the_only_family(self, mode):
+        with pytest.raises(ValueError, match="'threshold'"):
+            brute_force_optimal(quantize(mk(horizon=2), 3, 3), mode=mode)
+
+    @pytest.mark.parametrize(
+        "kwargs,delta_q,n_inf",
+        [
+            # exp(gamma * lam) = e^800 overflows: every transmit value is
+            # +inf, and the optimum, which never transmits, stays finite
+            (dict(lam=2e4, gamma=0.04), None, 0),
+            # exp(gamma * delta^2) overflows at the outer states
+            (dict(), 1e3, 8),
+        ],
+    )
+    def test_overflowing_values_are_inf(self, kwargs, delta_q, n_inf):
+        chain = quantize(mk(**kwargs), 9, 3, delta_q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = brute_force_optimal(chain)
+            direct = _evaluate(chain, result.policy[:0:-1][None])[0]
+        assert np.count_nonzero(np.isinf(result.value)) == n_inf
+        assert not np.any(np.isnan(result.enum_value))
+        assert np.array_equal(result.enum_value, result.value)
+        assert np.array_equal(direct, result.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-1.3, 1.3),
+        log_sigma2=st.floats(-2.0, 3.0),
+        log_lam=st.floats(-2.0, 4.0),
+        log_gamma=st.floats(-6.0, 0.0),
+        horizon=st.integers(1, 3),
+        p01=st.floats(0.0, 1.0),
+        p10=st.floats(0.0, 1.0),
+        n_delta=st.sampled_from([3, 5, 9]),
+        noise_points=st.sampled_from([2, 3, 5]),
+    )
+    def test_certified_optimum_is_an_even_threshold_policy(
+        self, a, log_sigma2, log_lam, log_gamma, horizon, p01, p10, n_delta, noise_points
+    ):
+        # the paper's structural result on random feasible chains: the
+        # enumerated threshold family holds the backward-induction optimum,
+        # which is even, idle on the bad channel and an up-set in |delta|
+        p = mk(
+            a=a,
+            sigma2=math.exp(log_sigma2),
+            lam=math.exp(log_lam),
+            gamma=math.exp(log_gamma),
+            horizon=horizon,
+            p01=p01,
+            p10=p10,
+        )
+        assume(check_feasibility(p).feasible)
+        chain = quantize(p, n_delta, noise_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            policy = brute_force_optimal(chain).policy
+        assert np.array_equal(policy, policy[:, ::-1, :])
+        assert not policy[:, :, 0].any()
+        mid = chain.n_states // 2
+        assert np.all(np.diff(policy[1:, mid:, :].astype(int), axis=1) >= 0)
+
+
+class TestMix:
+    # x[..., c] over next channels: (inf, 1), (1, inf), (inf, inf), (2, 3)
+    X = np.array([[np.inf, 1.0], [1.0, np.inf], [np.inf, np.inf], [2.0, 3.0]])
+
+    def test_infinite_channel_of_positive_probability(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _mix(self.X, np.array([0.3, 0.7]))
+        assert np.array_equal(got, [np.inf, np.inf, np.inf, 3.0 + 0.3 * (2.0 - 3.0)])
+
+    @pytest.mark.parametrize(
+        "row,want",
+        [([1.0, 0.0], [np.inf, 1.0, np.inf, 2.0]), ([0.0, 1.0], [1.0, np.inf, np.inf, 3.0])],
+    )
+    def test_zero_probability_channel_is_ignored(self, row, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _mix(self.X, np.array(row))
+        assert np.array_equal(got, want)
 
 
 class TestChainPolicy:

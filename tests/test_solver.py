@@ -544,9 +544,10 @@ class TestTrapezoidProduct:
     rounding does not count against the stage: in
     float64, on the nodes GridSpec rounds, it is itself up to 28 ulps from
     the sum it takes at a = 1.3, sigma2 = e^-2.  The risk-neutral weights
-    are rounded to float64, so a weight that underflows is 0 in both, and
-    -inf * 0 is NaN in both.  Differences are bounded in ulps of max(1,
-    |W|); infinities and NaNs must match exactly.
+    are taken relative to the row's largest, as the stage takes them, and
+    rounded to float64, so a weight that underflows is 0 in both, and -inf
+    * 0 is NaN in both.  Differences are bounded in ulps of max(1, |W|);
+    infinities and NaNs must match exactly.
     """
 
     GRID = GridSpec(10.0, 201)
@@ -573,7 +574,8 @@ class TestTrapezoidProduct:
         table = (GridSpec.unfold(w_t) if stage.space == "folded" else w_t).astype(ld)
         logp = stage.logp.astype(ld)
         if stage.risk_neutral:
-            weight = np.exp(log_weight).astype(float).astype(ld)
+            peak = np.max(log_weight, axis=1, keepdims=True)
+            weight = np.exp(log_weight - peak).astype(float).astype(ld)
             per_next = np.einsum("ik,ck->ci", weight, table) / np.sum(weight, axis=1)
             return (np.exp(logp) @ per_next).astype(float)
         log_mass = _logsumexp(log_weight, axis=1)
@@ -1080,3 +1082,19 @@ class TestRiskNeutral:
         exact = P[:, 0] * p.sigma2 + P[:, 1] * e_min
         assert_allclose(orig.v[2, :, mid], exact, rtol=0, atol=tol)
         assert_allclose(fold.v[2, :, 0], exact, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    def test_kernel_narrower_than_a_grid_step(self, space):
+        # delta_max = 1e6 on 401 points: a step is 5000 sigma, so every row
+        # takes the guard's path, and a row whose center lies between nodes
+        # has log-weights far below the float range, which must not all
+        # underflow to 0 / 0
+        p = mk()
+        grid = GridSpec(1e6, 401)
+        stage = _BellmanStage(p, grid, TRAPEZOID, space, True, risk_neutral=True)
+        rows = np.arange(len(stage.nodes))
+        assert np.all(stage._rows(np.zeros((2, len(rows))), rows) == 0.0)
+        table, _ = risk_neutral_value_iterate(p, grid, TRAPEZOID, space)
+        assert np.all(np.isfinite(table.v))
+        # from delta = 0 the noise snaps to the zero node, whose cost is 0
+        assert np.all(table.v[:, :, stage.zero] == 0.0)
