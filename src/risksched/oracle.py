@@ -287,8 +287,10 @@ def _backward_induction(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _threshold_cuts(chain: QuantizedChain) -> np.ndarray:
-    """Cut options per (stage, c): every ladder magnitude, then never transmit."""
-    return np.append(np.unique(np.abs(chain.delta_states)), np.inf)
+    """Cut options per (stage, c): every ladder magnitude, then never transmit.
+    quantize mirrors the ladder's non-negative half, which is therefore its
+    distinct magnitudes in order (np.unique would also import numpy.ma)."""
+    return np.append(chain.delta_states[chain.n_states // 2 :], np.inf)
 
 
 def enumeration_size(n_states: int, horizon: int) -> tuple[int, int]:

@@ -20,22 +20,29 @@ Chunks run on a pool of one thread per CPU the process may use (a single
 chunk runs on the calling thread).  Each chunk reduces its own totals to a
 few figures, and the calling thread merges them in chunk order, so every
 result is bit-identical whatever the number of workers.  A chunk draws all
-its noise normals first and its channel uniforms a row block at a time, as
-it steps that block, so each extra worker holds about one chunk's normals
-more (CHUNK_SIZE * T doubles, 10.5 MB at T = 20).
+its noise normals first, in Philox fills of ROW_BLOCK rollouts, into one
+array per step block of STEP_ROWS rollouts; it then draws its channel
+uniforms, again a fill at a time, as it comes to each step block, and frees
+the block's normals once the block is stepped.  So each extra worker holds
+about one chunk's normals more (CHUNK_SIZE * T doubles, 10.5 MB at T = 20),
+and one step block's channel path and stage buffers.
 
-A row block is stepped stage-major: its normals are kept as a (T, rows)
+A step block is stepped stage-major: its normals are kept as a (T, rows)
 array, so stage t reads one contiguous row.  The channel's next state does
 not depend on the sensor's action, so the block's whole channel path, an
 int8 (T, rows) array, is computed from its uniforms before the first
-decision, and the uniforms are checked once, there.  Each stage then makes
-one decision, one error step and one stage cost.  A chunk whose totals are
-not all finite (the error overflowed a float) raises FloatingPointError.
+decision, and every uniform is checked once, there.  Each stage then makes
+one decision and one fused pass of in-place ufuncs, which forms the
+delivery mask u*c once and writes both the stage cost and the next error
+into the block's buffers.  model.stage_cost and model.step_error state the
+same arithmetic, bit for bit, and the tests hold the loop to them.  A chunk
+whose totals are not all finite (the error overflowed a float) raises
+FloatingPointError.
 
-Decision functions follow the package convention (delta, c, stages_to_go)
-and must accept equal-length arrays for delta and c.  They are called from
-several threads at once, so they must be safe to call concurrently; the
-package's own are pure.
+Decision functions follow the package convention (delta, c, stages_to_go),
+must accept equal-length arrays for delta and c, and return 0 or 1 per row.
+They are called from several threads at once, so they must be safe to call
+concurrently; the package's own are pure.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, SimTrace, _channel_path, stage_cost, step_error, step_source, update_estimate
+from .model import ModelParams, SimTrace, _channel_path, step_source, update_estimate
 from .solver import _logsumexp
 
 __all__ = [
@@ -59,14 +66,21 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
-# Rollouts stepped together inside a chunk.  Large enough that numpy releases
-# the GIL in each stage's ufuncs and the per-stage Python overhead stays
-# small; small enough that a block's fill buffer, channel path and stage
-# temporaries stay small beside the chunk's normals.  For `simulate` of 10^6
-# rollouts at T = 20 on two workers (a shared 2-vCPU x86_64 VM), blocks of
-# 8192 rows took a median 1.20 s against 1.33 s for 4096 (9 runs each, spread
-# +-20%), but raised ru_maxrss from 60.8 to 62.8 MB.
+# Rollouts per Philox fill: each chunk draws its normals, then its channel
+# uniforms, into one reused (ROW_BLOCK, T) buffer, ROW_BLOCK rows at a time.
 ROW_BLOCK = 1 << 12
+# Rollouts stepped together inside a chunk, a multiple of ROW_BLOCK.  A stage
+# makes the same dozen numpy calls at any block size, so larger blocks spend
+# less of it in Python, holding the GIL the other workers wait for, but hold
+# a larger channel path and larger stage buffers.  `bench/run.py --workload
+# mc-rollouts` on a shared 2-vCPU x86_64 VM (30 s runs, seeds 304-306, the
+# four builds in rotation): median wall_s and peak_rss_mb; then the range of
+# ru_maxrss of its `simulate` in 4 fresh processes each.
+#   np.where stages, 4096 rows  1.495 s  62.56 MB  62.33-62.61 MB
+#   STEP_ROWS = 4096            1.391 s  63.13 MB  62.48-62.86 MB
+#   STEP_ROWS = 8192            1.315 s  63.09 MB  62.70-62.87 MB
+#   STEP_ROWS = 16384           1.207 s  63.65 MB  63.43-64.75 MB
+STEP_ROWS = 1 << 14
 
 # Share of the estimated mean the top 0.1% of samples may carry before the
 # estimate is flagged as tail-dominated.
@@ -90,52 +104,74 @@ def _generator(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
-    """Yield (c(0), noises w, channel uniforms u_chan) of m rollouts in row
-    blocks of at most ROW_BLOCK rollouts; w and u_chan are stage-major
-    (T, rows).
+    """Yield (channel path, noises w) of m rollouts in step blocks of at
+    most STEP_ROWS rollouts, both stage-major (T, rows): the path is int8,
+    row t holding c(t).
 
     Stream order: the m c(0) uniforms (consumed even when c0 is pinned), the
     normals of every block, then each block's uniforms as that block is
     taken.  Each fill continues the stream, so the values are those of one
-    (m, T) normal fill followed by one (m, T) uniform fill.  Every fill goes
-    row-major into one reused buffer: a block's normals are scaled from it
-    into a stage-major copy, and its uniforms are yielded as a transposed
-    view of it, which the next block's fill overwrites.
-    """
-    good = g.random(m) < params.stationary_good_prob()
-    c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
-    starts = range(0, m, ROW_BLOCK)
-    fill = np.empty((min(ROW_BLOCK, m), params.horizon))  # one row-major fill, reused
-    w = []
-    for s in starts:
-        rows = fill[: min(ROW_BLOCK, m - s)]
-        g.standard_normal(out=rows)
-        w.append(np.multiply(rows.T, params.sigma, order="C"))
-        w[-1] += 0.0  # g.normal(0.0, sigma) is 0.0 + sigma * z, which maps a -0.0 draw to 0.0
-    for s in starts:
-        w_block = w.pop(0)  # freed once its block is stepped
-        rows = fill[: w_block.shape[1]]
-        yield c[s : s + len(rows)], w_block, g.random(out=rows).T
-
-
-def _closed_loop(params: ModelParams, policy, delta0: float, c, w, u_chan):
-    """Step len(c) rollouts through the T wall stages and yield (delta, c, u)
-    at each: the sensor sees (delta, c) and decides u, then delta steps with
-    the noise w[t] and c with the channel uniform u_chan[t].  w and u_chan
-    are stage-major (T, len(c)).
-
-    The channel's path does not depend on u, so it is stepped whole before
-    the first stage (every uniform is checked there) and c(t) is row t of an
-    int8 array.
+    (m, T) normal fill followed by one (m, T) uniform fill.  Every fill of
+    ROW_BLOCK rows goes row-major into one reused buffer: the normals are
+    scaled from it into their step block's own array, and the uniforms are
+    stepped from it into the block's channel path (and checked there)
+    before the block is yielded.  The path is a view of one buffer, which
+    the next block overwrites: step a block before taking the next.
     """
     T = params.horizon
-    path = _channel_path(c, u_chan, params)
-    delta = np.full(len(c), float(delta0))
+    good = g.random(m) < params.stationary_good_prob()
+    c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
+    starts = range(0, m, STEP_ROWS)
+    fill = np.empty((min(ROW_BLOCK, m), T))  # one row-major fill, reused
+    path = np.empty((T, min(STEP_ROWS, m)), dtype=np.int8)  # reused, as is fill
+    w = []
+    for s in starts:
+        block = np.empty((T, min(STEP_ROWS, m - s)))
+        for f in range(0, block.shape[1], ROW_BLOCK):
+            rows = fill[: min(ROW_BLOCK, block.shape[1] - f)]
+            g.standard_normal(out=rows)
+            np.multiply(rows.T, params.sigma, out=block[:, f : f + len(rows)])
+        block += 0.0  # g.normal(0.0, sigma) is 0.0 + sigma * z, which maps a -0.0 draw to 0.0
+        w.append(block)
+    for s in starts:
+        block = w.pop(0)  # freed once its block is stepped
+        for f in range(0, block.shape[1], ROW_BLOCK):
+            rows = fill[: min(ROW_BLOCK, block.shape[1] - f)]
+            g.random(out=rows)
+            path[:, f : f + len(rows)] = _channel_path(c[s + f : s + f + len(rows)], rows.T, params)
+        yield path[:, : block.shape[1]], block
+
+
+def _closed_loop(params: ModelParams, policy, delta0: float, path, w):
+    """Step the rollouts of one step block through the T wall stages and
+    yield (delta, c, u, cost) at each: the sensor sees (delta, c), decides
+    u and pays cost = stage_cost(delta, c, u), then delta steps to
+    step_error(delta, w[t], u, c).  path (the channel states, int8) and w
+    are stage-major (T, rows), so c is path[t].
+
+    Each stage is one pass of in-place ufuncs over the block's buffers, and
+    the delivery mask u*c is formed once for the cost and the error step.
+    delta and cost are overwritten by the next stage.
+    """
+    T, rows = path.shape
+    delta, cost, scratch = np.full(rows, float(delta0)), np.empty(rows), np.empty(rows)
+    bits, mask = delta.view(np.int64), scratch.view(np.int64)
+    keep = np.empty(rows, dtype=np.int8)  # 1 - u*c: 0 where an attempt is delivered
     for t in range(T):
         c = path[t]
         u = np.asarray(policy(delta, c, T - t), dtype=np.int8)
-        yield delta, c, u
-        delta = step_error(delta, w[t], u, c, params)
+        np.multiply(u, c, out=keep)
+        np.subtract(1, keep, out=keep)
+        # lam*u + (1 - u*c)*delta**2, NaN where a delivered delta**2 is inf
+        np.square(delta, out=cost)
+        np.multiply(cost, keep, out=cost)
+        np.add(np.multiply(u, params.lam, out=scratch), cost, out=cost)
+        yield delta, c, u, cost
+        # where(u*c == 1, 0.0, a*delta) + w[t]: delivery clears every bit to
+        # +0.0, as np.where sets it, so an overflowed delta resets to w[t]
+        np.multiply(delta, params.a, out=delta)
+        np.bitwise_and(bits, np.negative(keep, out=mask), out=bits)
+        np.add(delta, w[t], out=delta)
 
 
 def rollout(
@@ -157,7 +193,7 @@ def rollout(
     T = params.horizon
     g = _generator(seed, 0)
     x = g.normal(0.0, 1.0, size=1)
-    c, w, u_chan = next(_draws(params, g, 1, c0))
+    path, w = next(_draws(params, g, 1, c0))
     if noise is not None:
         w = np.asarray(noise, dtype=float)[:, np.newaxis]
         if w.shape != (T, 1):
@@ -167,14 +203,13 @@ def rollout(
     else:
         x, x_hat = np.full(1, float(delta0)), np.zeros(1)
 
-    rows = np.zeros((5, T))  # x, x_hat, delta, c, u
-    for t, (delta, c_t, u) in enumerate(_closed_loop(params, policy, delta0, c, w, u_chan)):
-        x_hat = update_estimate(x_hat, x, u, c_t, params)
-        rows[:, t] = x[0], x_hat[0], delta[0], c_t[0], u[0]
+    rows = np.zeros((6, T))  # x, x_hat, delta, c, u, stage cost
+    for t, (delta, c, u, cost) in enumerate(_closed_loop(params, policy, delta0, path, w)):
+        x_hat = update_estimate(x_hat, x, u, c, params)
+        rows[:, t] = x[0], x_hat[0], delta[0], c[0], u[0], cost[0]
         x = step_source(x, w[t], params)
-    x, x_hat, delta, c, u = rows
+    x, x_hat, delta, c, u, cost = rows
     c, u = c.astype(np.int8), u.astype(np.int8)
-    cost = stage_cost(delta, c, u, params)
     return SimTrace(t=np.arange(T), x=x, x_hat=x_hat, delta=delta, c=c, u=u, stage_cost=cost, seed=seed)
 
 
@@ -184,11 +219,11 @@ def _simulate_chunk(
     """Total additive cost of m independent rollouts of the closed loop."""
     total = np.zeros(m)
     start = 0
-    for c, w, u_chan in _draws(params, g, m, c0):
-        block = total[start : start + len(c)]
-        for delta, c_t, u in _closed_loop(params, policy, delta0, c, w, u_chan):
-            block += stage_cost(delta, c_t, u, params)
-        start += len(c)
+    for path, w in _draws(params, g, m, c0):
+        block = total[start : start + w.shape[1]]
+        for *_, cost in _closed_loop(params, policy, delta0, path, w):
+            block += cost
+        start += w.shape[1]
     return total
 
 

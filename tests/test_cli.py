@@ -453,6 +453,24 @@ def test_thread_pool_loads_only_for_several_chunks(tmp_path):
     assert "code 0 loaded [False, False, True]" in proc.stdout, proc.stdout + proc.stderr
 
 
+def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
+    """np.unique imports numpy.ma on its first call, about 15 ms that the
+    oracle's threshold cuts do without: on the verify benchmark's config,
+    `oracle` must not load it."""
+    cfg = write_config(tmp_path / "c.cfg", T=2, n_points=2001, quad_rule="trapezoid-on-grid")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from risksched.cli import main
+        code = main(["oracle", "--n-delta", "17", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "o")!r}])
+        print("code", code, "loaded", "numpy.ma" in sys.modules)
+        """
+    )
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert "code 0 loaded False" in proc.stdout, proc.stdout + proc.stderr
+
+
 class TestSolve:
     def test_artifacts_and_round_trip(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.cfg", n_points=201)

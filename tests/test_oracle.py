@@ -90,6 +90,13 @@ class TestQuantize:
             base, exponent = enumeration_size(n, 1)
             assert brute_force_optimal(chain).n_enumerated == base**exponent
 
+    @pytest.mark.parametrize("noise_points", [2, 3, 5])
+    @pytest.mark.parametrize("n_delta", [3, 5, 9, 17, 33])
+    def test_cuts_are_the_distinct_magnitudes(self, n_delta, noise_points):
+        chain = quantize(mk(horizon=1), n_delta, noise_points)
+        want = np.append(np.unique(np.abs(chain.delta_states)), np.inf)
+        assert _threshold_cuts(chain).tobytes() == want.tobytes()
+
     def test_transition_laws_are_stochastic(self):
         chain = quantize(mk(), 9, 3)
         assert_allclose(chain.drift_matrix().sum(axis=1), np.ones(9), atol=1e-15)

@@ -22,7 +22,8 @@ from risksched import (
     threshold_policy,
 )
 from risksched import sim
-from risksched.sim import CHUNK_SIZE, ROW_BLOCK
+from risksched.model import _channel_path
+from risksched.sim import CHUNK_SIZE, ROW_BLOCK, STEP_ROWS
 from risksched.solver import _logsumexp
 
 
@@ -298,35 +299,87 @@ class TestClosedLoop:
         g = np.random.default_rng(3)
         c = (g.random(m) < 0.6).astype(np.int8)
         w = g.normal(0.0, p.sigma, size=(p.horizon, m))  # stage-major
-        u_chan = g.random(size=(p.horizon, m))
-        batch = list(sim._closed_loop(p, THRESHOLD, 0.75, c, w, u_chan))
+        path = _channel_path(c, g.random(size=(p.horizon, m)), p)
+
+        def stages(path, w):  # copied: the loop overwrites its buffers stage by stage
+            return [[np.copy(a) for a in stage] for stage in sim._closed_loop(p, THRESHOLD, 0.75, path, w)]
+
+        batch = stages(path, w)
         assert len(batch) == p.horizon
         for r in range(m):
-            rows = (c[r : r + 1], w[:, r : r + 1], u_chan[:, r : r + 1])
-            one = list(sim._closed_loop(p, THRESHOLD, 0.75, *rows))
+            one = stages(path[:, r : r + 1], w[:, r : r + 1])
             assert len(one) == p.horizon
             for stage, one_stage in zip(batch, one):
                 for got, want in zip(stage, one_stage):
                     assert got.dtype == want.dtype
                     assert got[r : r + 1].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("a", [0.9, 1e200])
+    def test_stage_is_stage_cost_and_step_error_bit_for_bit(self, a):
+        # stage 0 idles from delta0 = -0.0, so delta(1) = a * -0.0 + w[0] =
+        # w[0]: signed zeros, |delta| at a threshold (1.5 on c = 0, 2.0 on
+        # c = 1), deltas whose a*delta or square overflows, and inf and NaN,
+        # each on both channels, so transmissions are delivered and lost
+        p = mk(a=a, horizon=3)
+        d1 = [0.0, -0.0, 1.5, -1.5, np.nextafter(1.5, 0.0), 2.0, -2.0, 0.3, 1e110, -1e110, 1e160, -1e160]
+        d1 += [np.inf, -np.inf, np.nan]
+        m = 2 * len(d1)
+        w = np.zeros((p.horizon, m))
+        w[0] = d1 * 2
+        w[1] = [0.25, -0.0] * len(d1)
+        path = np.zeros((p.horizon, m), dtype=np.int8)
+        path[:, len(d1) :] = 1
+        thr = np.array([[np.inf, np.inf], [1.0, 1.0], [1.5, 2.0], [np.inf, np.inf]])
+        policy = threshold_policy(ThresholdSchedule(thr))
+        with np.errstate(all="ignore"):
+            stages = [[np.copy(x) for x in stage] for stage in sim._closed_loop(p, policy, -0.0, path, w)]
+            for t, (delta, c, u, cost) in enumerate(stages):
+                assert cost.tobytes() == stage_cost(delta, c, u, p).tobytes()
+                if t + 1 < p.horizon:
+                    assert stages[t + 1][0].tobytes() == step_error(delta, w[t], u, c, p).tobytes()
+        assert stages[1][0].tobytes() == w[0].tobytes()
+        assert set(zip(stages[1][2].tolist(), path[1].tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert np.isnan(stages[1][3]).any() and np.isinf(stages[2][0]).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "policy", [idle_policy(), always_transmit_policy(), THRESHOLD], ids=["idle", "always", "threshold"]
+    )
+    @pytest.mark.parametrize("a", [0.0, 0.9, -1.2])
+    def test_rollout_does_not_warn(self, policy, a):
+        for seed in range(10):
+            rollout(mk(a=a, horizon=6), policy, seed, delta0=0.75)
+
     @pytest.mark.parametrize("bad", [1.0, math.nan])
     def test_uniforms_are_checked_before_the_first_stage(self, bad):
-        # the one bad uniform steps c(T-1) to c(T) in the block's last row
+        # the one bad uniform steps c(T-1) to c(T) in the step block's last
+        # row, which the block's last fill draws
         p = mk(horizon=6)
-        m = ROW_BLOCK
-        g = np.random.default_rng(4)
-        u_chan = g.random(size=(p.horizon, m))
-        u_chan[-1, -1] = bad
+        fills = STEP_ROWS // ROW_BLOCK
+
+        class LastDrawBad:
+            def __init__(self):
+                self.g, self.fills = np.random.default_rng(4), 0
+
+            def standard_normal(self, out):
+                return self.g.standard_normal(out=out)
+
+            def random(self, size=None, out=None):
+                draws = self.g.random(size, out=out)
+                if out is not None:
+                    self.fills += 1
+                    if self.fills == fills:
+                        out[-1, -1] = bad
+                return draws
+
         calls = []
 
         def policy(delta, c, t):
             calls.append(t)
             return np.zeros(len(delta), dtype=np.int8)
 
-        loop = sim._closed_loop(p, policy, 0.0, np.ones(m, np.int8), np.zeros((p.horizon, m)), u_chan)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            next(loop)
+            sim._simulate_chunk(p, policy, STEP_ROWS, LastDrawBad(), 0.0, None)
         assert calls == []
 
 
@@ -350,13 +403,15 @@ def _public_reference_chunk(params, policy, m, g, delta0, c0):
 
 
 class TestChunks:
-    """Row blocks inside a chunk, and chunks on a thread pool."""
+    """Fills and step blocks inside a chunk, and chunks on a thread pool."""
 
     @pytest.mark.parametrize(
         "policy", [idle_policy(), always_transmit_policy(), THRESHOLD], ids=["idle", "always", "threshold"]
     )
     @pytest.mark.parametrize("c0", [None, 0, 1])
-    @pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK + 1, CHUNK_SIZE])
+    @pytest.mark.parametrize(
+        "m", [1, ROW_BLOCK - 1, ROW_BLOCK + 1, STEP_ROWS - 1, STEP_ROWS + 1, CHUNK_SIZE - 1, CHUNK_SIZE]
+    )
     def test_row_blocks_draw_what_one_fill_draws(self, policy, c0, m):
         p = mk(horizon=6)
         g, g_ref = sim._generator(5, 3), sim._generator(5, 3)
@@ -380,7 +435,7 @@ class TestChunks:
         lock = threading.Lock()
         calls = [0]
         idle = idle_policy()
-        per_chunk = CHUNK_SIZE // ROW_BLOCK  # one call per row block at T = 1
+        per_chunk = CHUNK_SIZE // STEP_ROWS  # one call per step block at T = 1
 
         def flaky(delta, c, t):
             with lock:
