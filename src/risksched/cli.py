@@ -29,12 +29,12 @@ import numpy as np
 
 from .model import ModelParams
 from .oracle import (
-    ENUM_BUDGET,
     EnumerationBudgetError,
+    _backward_induction,
+    _check_budget,
     _rel_gap,
     brute_force_optimal,
     chain_policy,
-    enumeration_size,
     exact_policy_cost,
     quantize,
 )
@@ -388,40 +388,13 @@ def cmd_simulate(
     return 0
 
 
-def _budget_overflow(n_delta: int, horizon: int) -> str | None:
-    """Why cmd_oracle's enumerations overflow ENUM_BUDGET, or None if they fit:
-    the requested n_delta chain, then its 2*n_delta-1 refinement."""
-    for label, n in (("requested", n_delta), ("refinement", 2 * n_delta - 1)):
-        base, exponent = enumeration_size(n, horizon)
-        if base**exponent > ENUM_BUDGET:
-            need = f"{base}**{exponent} policies (> {ENUM_BUDGET})"
-            return f"{label} chain (n_delta={n}) needs {need}"
-    return None
-
-
-def _largest_fitting_n_delta(horizon: int) -> int | None:
-    """Largest odd n_delta whose oracle enumerations all fit ENUM_BUDGET, or None.
-
-    Every count grows with n_delta, so the scan stops at the first overflow;
-    it ends because horizon >= 1, which holds whenever an enumeration overflows.
-    """
-    n = 3
-    while _budget_overflow(n, horizon) is None:
-        n += 2
-    return n - 2 if n > 3 else None
-
-
 def cmd_oracle(
     cfg: Config, out: Path, n_delta: int, noise_points: int, delta_q: float | None
 ) -> int:
     params = cfg.params
-    # the budget needs only n_delta and T, so an overflow builds no chain
-    overflow = _budget_overflow(n_delta, params.horizon)
-    if overflow:
-        best = _largest_fitting_n_delta(params.horizon)
-        hint = "no odd n_delta >= 3 fits" if best is None else f"the largest n_delta that fits is {best}"
-        raise EnumerationBudgetError(f"{overflow}; {hint}")
     try:
+        # from n_delta and T alone, so a bad or oversized n_delta builds no chain
+        _check_budget(n_delta, params.horizon)
         chain = quantize(params, n_delta, noise_points, delta_q)
         fine = quantize(params, 2 * n_delta - 1, 5, delta_q)
     except ValueError as exc:
@@ -463,8 +436,8 @@ def cmd_oracle(
     checks.append(("optimal_policy_threshold_structure", upset_ok, "up-set in |delta|"))
 
     disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
-    fine_result = brute_force_optimal(fine)
-    disc_fine = float(np.max(np.abs(np.log(fine_result.value[fine.n_states // 2]) - w0)))
+    fine_value = _backward_induction(fine)[0][params.horizon]
+    disc_fine = float(np.max(np.abs(np.log(fine_value[fine.n_states // 2]) - w0)))
     # a discrepancy within rounding counts as none: at T = 1 the solver and
     # both chains are exact, and only their rounding errors would be compared
     noise = 4.0 * np.spacing(max(1.0, float(np.max(np.abs(w0)))))

@@ -9,7 +9,9 @@ Three routes must then agree: enumeration of every even
 magnitude-threshold policy (one cut on |delta| per stage and channel),
 backward induction, and direct evaluation of the certified policy.
 Enumeration walks the policies stage by stage, so policies that share
-their last stages share that tail's values.  All three apply one chain
+their last stages share that tail's values; the cuts include 0 and +inf,
+so each entry meets both actions at the first wall stage, which is an
+elementwise min of transmit and idle.  All three apply one chain
 Bellman stage, so their agreement does not test that stage: it tests that
 the optimum is an even magnitude-threshold policy, the paper's structural
 result, and that the certified table is evaluated back to its own value.
@@ -112,6 +114,11 @@ def _snap(x: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.where(take_hi, hi, lo)
 
 
+def _check_n_delta(n_delta: int) -> None:
+    if n_delta < 3 or n_delta % 2 == 0:
+        raise ValueError(f"n_delta must be odd and >= 3, got {n_delta}")
+
+
 def _noise_atoms(sigma: float, noise_points: int) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Hermite atoms in closed form, which match the N(0, sigma^2)
     # moments up to degree 2*noise_points - 1: 2 points are +-sigma at 1/2;
@@ -147,8 +154,7 @@ def quantize(
     The ladder mirrors its non-negative half, so it is symmetric bitwise and
     has exactly (n_delta + 1) // 2 distinct magnitudes.
     """
-    if n_delta < 3 or n_delta % 2 == 0:
-        raise ValueError(f"n_delta must be odd and >= 3, got {n_delta}")
+    _check_n_delta(n_delta)
     if noise_points not in (2, 3, 5):
         raise ValueError(f"noise_points must be 2, 3 or 5, got {noise_points}")
     if delta_q is None:
@@ -300,6 +306,25 @@ def enumeration_size(n_states: int, horizon: int) -> tuple[int, int]:
     return (n_states + 1) // 2 + 1, 2 * horizon
 
 
+def _check_budget(n_delta: int, horizon: int) -> int:
+    """Number of policies brute_force_optimal walks on an n_delta-state chain
+    of horizon stages, checked before any chain is built: quantize's
+    ValueError for a bad n_delta, EnumerationBudgetError past ENUM_BUDGET."""
+    _check_n_delta(n_delta)
+    base, exponent = enumeration_size(n_delta, horizon)
+    if base**exponent <= ENUM_BUDGET:
+        return base**exponent
+    # the largest base that fits (an overflow needs exponent >= 2, so the
+    # scan ends); an n-state chain has base (n + 1) // 2 + 1, so base 3 is n = 3
+    fits = 1
+    while (fits + 1) ** exponent <= ENUM_BUDGET:
+        fits += 1
+    best = 2 * fits - 3
+    hint = f"the largest n_delta that fits is {best}" if best >= 3 else "no odd n_delta >= 3 fits"
+    need = f"{base}**{exponent} policies (> {ENUM_BUDGET})"
+    raise EnumerationBudgetError(f"requested chain (n_delta={n_delta}) needs {need}; {hint}")
+
+
 def _stage_actions(chain: QuantizedChain) -> np.ndarray:
     """Per-stage action tables (A, n, 2) of the enumerated family: every
     even magnitude-threshold table (one cut per channel, A = k**2 cut
@@ -319,18 +344,21 @@ def _enumerated_minimum(chain: QuantizedChain) -> np.ndarray:
     computed by the same _stage on the same input as in _evaluate, so every
     policy's value is bitwise _evaluate's.  The first wall stage is not
     expanded: for a fixed table each entry takes transmit or idle whatever
-    the tail, so the minimum over tails is taken first.
+    the tail, so the minimum over tails is taken first; and as the cuts
+    include 0 (every entry transmits) and +inf (none does), the minimum
+    over its A tables is bitwise the elementwise min of transmit and idle,
+    with no (A, n, 2) table built.
     """
     T = chain.params.horizon
     tails = np.ones((1, chain.n_states, 2))
     if T == 0:  # the one empty policy
         return tails[0]
-    actions = _stage_actions(chain)
+    actions = _stage_actions(chain) if T >= 2 else None
     for _ in range(T - 1):
         idle, transmit = _stage(chain, tails)
         tails = np.where(actions[:, None], transmit, idle).reshape(-1, chain.n_states, 2)
     idle, transmit = _stage(chain, tails)
-    return np.where(actions, transmit.min(axis=0), idle.min(axis=0)).min(axis=0)
+    return np.minimum(transmit.min(axis=0), idle.min(axis=0))
 
 
 def chain_policy(u_table: np.ndarray, chain: QuantizedChain):
@@ -384,11 +412,7 @@ def brute_force_optimal(chain: QuantizedChain, mode: str = "threshold") -> Brute
     if mode != "threshold":
         raise ValueError(f"unknown enumeration mode {mode!r}: the only family is 'threshold'")
     T = chain.params.horizon
-    base, exponent = enumeration_size(chain.n_states, T)
-    if base**exponent > ENUM_BUDGET:
-        raise EnumerationBudgetError(
-            f"threshold enumeration needs {base}**{exponent} policies (> {ENUM_BUDGET})"
-        )
+    n_enumerated = _check_budget(chain.n_states, T)
     enum_value = _enumerated_minimum(chain)
     v_dp, u_dp = _backward_induction(chain)
     gap = _rel_gap(v_dp[T], enum_value)
@@ -397,5 +421,5 @@ def brute_force_optimal(chain: QuantizedChain, mode: str = "threshold") -> Brute
             f"enumeration and backward induction disagree: rel gap {gap:.3e}"
         )
     return BruteForceResult(
-        policy=u_dp, value=v_dp[T], enum_value=enum_value, n_enumerated=base**exponent
+        policy=u_dp, value=v_dp[T], enum_value=enum_value, n_enumerated=n_enumerated
     )

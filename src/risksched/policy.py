@@ -106,9 +106,10 @@ def decide(schedule: ThresholdSchedule, delta, c, t):
         raise ValueError(f"t must lie in [0, {schedule.horizon}], got {t}")
     # A 1-D take on the stage's row: for the 16384 rollouts of one Monte
     # Carlo step block, a 2-D fancy index took 56 us against 28 us (2-vCPU
-    # x86_64 VM).  Out-of-range c raises IndexError either way.
+    # x86_64 VM).  Out-of-range c raises IndexError either way.  The bool
+    # mask is viewed as int8 (same 0/1 bytes), not copied.
     thr = schedule.threshold[t].take(c)
-    out = (np.abs(delta) >= thr).astype(np.int8)
+    out = (np.abs(delta) >= thr).view(np.int8)
     return out if out.ndim else int(out)
 
 

@@ -207,6 +207,15 @@ class TestBadInputs:
         code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "4"])
         assert_error_exit_1(code, capsys)
 
+    @pytest.mark.parametrize("n_delta", ["-11", "1", "4"])
+    def test_oracle_bad_n_delta_past_the_budget(self, tmp_path, capsys, n_delta):
+        # at T = 20 no n_delta fits the budget, but a bad one is a usage error
+        # first, as quantize would report it
+        cfg = write_config(tmp_path / "c.cfg", T=20, gamma="0.01")
+        code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", n_delta])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: n_delta must be odd and >= 3, got {n_delta}\n"
+
     @pytest.mark.parametrize("delta_q", ["-1", "inf"])
     def test_oracle_bad_delta_q(self, tmp_path, capsys, delta_q):
         cfg = write_config(tmp_path / "c.cfg", T=2)
@@ -779,18 +788,24 @@ class TestOracle:
         assert all(r["pass"] == "1" for r in rows)
         assert capsys.readouterr().out.count("PASS") == 6
 
-    @pytest.mark.parametrize(
-        "n_delta,chain", [("9", "requested chain (n_delta=9)"), ("5", "refinement chain (n_delta=9)")]
-    )
-    def test_budget_message_names_largest_fitting_n_delta(self, tmp_path, capsys, n_delta, chain):
+    def test_budget_message_names_largest_fitting_n_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=5)  # the README example config
-        code = main(
-            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", n_delta]
-        )
+        code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "9"])
         assert code == 3
         err = capsys.readouterr().err
-        assert chain in err
-        assert "the largest n_delta that fits is 3" in err
+        assert "requested chain (n_delta=9) needs 6**10 policies" in err
+        assert "the largest n_delta that fits is 5" in err
+
+    def test_largest_fitting_n_delta_passes(self, tmp_path, capsys):
+        # 4**10 policies on the 5-state chain; its 9-state refinement chain is
+        # solved by backward induction alone, so it needs no budget of its own
+        cfg = write_config(tmp_path / "c.cfg", T=5)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", "5"]) == 0
+        header, rows = read_csv(out / "oracle_report.csv")
+        assert "# n_enumerated = 1048576" in header
+        assert [r["pass"] for r in rows] == ["1"] * 6
+        assert capsys.readouterr().out.count("PASS") == 6
 
     def test_budget_message_when_nothing_fits(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=20, gamma="0.01")
@@ -812,7 +827,7 @@ class TestOracle:
             ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "200001"]
         )
         assert code == 3
-        assert "the largest n_delta that fits is 1447" in capsys.readouterr().err
+        assert "the largest n_delta that fits is 2893" in capsys.readouterr().err
 
     def test_one_stage_report_header(self, tmp_path, capsys):
         # the threshold family at T = 1, n_delta = 9: 6 cuts per channel

@@ -260,6 +260,19 @@ class TestBruteForce:
         assert result.n_enumerated == 18**4
         assert peak < 80e6
 
+    def test_one_stage_memory_is_linear_in_states(self):
+        # at T = 1 no (A, n, 2) first-stage action table is built: with 202
+        # cuts per channel it is 33 MB of bools, and np.where on it 262 MB
+        chain = quantize(mk(horizon=1), 401, 3)
+        tracemalloc.start()
+        try:
+            result = brute_force_optimal(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_enumerated == 202**2
+        assert peak < 1 << 20
+
     def test_certified_value_matches_direct_evaluation(self):
         chain = quantize(mk(horizon=3), 9, 3)
         result = brute_force_optimal(chain)
