@@ -134,7 +134,9 @@ def step_channel(c, uniform_draw, params: ModelParams):
     From c=0 the chain moves to 1 iff draw < p01; from c=1 it moves to 0 iff
     draw < p10.  Draws that are NaN or outside [0, 1) raise ValueError.  The
     result is an integer array (never bool: callers index tables with it),
-    or a Python int for scalar input.
+    or a Python int for scalar input.  sim steps its rollouts with
+    _channel_path instead; this one-stage rule is the reference the tests
+    hold that path to, bit for bit.
     """
     draw = np.asarray(uniform_draw)
     _check_uniforms(draw)

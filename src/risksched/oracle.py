@@ -4,20 +4,20 @@ The continuous error is replaced by a finite uniform ladder of states and
 the Gaussian noise by a closed-form Gauss-Hermite atom set, giving a finite
 MDP whose risk-sensitive cost E[exp(gamma * sum d)] is computable exactly.
 Its Bellman stage gathers the next values at each atom's snapped state, so
-the oracle calls neither LAPACK nor BLAS.
-Three routes must then agree: enumeration of every even
-magnitude-threshold policy (one cut on |delta| per stage and channel),
-backward induction, and direct evaluation of the certified policy.
-Enumeration walks the policies stage by stage, so policies that share
-their last stages share that tail's values; the cuts include 0 and +inf,
-so each entry meets both actions at the first wall stage, which is an
-elementwise min of transmit and idle.  All three apply one chain
-Bellman stage, so their agreement does not test that stage: it tests that
-the optimum is an even magnitude-threshold policy, the paper's structural
-result, and that the certified table is evaluated back to its own value.
-The stage itself is guarded by the hand-computed expectations in the unit
-tests.  A value past the float range is +inf: such a policy never wins a
-minimum, and equal +inf entries agree.
+the oracle calls neither LAPACK nor BLAS.  Action tables are indexed by
+stages to go, (T + 1, n, 2) with row 0 unused, as in the solver.
+Three routes must then agree: enumeration of every even magnitude-threshold
+policy (one cut on |delta| per stage and channel), backward induction, and
+one evaluation of the certified table, from every start in one pass.
+Enumeration walks the policies stage by stage, so policies that share their
+last stages share that tail's values; the cuts include 0 and +inf, so the
+first wall stage is an elementwise min of transmit and idle.  The three
+apply one chain Bellman stage, so their agreement tests not that stage but
+that the optimum is an even magnitude-threshold policy, the paper's
+structural result, and that the certified table evaluates back to its own
+value.  The unit tests guard the stage with hand-computed expectations.  A
+value past the float range is +inf: such a policy never wins a minimum, and
+equal +inf entries agree.
 """
 
 from __future__ import annotations
@@ -152,7 +152,9 @@ def quantize(
     """Uniform Delta ladder on [-delta_q, delta_q] with moment-matched noise.
 
     The ladder mirrors its non-negative half, so it is symmetric bitwise and
-    has exactly (n_delta + 1) // 2 distinct magnitudes.
+    has exactly (n_delta + 1) // 2 distinct magnitudes.  _snap divides
+    offsets across the ladder by its step, so 2 * delta_q must be finite
+    and the states must rise strictly (a subnormal delta_q merges them).
     """
     _check_n_delta(n_delta)
     if noise_points not in (2, 3, 5):
@@ -162,6 +164,8 @@ def quantize(
     if not 0 < delta_q < np.inf:
         raise ValueError(f"delta_q must be finite and > 0, got {delta_q}")
     states = GridSpec.unfold(np.linspace(0.0, delta_q, (n_delta + 1) // 2), odd=True)
+    if not (math.isfinite(2.0 * float(delta_q)) and np.all(np.diff(states) > 0)):
+        raise ValueError(f"delta_q = {delta_q} needs a finite 2 * delta_q and {n_delta} distinct states")
     values, probs = _noise_atoms(params.sigma, noise_points)
     with np.errstate(over="ignore"):  # |a| * delta_q past the float range snaps to an end
         drift_to = _snap(params.a * states[:, None] + values[None, :], states)
@@ -182,8 +186,8 @@ def _stage_costs(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
     """exp-costs exp(gamma*d) for u=0 and u=1, each (n_states, 2); +inf
     past the float range."""
     p = chain.params
-    z = np.square(chain.delta_states)
     with np.errstate(over="ignore"):
+        z = np.square(chain.delta_states)
         e0 = np.exp(p.gamma * z)[:, None] * np.ones((1, 2))
         e1 = np.empty_like(e0)
         e1[:, 0] = np.exp(p.gamma * (p.lam + z))
@@ -245,18 +249,16 @@ def _stage(chain: QuantizedChain, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _evaluate(chain: QuantizedChain, actions: np.ndarray) -> np.ndarray:
-    """Exp-values (P, n, 2) from every start of P policies.
+    """Exp-values (P, n, 2) from every start of P policies, in one pass.
 
-    actions[p, s, i, c] is policy p's action at wall stage s, that is with
-    T - s stages to go.
+    actions[p, j, i, c] is policy p's action with j stages to go (row 0 unused).
     """
-    T = chain.params.horizon
     values = np.ones((len(actions), chain.n_states, 2))
-    for j in range(1, T + 1):
+    for j in range(1, chain.params.horizon + 1):
         # Update in place and free transmit before the next stage: every
         # (P, n, 2) table alive at once adds to the peak memory.
         values, transmit = _stage(chain, values)
-        np.copyto(values, transmit, where=actions[:, T - j] == 1)
+        np.copyto(values, transmit, where=actions[:, j] == 1)
         del transmit
     return values
 
@@ -265,16 +267,15 @@ def exact_policy_cost(chain: QuantizedChain, policy, delta0, c0: int) -> float:
     """E[exp(gamma * sum of the T stage costs)] under the chain's law.
 
     The policy is a decision function (delta_values, c, stages_to_go);
-    delta0 snaps to the nearest chain state.  Computed by an exact
-    multiplicative DP over (state, channel) accumulators, bit-reproducible
-    for a fixed platform.
+    delta0 snaps to the nearest chain state.  Computed by _evaluate, an
+    exact multiplicative DP, bit-reproducible for a fixed platform.
     """
     T = chain.params.horizon
     n = chain.n_states
-    actions = np.zeros((1, T, n, 2), dtype=np.int8)
+    actions = np.zeros((1, T + 1, n, 2), dtype=np.int8)
     for j in range(1, T + 1):
         for c in (0, 1):
-            actions[0, T - j, :, c] = policy(chain.delta_states, np.full(n, c, dtype=int), j)
+            actions[0, j, :, c] = policy(chain.delta_states, np.full(n, c, dtype=int), j)
     return float(_evaluate(chain, actions)[0, chain.state_index(delta0), int(c0)])
 
 

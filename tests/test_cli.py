@@ -21,7 +21,7 @@ from risksched import (
     rollout,
     value_iterate,
 )
-from risksched import cli, sim
+from risksched import cli, oracle, sim
 from risksched.cli import (
     _BLOCK_ROWS,
     _KEYS,
@@ -184,6 +184,10 @@ def assert_infeasible_exit_2(code, capsys):
     assert lines[-1].startswith("error: infeasible at stage 1")
 
 
+# a thresholds.csv header and a first row, for the bad rows that follow
+_THR_HEAD = "# comment\nwall_stage,stages_to_go,c,threshold\n0,3,1,1.5\n"
+
+
 class TestBadInputs:
     def test_sweep_non_numeric_values(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2)
@@ -216,36 +220,66 @@ class TestBadInputs:
         assert code == 1
         assert capsys.readouterr().err == f"error: n_delta must be odd and >= 3, got {n_delta}\n"
 
-    @pytest.mark.parametrize("delta_q", ["-1", "inf"])
-    def test_oracle_bad_delta_q(self, tmp_path, capsys, delta_q):
-        cfg = write_config(tmp_path / "c.cfg", T=2)
-        code = main(
-            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "5",
-             "--delta-q", delta_q]
-        )
-        assert_error_exit_1(code, capsys)
-
     @pytest.mark.parametrize(
-        "body",
+        "delta_q",
         [
-            None,  # missing file
-            "0,3,x,1.0",  # non-numeric cell
-            "0,3",  # short row
-            "0,3,1,-0.5",  # negative threshold
-            "0,3,2,1.0",  # channel state outside {0, 1}
-            "0,-1,1,1.0",  # negative stages_to_go
+            "-1",
+            "inf",
+            "1e308",  # the ladder spans 2e308, past the float range
+            "5e-324",  # the ladder's magnitudes round together
         ],
     )
-    def test_bad_threshold_file(self, tmp_path, capsys, body):
+    def test_oracle_bad_delta_q(self, tmp_path, capsys, delta_q):
+        cfg = write_config(tmp_path / "c.cfg", T=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "9",
+                 "--delta-q", delta_q]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta_q") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "oracle_report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param(None, "cannot read threshold file", id="None"),  # missing file
+            # each bad row follows a good header and row, and is the test's id
+            *(
+                pytest.param(_THR_HEAD + row, message, id=row)
+                for row, message in (
+                    ("0,3,x,1.0", "unreadable threshold row"),  # non-numeric cell
+                    ("0,3", "unreadable threshold row"),  # short row
+                    ("0,3,1,-0.5", "threshold >= 0"),  # negative threshold
+                    ("0,3,2,1.0", "c in {0, 1}"),  # channel state outside {0, 1}
+                    ("0,-1,1,1.0", "stages_to_go >= 0"),  # negative stages_to_go
+                )
+            ),
+            pytest.param("stages_to_go,c\n0,1", "missing threshold columns", id="no-threshold-column"),
+            pytest.param("# comment\nwall_stage,stages_to_go,c,threshold", "no threshold rows", id="header-only"),
+            # a complete schedule for T = 1, two stages short of the config's T = 3
+            pytest.param(
+                "stages_to_go,c,threshold\n0,0,0.0\n0,1,0.0\n1,0,inf\n1,1,1.0",
+                "threshold file covers 1 stages, config needs 3",
+                id="short-horizon",
+            ),
+        ],
+    )
+    def test_bad_threshold_file(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path / "c.cfg", n_rollouts=100)
         thr = tmp_path / "thresholds.csv"
-        if body is not None:
-            thr.write_text("# comment\nwall_stage,stages_to_go,c,threshold\n0,3,1,1.5\n" + body + "\n")
+        if text is not None:
+            thr.write_text(text + "\n")
         code = main(
             ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
              "--policy-source", "threshold-file", "--threshold-file", str(thr)]
         )
-        assert_error_exit_1(code, capsys)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("edit", ["one-row", "drop", "duplicate", "untouched"])
     def test_threshold_file_names_every_pair_once(self, tmp_path, capsys, edit):
@@ -839,6 +873,27 @@ class TestOracle:
         assert not any(h.startswith("# enum_mode") for h in header)
         assert [r["pass"] for r in rows] == ["1"] * 6
 
+    def test_evaluation_does_not_scale_with_the_ladder(self, tmp_path, monkeypatch):
+        # one chain stage per stage to go, each for enumeration, the coarse
+        # and fine backward inductions and the evaluation of the certified
+        # table: not one evaluation per (state, channel) start
+        calls = []
+        stage = oracle._stage
+
+        def counted(*args):
+            calls.append(1)
+            return stage(*args)
+
+        monkeypatch.setattr(oracle, "_stage", counted)
+        cfg = write_config(tmp_path / "c.cfg", T=2)
+        counts = []
+        for n_delta in ("5", "17"):
+            calls.clear()
+            out = tmp_path / f"o{n_delta}"
+            assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", n_delta]) == 0
+            counts.append(len(calls))
+        assert counts == [4 * 2, 4 * 2]
+
     def test_mode_flag_is_gone(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=1)
         with pytest.raises(SystemExit) as ei:
@@ -852,6 +907,7 @@ class TestOracle:
             # exp(gamma * lam) = e^800: every transmit value overflows
             (dict(T=2, **{"lambda": "2e4", "gamma": "0.04"}), []),
             (dict(T=2), ["--delta-q", "1e3"]),  # exp(gamma * delta^2) overflows
+            (dict(T=2), ["--delta-q", "1e200"]),  # delta^2 itself overflows
         ],
     )
     def test_overflowing_chain_values_pass(self, tmp_path, capsys, overrides, args):

@@ -115,11 +115,25 @@ class TestQuantize:
             dict(n_delta=1, noise_points=3),
             dict(n_delta=9, noise_points=4),
             dict(n_delta=9, noise_points=3, delta_q=-1.0),
+            dict(n_delta=9, noise_points=3, delta_q=1e308),  # the ladder spans 2e308
+            dict(n_delta=9, noise_points=3, delta_q=5e-324),  # its magnitudes round together
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             quantize(mk(), **kwargs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "delta_q",
+        [
+            np.finfo(float).max / 2,  # the widest ladder: 2 * delta_q is the largest float
+            2e-323,  # magnitudes 0, 5e-324, 1e-323, 1.5e-323, 2e-323: four subnormal steps
+        ],
+    )
+    def test_accepts_ladder_at_the_float_limits(self, delta_q):
+        states = quantize(mk(), 9, 3, delta_q=delta_q).delta_states
+        assert states[-1] == delta_q and np.all(np.diff(states) > 0)
 
 
 class TestExactPolicyCost:
@@ -224,14 +238,15 @@ class TestStage:
 
 
 def _reference_policies(chain):
-    """Every enumerated policy's action table (P, T, n, 2), by wall stage."""
+    """Every enumerated policy's action table (P, T + 1, n, 2), by stages to
+    go (row 0, with nothing left to decide, never transmits)."""
     T = chain.params.horizon
     cuts = _threshold_cuts(chain)
     k = len(cuts)
     rem = np.arange(k ** (2 * T), dtype=np.int64)
-    choice = np.empty((len(rem), T, 2), dtype=np.int64)
+    choice = np.full((len(rem), T + 1, 2), k - 1, dtype=np.int64)
     for slot in range(2 * T):
-        choice[:, slot // 2, slot % 2] = rem % k
+        choice[:, 1 + slot // 2, slot % 2] = rem % k
         rem = rem // k
     abs_states = np.abs(chain.delta_states)
     return (abs_states[None, None, :, None] >= cuts[choice][:, :, None, :]).astype(np.int8)
@@ -312,7 +327,7 @@ class TestBruteForce:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = brute_force_optimal(chain)
-            direct = _evaluate(chain, result.policy[:0:-1][None])[0]
+            direct = _evaluate(chain, result.policy[None])[0]
         assert np.count_nonzero(np.isinf(result.value)) == n_inf
         assert not np.any(np.isnan(result.enum_value))
         assert np.array_equal(result.enum_value, result.value)
