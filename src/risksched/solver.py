@@ -19,10 +19,13 @@ stage, so each rule's stencil is built once per solve.
 Hermite reads off-grid values of W by piecewise-linear interpolation in z =
 delta^2, which matches the exact never-transmit shape log K_j + beta_j *
 delta^2 and hence is exact for that envelope; beyond delta_max the last two
-nodes extrapolate linearly in z.  Its stage is a gather, a lerp and one
-log-sum-exp, laid out abscissa-major, (n_nodes, n_centers): each reduction
-over the 64 terms then adds whole rows of centers, where a reduction over
-a short last axis spent its time on memory layout.  The stencil is built,
+nodes extrapolate linearly in z.  It reads the table by |delta|, so each
+read lerps from a node to the next one out: a folded table as it stands,
+an original one as its two halves, stacked once per stage.  Its stage is
+a gather, a lerp and one log-sum-exp, laid out abscissa-major, (n_nodes,
+n_centers): each reduction over the 64 terms then adds whole rows of
+centers, where a reduction over a short last axis spent its time on
+memory layout.  The stencil is built,
 and the stage taken, over blocks of centers, so a solve holds one block's
 gathers, not the whole grid's; each center's terms keep their memory
 order, so the tables are those of the whole-grid stage to the bit.
@@ -38,7 +41,7 @@ G is Toeplitz (Hankel for a < 0) in one Gaussian g(m) = exp(-alpha h^2 m^2
 / 2 sigma2), and D_r, the normalization, is 1 over each row's sum of G D_c.
 A solve stores g and the two log diagonals, O(n) numbers; the folded
 kernel N(x; m, sigma2) + N(-x; m, sigma2) is the same product over the
-mirrored table.  A log-domain stage is log(G y) + s + log D_r with y =
+table mirrored onto the full grid, once per stage.  A log-domain stage is log(G y) + s + log D_r with y =
 exp(W_t + log D_c - s) and s the exponent's max, so every term lies in [0,
 1].  The log diagonals are large where the sum is small, so they are
 double-doubles and cancel exactly; G y is taken as direct sums of
@@ -49,8 +52,10 @@ so W_0 = 0 integrates to 0 on every row, to the bit.  An entry that
 underflows, or whose row's own sum does, is redone for its row alone as a
 log-sum-exp less that of the row's weights, and where a log diagonal
 leaves the float range every row is; a row with no mass on the grid
-integrates to -inf.  The risk-neutral
-stage is the same product on v_t, with no log.
+integrates to -inf.  The risk-neutral stage is the same product on v_t,
+with no log.  Neither rule nor the channel mix calls BLAS, whose kernel
+follows the CPU; Hermite's abscissae come from hermgauss, which calls
+LAPACK.
 """
 
 from __future__ import annotations
@@ -157,10 +162,6 @@ class LogValueTable:
     grid: GridSpec
     space: str
     normalized: bool = True
-
-    @property
-    def horizon(self) -> int:
-        return self.w.shape[0] - 1
 
 
 @dataclass
@@ -294,10 +295,7 @@ def _hermite_cap(params: ModelParams, beta: np.ndarray, n_nodes: int) -> float:
     rule degrades once y_hat plus a few tilted stds nears the outermost
     Hermite node, so cap delta accordingly (worst stage: largest beta).
     """
-    T = params.horizon
-    if T == 0:
-        return math.inf
-    bstar = float(np.max(beta[: T]))
+    bstar = float(np.max(beta[: params.horizon], initial=0.0))
     alpha = 2.0 * params.sigma2 * bstar
     y_max = float(np.polynomial.hermite.hermgauss(n_nodes)[0].max())
     s_y = 1.0 / math.sqrt(2.0 * (1.0 - alpha))
@@ -375,31 +373,25 @@ def _log_channel(params: ModelParams) -> np.ndarray:
 
 def _hermite_stencil(
     params: ModelParams, grid: GridSpec, n_nodes: int, space: str, center: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where the kernels at center read a node table: (lo, side, th, log_weight).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the kernels at center read a table by |delta|: (lo, th, log_weight).
 
     Hermite reads W at center + sqrt(2) sigma y_k, interpolated in z =
     delta^2: the expectation at center i reduces log_weight[k, 0] +
-    W[lo[k, i]], lerped towards W[lo[k, i] + side[k, i]] by th[k, i], over
-    k.  The arrays are abscissa-major, (n_nodes, len(center)), and
-    log_weight is (n_nodes, 1).  Original space assumes no evenness, so lo
-    is signed around the center node and side is -1 where the abscissa is
-    negative, which reads the left half; folded space reads |x|, and side is
-    1 throughout, a broadcast view of one int8.  lo is int32.  They are
+    W[lo[k, i]], lerped towards W[lo[k, i] + 1] by th[k, i], over k.  W is
+    read by |delta|: a folded table as it stands, an original one as its
+    two halves from delta = 0 outwards, left first, which lo reads where
+    the abscissa is negative.  The arrays are abscissa-major, (n_nodes,
+    len(center)), and log_weight is (n_nodes, 1).  lo is int32.  They are
     written in blocks of centers, so the build holds them and one block's
     temporaries.
     """
-    mid = grid.n_points // 2
     y, wt = _hermite_nodes(n_nodes)
     offset = math.sqrt(2.0) * params.sigma * y[:, None]
     pos = grid.folded_nodes()
     zpos = pos * pos
     lo = np.empty((n_nodes, len(center)), dtype=np.int32)
     th = np.empty(lo.shape)
-    if space == "original":
-        side = np.empty(lo.shape, dtype=np.int8)
-    else:
-        side = np.broadcast_to(np.int8(1), lo.shape)
     for start in range(0, len(center), _CENTER_BLOCK):
         cols = slice(start, start + _CENTER_BLOCK)
         x = center[None, cols] + offset
@@ -408,13 +400,9 @@ def _hermite_stencil(
         # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
         with np.errstate(over="ignore"):
             th[:, cols] = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
-        if space == "original":
-            side[:, cols] = np.where(x < 0, -1, 1)
-            lo[:, cols] = mid + side[:, cols] * (j - 1)
-        else:
-            lo[:, cols] = j - 1
+        lo[:, cols] = j - 1 + (np.where(x < 0, 0, len(pos)) if space == "original" else 0)
     log_weight = np.log(wt) - 0.5 * math.log(math.pi)
-    return lo, side, th, log_weight[:, None]
+    return lo, th, log_weight[:, None]
 
 
 # Terms of a trapezoid product entry that einsum sums in one run: a run's
@@ -544,8 +532,8 @@ class _BellmanStage:
         if self.trapezoid:
             self.stencil = self._factors()
             return
-        lo, side, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, self.centers)
-        self.stencil = (lo, side, th, np.exp(log_weight) if risk_neutral else log_weight)
+        lo, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, self.centers)
+        self.stencil = (lo, th, np.exp(log_weight) if risk_neutral else log_weight)
 
     def _factors(self) -> tuple | None:
         """(g, row, col): the normalized trapezoid kernel K = D_r G D_c of the
@@ -553,11 +541,11 @@ class _BellmanStage:
 
         With c = h^2 / 2 sigma2 and signed indices, log g(m) = -alpha c m^2
         and col = log D_c,k = log weight_k - (1 - alpha) c k^2 - t on the
-        stage's nodes, t the max of the rest, so every term of a row's sum
-        lies in [0, 1].  The product reads the full grid's columns (in
-        folded space the mirrored table), so g covers every index
-        difference a row reads: len(centers) + n_points - 1 values.  col is
-        a double-double from exact integer squares, and g is exp of one, so
+        full grid's nodes, t the max of the rest, so every term of a row's
+        sum lies in [0, 1].  The product reads the full grid's table (in
+        folded space the mirrored one), so g covers every index difference
+        a row reads: len(centers) + n_points - 1 values.  col is a
+        double-double from exact integer squares, and g is exp of one, so
         each is good to about an ulp of its own size.
 
         row scales each row to mass 1.  Log domain: minus the log, a
@@ -570,10 +558,10 @@ class _BellmanStage:
         """
         p, h = self.params, np.float64(self.grid.spacing)
         alpha = np.float64(abs(p.a))
-        idx = np.arange(len(self.nodes)) - self.zero
         half = self.grid.n_points // 2
-        m2 = np.square(np.arange(idx[0] - half, idx[-1] + half + 1), dtype=float)
-        log_weight = np.log(self._weights()[-len(idx) :])
+        k = np.arange(-half, half + 1)
+        m2 = np.square(np.arange(-self.zero - half, 2 * half + 1), dtype=float)  # i + k
+        log_weight = np.log(self._weights())
         with np.errstate(over="ignore", invalid="ignore"):
             # c = h^2 / 2 sigma2: the quotient, and the remainder's
             d, hh = np.float64(2.0 * p.sigma2), _two_prod(h, h)
@@ -582,12 +570,12 @@ class _BellmanStage:
             c = (q, ((hh[0] - qd[0]) - qd[1] + hh[1]) / d)
             slope = _dd_mul(_two_sum(np.float64(1.0), -alpha), c)  # (1 - alpha) c
             log_g = _dd_mul(_dd_mul((alpha, 0.0), c), (-m2, 0.0))
-            col = _dd_add((log_weight, 0.0), _dd_mul(slope, (-np.square(idx, dtype=float), 0.0)))
+            col = _dd_add((log_weight, 0.0), _dd_mul(slope, (-np.square(k, dtype=float), 0.0)))
         if not all(np.isfinite(part).all() for part in (*log_g, *col)):
             return None
         g = _dd_exp(log_g)
         col = _dd_add(col, (-col[0].max(), 0.0))
-        mass = self._scaled_product(g, col, np.zeros((2, len(idx))))[1][0]
+        mass = self._scaled_product(g, col, np.zeros((2, len(k))))[1][0]
         thin = ~(mass >= _PRODUCT_FLOOR)
         if self.risk_neutral:
             with np.errstate(divide="ignore"):
@@ -598,7 +586,7 @@ class _BellmanStage:
         return g, (np.where(thin, np.nan, -log_mass[0]), -log_mass[1]), col
 
     def _scaled_product(self, g: np.ndarray, col: tuple, w_t: np.ndarray) -> tuple:
-        """(s, G exp(W_t + log D_c - s)) for w_t, a (c, n_nodes) table, with s
+        """(s, G exp(W_t + log D_c - s)) for w_t, a (c, n_points) table, with s
         the exponent's max per next channel, 0 where that is not finite, so
         every term lies in [0, 1].  The exponent is a double-double, so only
         the sums are rounded."""
@@ -611,7 +599,8 @@ class _BellmanStage:
             return s, self._product(g, _dd_exp(u))
 
     def _product(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """G y for each row of y, a (c, n_nodes) table: (c, n_centers).
+        """G y for each row of y, a (c, n_points) table over the full grid:
+        (c, n_centers).
 
         Entry i is the sum of the window g[i : i + n_points] times the
         table: einsum sums it over runs of _RUN terms, and np.sum adds the
@@ -620,13 +609,12 @@ class _BellmanStage:
         calls BLAS, whose dot (np.correlate's) sums in an order that
         follows the CPU and, on long rows, the thread count.  That is a
         Hankel product; G is Hankel for a < 0 but Toeplitz for a >= 0, so
-        original space then reads the reversed table, copied: on a reversed
-        view einsum's loop sums each run as one running sum, up to 2 ulps
-        worse.  Folded space reads the mirrored table, its own reverse.
+        it then reads the reversed table, copied: on a reversed view
+        einsum's loop sums each run as one running sum, up to 2 ulps worse.
+        A mirrored (folded) table is its own reverse, so either reading
+        gives it the same sums.
         """
-        if self.space == "folded":
-            y = GridSpec.unfold(y)
-        elif self.params.a >= 0:
+        if self.params.a >= 0:
             y = np.ascontiguousarray(y[:, ::-1])
         n = y.shape[1]
         windows = sliding_window_view(g, n)
@@ -645,15 +633,15 @@ class _BellmanStage:
 
     def _weights(self) -> np.ndarray:
         """Trapezoid weights of the full grid in spacings: 1, halved at both
-        ends.  A folded node reads its own and its mirror's."""
+        ends."""
         w = np.ones(self.grid.n_points)
         w[[0, -1]] = 0.5
         return w
 
     def _rows(self, w_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Trapezoid expectations of w_t, a (c, n_nodes) table, at the centers
-        of rows, (c, len(rows)), each from its kernel's own weights over the
-        whole grid, in blocks of rows.
+        """Trapezoid expectations of w_t, a (c, n_points) table over the full
+        grid, at the centers of rows, (c, len(rows)), each from its kernel's
+        own weights over the whole grid, in blocks of rows.
 
         Term k of row i is log(weight_k h / sqrt(2 pi sigma2)) - c (k -
         a i)^2 at signed node k, where a i (alpha i in folded space, whose
@@ -663,7 +651,6 @@ class _BellmanStage:
         to the bit; -inf on a row with no mass on the grid.  Risk-neutral:
         the weighted sum over the sum of the weights.
         """
-        full = GridSpec.unfold(w_t) if self.space == "folded" else w_t
         half = self.grid.n_points // 2
         a = self.params.a if self.space == "original" else abs(self.params.a)
         # log(h / sqrt(2 pi sigma2)), a kernel's log-weight at its center
@@ -672,7 +659,7 @@ class _BellmanStage:
         log_w = np.log(self._weights()) + scale[0]
         nodes = np.arange(-half, half + 1.0)
         c = self.grid.spacing**2 / (2.0 * self.params.sigma2)
-        out = np.empty((len(full), len(rows)))
+        out = np.empty((len(w_t), len(rows)))
         step = max(1, _BLOCK_TERMS // len(nodes))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             center, err = _two_prod(np.float64(a), rows - float(self.zero))
@@ -689,10 +676,10 @@ class _BellmanStage:
                     peak = np.max(log_weight, axis=1, keepdims=True)
                     peak[~np.isfinite(peak)] = 0.0
                     weight = _dd_exp((log_weight - peak, scale[1]))
-                    out[:, block] = np.einsum("ik,ck->ci", weight, full) / np.sum(weight, axis=1)
+                    out[:, block] = np.einsum("ik,ck->ci", weight, w_t) / np.sum(weight, axis=1)
                     continue
                 mass = _log_sum(log_weight)
-                table = _log_sum(full[:, None, :] + log_weight)
+                table = _log_sum(w_t[:, None, :] + log_weight)
                 value = _dd_value(_dd_add(table, (-mass[0], -mass[1])))
                 out[:, block] = np.where(mass[0] == -np.inf, -np.inf, value)
         return out
@@ -700,15 +687,19 @@ class _BellmanStage:
     def _trapezoid(self, w_t: np.ndarray) -> np.ndarray:
         """Trapezoid expectations of w_t at every center, (2, n_centers) over c+.
 
-        Log domain: with u = W_t + log D_c and s its max per next channel,
-        every term of G exp(u - s) lies in [0, 1], and per_next = log(G
-        exp(u - s)) + log D_r + s.  u - s is a double-double, as is the log,
-        by one Newton step, so the large terms cancel exactly and only their
-        sum is rounded.  Risk-neutral: (G (v_t col)) row.  Guard: an entry
-        of the log-domain product below _PRODUCT_FLOOR, and an entry that is
-        not finite, as on a row that the stencil's row marks NaN, is redone
-        by _rows for its row alone.
+        A folded table is mirrored onto the full grid once, here, and the
+        product and the guard read that table.  Log domain: with u = W_t +
+        log D_c and s its max per next channel, every term of G exp(u - s)
+        lies in [0, 1], and per_next = log(G exp(u - s)) + log D_r + s.  u
+        - s is a double-double, as is the log, by one Newton step, so the
+        large terms cancel exactly and only their sum is rounded.
+        Risk-neutral: (G (v_t col)) row.  Guard: an entry of the log-domain
+        product below _PRODUCT_FLOOR, and an entry that is not finite, as on
+        a row that the stencil's row marks NaN, is redone by _rows for its
+        row alone.
         """
+        if self.space == "folded":
+            w_t = GridSpec.unfold(w_t)
         if self.stencil is None:
             return self._rows(w_t, np.arange(len(self.nodes)))
         g, row, col = self.stencil
@@ -739,18 +730,19 @@ class _BellmanStage:
         else:
             # Hermite, over blocks of centers: (2, n_terms, n_block) over c+,
             # terms on axis 1, so each reduction runs over whole rows of
-            # centers.  Gathering rows of w_t.T keeps c+ innermost in memory,
-            # where the center-major fancy index w_t[:, lo.T] also puts it;
-            # numpy sums in memory order, so both layouts, and every block
+            # centers.  Gathering rows of the transposed table keeps c+
+            # innermost in memory, where a center-major fancy index also puts
+            # it; numpy sums in memory order, so both layouts, and every block
             # size, sum each center's terms in one order, to the bit.
-            lo, side, th, weight = self.stencil
+            lo, th, weight = self.stencil
+            mid = self.zero  # W by |delta|, as _hermite_stencil reads it
+            table = (w_t if self.space == "folded" else np.hstack((w_t[:, mid::-1], w_t[:, mid:]))).T
             per_next = np.empty((2, len(self.centers)))
             for start in range(0, len(self.centers), _CENTER_BLOCK):
                 cols = slice(start, start + _CENTER_BLOCK)
-                hi = lo[:, cols] + side[:, cols]
-                vals = np.take(w_t.T, lo[:, cols], axis=0).transpose(2, 0, 1)
+                vals = np.take(table, lo[:, cols], axis=0).transpose(2, 0, 1)
                 vals *= 1.0 - th[:, cols]
-                vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th[:, cols]
+                vals += np.take(table, lo[:, cols] + 1, axis=0).transpose(2, 0, 1) * th[:, cols]
                 if self.risk_neutral:
                     per_next[:, cols] = np.einsum("ki,cki->ci", weight, vals)
                 else:
@@ -758,7 +750,9 @@ class _BellmanStage:
                     vals += weight
                     per_next[:, cols] = _logsumexp(vals, 1, _overwrite=True)
         if self.risk_neutral:
-            return np.exp(self.logp) @ per_next
+            # exact p (exp(log p) != p), and no BLAS, whose kernel follows the CPU
+            P = self.params.channel_matrix()
+            return P[:, :1] * per_next[0] + P[:, 1:] * per_next[1]
         return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
 
     def q_values(self, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -465,10 +466,13 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert "codes [0, 0, 0, 0, 0]" in proc.stdout, proc.stdout + proc.stderr
 
 
-def _run_fresh(script):
-    """Run script in a fresh interpreter that imports this risksched."""
+def _run_fresh(script, **overrides):
+    """Run script in a fresh interpreter that imports this risksched, with
+    the environment variables in overrides set (or unset where None)."""
     src = os.path.dirname(os.path.dirname(risksched.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(overrides)
+    env = {k: v for k, v in env.items() if v is not None}
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
 
 
@@ -533,6 +537,22 @@ class TestSolve:
         expected = extract_thresholds(folded_view(pol), grid)
         loaded = load_threshold_csv(out / "thresholds.csv")
         assert np.array_equal(loaded.threshold, expected.threshold)
+
+    def test_zero_horizon_solves_on_the_four_sigma_radius(self, tmp_path):
+        # at T = 0 no stage is integrated, so auto_delta_max takes 4 sigma:
+        # nothing is ever transmitted and every value is V_0 = 1, W = 0
+        cfg = write_config(tmp_path / "c.cfg", T=0, n_points=201)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        header, thresholds = read_csv(out / "thresholds.csv")
+        assert "# delta_max = 4.0" in header
+        assert [(r["stages_to_go"], r["c"], r["threshold"]) for r in thresholds] == [
+            ("0", "0", "inf"),
+            ("0", "1", "inf"),
+        ]
+        _, values = read_csv(out / "values.csv")
+        assert len(values) == 2 * 201
+        assert {float(r["w"]) for r in values} == {0.0}
 
     def test_feasibility_header_values_are_numbers(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
@@ -921,7 +941,39 @@ class TestOracle:
         assert capsys.readouterr().out.count("PASS") == 6
 
 
+def _numpy_on_openblas_x86():
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return False
+    return "openblas" in blas.lower()
+
+
 class TestSweep:
+    @pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86_64")
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_points=201, quad_rule="trapezoid-on-grid"), {}],
+        ids=["trapezoid", "default"],
+    )
+    def test_bytes_do_not_follow_the_blas_kernel(self, tmp_path, overrides):
+        # OPENBLAS_CORETYPE picks the BLAS kernel that OpenBLAS would pick
+        # on another CPU.  A channel mix taken as a matrix product wrote
+        # other rn_value_at_zero bits under each, on both configs: on the
+        # trapezoid one 0.85480353833945 against 0.8548035383394501
+        cfg = write_config(tmp_path / "c.cfg", T=2, **overrides)
+        written = []
+        for coretype in (None, "Prescott"):
+            out = tmp_path / f"out-{coretype}"
+            args = ["sweep", "--config", str(cfg), "--out", str(out), "--axis", "gamma", "--values", "0.02,0.05"]
+            script = f"from risksched.cli import main; raise SystemExit(main({args!r}))"
+            proc = _run_fresh(script, OPENBLAS_CORETYPE=coretype)
+            assert proc.returncode == 0, proc.stderr
+            written.append((out / "sweep.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_gamma_axis_rows(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_points=161)
         out = tmp_path / "out"

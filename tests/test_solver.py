@@ -52,6 +52,20 @@ def mk(**kw):
     return ModelParams(**base)
 
 
+def by_magnitude(stage, w_t):
+    """w_t as the Hermite stencil reads it, by |delta|: a folded table as it
+    stands, an original one as its two halves from 0 outwards, left first."""
+    if stage.space == "folded":
+        return w_t
+    return np.concatenate((w_t[:, stage.zero :: -1], w_t[:, stage.zero :]), axis=1)
+
+
+def risk_neutral_mix(stage, per_next):
+    """The risk-neutral channel mix, elementwise with the exact P[c][c+]."""
+    P = stage.params.channel_matrix()
+    return P[:, :1] * per_next[0] + P[:, 1:] * per_next[1]
+
+
 class TestGridSpec:
     def test_nodes_are_bitwise_symmetric(self):
         grid = GridSpec(6.3, 201)
@@ -363,10 +377,12 @@ class TestFoldedStage:
         folded = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "folded", True)
         original = _BellmanStage(mk(a=self.A), self.GRID, TRAPEZOID, "original", True)
         # O(n) numbers: g at every index difference a row reads, and the two
-        # diagonals as double-doubles (hi, lo)
+        # diagonals as double-doubles (hi, lo), row over the folded centers
+        # and col over the full grid, whose mirrored table the product reads
         g, row, col = folded.stencil
         assert g.shape == (self.GRID.n_folded + self.GRID.n_points - 1,)
-        assert all(part.shape == (self.GRID.n_folded,) for part in (*row, *col))
+        assert all(part.shape == (self.GRID.n_folded,) for part in row)
+        assert all(part.shape == (self.GRID.n_points,) for part in col)
         ulps = 1e-14 * np.maximum(1.0, np.abs(row[0]))
         assert np.all(np.abs(original.stencil[1][0][mid:] - row[0]) <= ulps)
         # -row is the log of the row's sum of G D_c: the kernel's own
@@ -411,12 +427,12 @@ class TestHermiteLayout:
 
     @staticmethod
     def center_major(stage, w_t):
-        lo, side, th, weight = stage.stencil
-        hi = lo + side
-        vals = w_t[:, lo.T]
-        vals = vals * (1.0 - th.T) + w_t[:, hi.T] * th.T
+        lo, th, weight = stage.stencil
+        table = by_magnitude(stage, w_t)
+        vals = table[:, lo.T]
+        vals = vals * (1.0 - th.T) + table[:, lo.T + 1] * th.T
         if stage.risk_neutral:
-            return np.exp(stage.logp) @ np.einsum("ik,cik->ci", weight.T, vals)
+            return risk_neutral_mix(stage, np.einsum("ik,cik->ci", weight.T, vals))
         per_next = _logsumexp(weight.T + vals, axis=2)
         return _logsumexp(stage.logp[:, :, None] + per_next[None, :, :], axis=1)
 
@@ -450,7 +466,9 @@ class TestHermiteBlocks:
     The reference is the stage as it stood before the blocks: the stencil
     built for every center at once, then one abscissa-major gather, lerp and
     reduction over the whole grid.  Each center's terms keep their memory
-    order, so a block boundary must not move a sum by an ulp.
+    order, so a block boundary must not move a sum by an ulp.  The
+    reference also reads the table as it stood then, original space by a
+    signed side from the center node, where the stage reads it by |delta|.
     """
 
     INSTANCES = {
@@ -489,7 +507,7 @@ class TestHermiteBlocks:
         vals *= 1.0 - th
         vals += np.take(w_t.T, hi, axis=0).transpose(2, 0, 1) * th
         if stage.risk_neutral:
-            return np.exp(stage.logp) @ np.einsum("ki,cki->ci", weight, vals)
+            return risk_neutral_mix(stage, np.einsum("ki,cki->ci", weight, vals))
         per_next = _logsumexp(np.add(weight, vals, out=vals), 1, _overwrite=True)
         return _logsumexp(stage.logp[:, :, None] + per_next[None, :, :], axis=1)
 
@@ -512,10 +530,12 @@ class TestHermiteBlocks:
         whole = copy.copy(stage)
         whole.stencil = self.whole_grid_stencil(stage, HERMITE.n_nodes)
         whole._integrate = functools.partial(self.whole_grid_integrate, whole)
-        # the stage keeps lo as int32 and hi as lo + side
-        lo, side, th, weight = stage.stencil
-        assert lo.dtype == np.int32 and side.dtype == np.int8
-        for got, want in zip((lo, lo + side, th, weight), whole.stencil):
+        # the stage keeps lo as int32 and hi as lo + 1 in the table by
+        # |delta|, whose entries are the nodes the reference reads
+        lo, th, weight = stage.stencil
+        assert lo.dtype == np.int32
+        node = by_magnitude(stage, np.arange(len(stage.nodes))[None, :])[0]
+        for got, want in zip((node[lo], node[lo + 1], th, weight), whole.stencil):
             assert got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes()
         nodes = stage.nodes
         flat = np.zeros((2, len(nodes)))
@@ -639,7 +659,8 @@ class TestTrapezoidProduct:
         w_t = np.full((2, len(stage.nodes)), -np.inf)
         w_t[:, np.flatnonzero(np.isclose(stage.nodes, 9.5))] = 1.0
         g, _, col = stage.stencil
-        u = w_t + col[0]
+        # the product reads the full grid's table, a folded one mirrored
+        u = (GridSpec.unfold(w_t) if space == "folded" else w_t) + col[0]
         prod = stage._product(g, np.exp(u - u.max(axis=1, keepdims=True)))
         under = ~np.all(prod >= _PRODUCT_FLOOR, axis=0)
         zero = np.flatnonzero(stage.nodes == 0.0)[0]
@@ -664,9 +685,9 @@ class TestTrapezoidProduct:
         p = mk(a=a, horizon=1)
         stage = _BellmanStage(p, GridSpec(12.0, 481), TRAPEZOID, space, True)
         rows = np.arange(len(stage.nodes))
-        flat = np.zeros((2, len(stage.nodes)))
-        assert np.all(stage._trapezoid(flat) == 0.0)
-        assert np.all(stage._rows(flat, rows) == 0.0)
+        assert np.all(stage._trapezoid(np.zeros((2, len(stage.nodes)))) == 0.0)
+        # the guard reads the full grid's table
+        assert np.all(stage._rows(np.zeros((2, stage.grid.n_points)), rows) == 0.0)
         if a != 0.9:
             return
         # lambda enters only the price, so one stage serves every lambda
@@ -762,7 +783,7 @@ class TestTrapezoidEdges:
             stage = _BellmanStage(p, grid, TRAPEZOID, space, True)
             assert stage.stencil is None or np.isnan(stage.stencil[1][0]).all()
             off = np.flatnonzero(stage.nodes)
-            flat = np.zeros((1, len(stage.nodes)))
+            flat = np.zeros((1, grid.n_points))  # the guard reads the full grid
             assert np.all(stage._rows(flat, off) == -np.inf)
             assert stage._rows(flat, np.array([stage.zero])) == 0.0
             q0, q1 = stage.q_values(np.zeros((2, len(stage.nodes))))
@@ -806,6 +827,130 @@ class TestTrapezoidStructure:
         w = table.w
         assert np.all(np.diff(w, axis=2) >= -1e-9 * np.maximum(1.0, np.abs(w[..., 1:])))
         assert not policy.u_star[:, 0].any() and not policy.u_star[0].any()
+
+
+def _log_interval(mu, s, r):
+    """log P(|X| < r) for X ~ N(mu, s^2), from erfc on the far side of mu,
+    so a small probability keeps its relative precision."""
+    mu, k = abs(mu), s * math.sqrt(2.0)
+    if mu >= r:
+        prob = 0.5 * (math.erfc((mu - r) / k) - math.erfc((mu + r) / k))
+    else:
+        prob = 1.0 - 0.5 * (math.erfc((mu + r) / k) + math.erfc((r - mu) / k))
+    return math.log(prob) if prob > 0.0 else -math.inf
+
+
+def _log_add(*terms):
+    peak = max(terms)
+    if peak == -math.inf:
+        return peak
+    return peak + math.log(sum(math.exp(t - peak) for t in terms))
+
+
+def w2_closed_form(params, delta, c):
+    """W_2(delta, c) of a T >= 2 model, from Gaussian identities alone.
+
+    W_1 is gamma min(x^2, lam) on the good channel and gamma x^2 on the bad
+    one.  For x ~ N(m, sigma2) and d = 1 - 2 sigma2 gamma, E exp(gamma x^2)
+    = d^-1/2 exp(gamma m^2 / d), and E exp(gamma min(x^2, lam)) is that
+    times the probability of |X| < sqrt(lam) under the tilted law N(m / d,
+    sigma2 / d), plus e^(gamma lam) times the untilted mass past
+    +-sqrt(lam).  Each expectation is taken as a log, so none overflows.
+    """
+    g, s2, lam = params.gamma, params.sigma2, params.lam
+    d, r = 1.0 - 2.0 * s2 * g, math.sqrt(lam)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(params.channel_matrix())
+
+    def drift(m, c):
+        log_bad = -0.5 * math.log(d) + g * m * m / d
+        k = math.sqrt(2.0 * s2)
+        tail = 0.5 * (math.erfc((r - m) / k) + math.erfc((r + m) / k))
+        log_tail = math.log(tail) if tail > 0.0 else -math.inf
+        log_good = _log_add(log_bad + _log_interval(m / d, math.sqrt(s2 / d), r), g * lam + log_tail)
+        return _log_add(log_p[c, 0] + log_bad, log_p[c, 1] + log_good)
+
+    q0 = g * delta * delta + drift(params.a * delta, c)
+    q1 = g * lam + (drift(0.0, 1) if c == 1 else q0)
+    return min(q0, q1)
+
+
+class TestEveryNodeReferee:
+    """W_2 at every node of the auto grid against w2_closed_form, over the
+    random family's ranges at T = 2 with 2 sigma2 gamma < 0.9.
+
+    The trapezoid rule is gated at |delta| <= R / 4, R = delta_max; farther
+    out each kernel row is scaled to mass 1 on the grid, which moves W, and
+    Hermite carries the kink at sqrt(lambda).  Those errors are printed,
+    not gated.
+    """
+
+    @staticmethod
+    def models(n=60):
+        rng = np.random.default_rng(7)
+        out = []
+        while len(out) < n:
+            p = ModelParams(
+                a=rng.uniform(-1.3, 1.3),
+                sigma2=math.exp(rng.uniform(-2.0, 3.0)),
+                lam=math.exp(rng.uniform(-2.0, 4.0)),
+                gamma=math.exp(rng.uniform(-6.0, 0.0)),
+                horizon=2,
+                p01=rng.uniform(0.05, 0.95),
+                p10=rng.uniform(0.05, 0.95),
+            )
+            if check_feasibility(p).feasible and 2.0 * p.sigma2 * p.gamma < 0.9:
+                out.append(p)
+        return out
+
+    def test_closed_form_matches_quadrature(self):
+        # each expectation of W_1 integrated by scipy, split at +-sqrt(lam)
+        for p in self.models(4):
+            P, r, sd = p.channel_matrix(), math.sqrt(p.lam), math.sqrt(p.sigma2)
+
+            def drift(m, c):
+                def expect(w1):
+                    f = lambda x: math.exp(w1(x)) * norm.pdf(x, m, sd)  # noqa: E731
+                    return quad(f, m - 40 * sd, m + 40 * sd, points=[-r, r], epsrel=1e-13, limit=200)[0]
+
+                e_bad = expect(lambda x: p.gamma * x * x)
+                e_good = expect(lambda x: p.gamma * min(x * x, p.lam))
+                return math.log(P[c, 0] * e_bad + P[c, 1] * e_good)
+
+            for delta in (0.0, 0.7 * r, -2.0 * r):
+                for c in (0, 1):
+                    q0 = p.gamma * delta**2 + drift(p.a * delta, c)
+                    q1 = p.gamma * p.lam + (drift(0.0, 1) if c == 1 else q0)
+                    want = min(q0, q1)
+                    got = w2_closed_form(p, delta, c)
+                    assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+    def test_trapezoid_inner_quarter(self):
+        # worst error per rule and band of |delta| / R: 0, (0, 1/4], (1/4,
+        # 1/2], (1/2, 1]
+        worst = {}
+        for p in self.models():
+            for rule in (TRAPEZOID, HERMITE):
+                radius = auto_delta_max(p, rule)
+                grid = GridSpec(radius, 401)
+                for space in ("original", "folded") if rule is TRAPEZOID else ("folded",):
+                    table, _ = value_iterate(p, grid, rule, space=space)
+                    for i, x in enumerate(grid.nodes_for(space)):
+                        band = int(np.searchsorted([0.0, 0.25, 0.5], abs(x) / radius))
+                        for c in (0, 1):
+                            want = w2_closed_form(p, float(x), c)
+                            err = abs(table.w[2, c, i] - want) / max(1.0, abs(want))
+                            key = (rule.rule, band)
+                            worst[key] = max(worst.get(key, 0.0), err)
+        trap = [worst[TRAPEZOID.rule, b] for b in range(4)]
+        herm = [worst[HERMITE.rule, b] for b in range(4)]
+        print(
+            f"W_2 error / max(1, |W|): trapezoid |delta| <= R/4 {max(trap[:2]):.3g} (gated),"
+            f" <= R/2 {max(trap[:3]):.3g}, outer half {trap[3]:.3g}; Hermite delta = 0"
+            f" {herm[0]:.3g}, <= R/2 {max(herm[:3]):.3g}, outer half {herm[3]:.3g}"
+        )
+        # 2.5 times the measured 4.4e-5
+        assert max(trap[:2]) <= 1.1e-4
 
 
 class TestExactTie:
@@ -1093,7 +1238,7 @@ class TestRiskNeutral:
         grid = GridSpec(1e6, 401)
         stage = _BellmanStage(p, grid, TRAPEZOID, space, True, risk_neutral=True)
         rows = np.arange(len(stage.nodes))
-        assert np.all(stage._rows(np.zeros((2, len(rows))), rows) == 0.0)
+        assert np.all(stage._rows(np.zeros((2, grid.n_points)), rows) == 0.0)
         table, _ = risk_neutral_value_iterate(p, grid, TRAPEZOID, space)
         assert np.all(np.isfinite(table.v))
         # from delta = 0 the noise snaps to the zero node, whose cost is 0
