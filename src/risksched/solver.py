@@ -114,6 +114,12 @@ class GridSpec:
             raise ValueError(f"delta_max must be finite and > 0, got {self.delta_max}")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError(f"n_points must be odd and >= 3, got {self.n_points}")
+        # Hermite interpolates in delta^2, across steps of the squared nodes
+        if self.spacing * self.spacing < np.finfo(float).tiny:
+            raise ValueError(
+                f"grid spacing {self.spacing!r} is too fine: its square underflows"
+                f" (delta_max = {self.delta_max!r}, n_points = {self.n_points})"
+            )
 
     @property
     def spacing(self) -> float:
@@ -320,10 +326,11 @@ def _radius_terms(params: ModelParams, quad: QuadratureSpec) -> tuple[float, flo
 
 def auto_delta_max(params: ModelParams, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Truncation radius: tilted 6.5-sigma coverage, capped for Hermite safety
-    (_hermite_cap) and floored at 2 sigma, rounded up to 0.1; 4 sigma at T = 0."""
+    (_hermite_cap) and floored at 2 sigma, rounded up to 0.1; at T = 0, 4 sigma
+    rounded to 0.01 and at least 0.01."""
     std, cap = _radius_terms(params, quad)
     if params.horizon == 0:
-        return round(4.0 * params.sigma, 2)
+        return max(round(4.0 * params.sigma, 2), 0.01)
     d = max(min(6.5 * std, cap), 2.0 * params.sigma)
     return float(np.ceil(d * 10.0) / 10.0)
 

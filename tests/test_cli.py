@@ -1,10 +1,9 @@
-"""End-to-end CLI tests: config parsing, artifacts, exit codes."""
+"""CLI tests through `main` in process: config parsing, artifacts, exit
+codes.  tests/test_console.py runs the command line in fresh processes."""
 
 import csv
 import math
-import os
 import platform
-import subprocess
 import sys
 import textwrap
 import tracemalloc
@@ -13,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-import risksched
 from risksched import (
     GridSpec,
     PolicyTable,
@@ -38,6 +36,8 @@ from risksched.policy import NonThresholdPolicyError
 from risksched.sim import CHUNK_SIZE
 from risksched.solver import auto_delta_max
 
+from conftest import _run_fresh
+
 BASE = {
     "a": "0.9",
     "sigma2": "1.0",
@@ -47,6 +47,14 @@ BASE = {
     "p01": "0.3",
     "p10": "0.2",
 }
+
+
+# the trapezoid cross-check grid: T = 2 on it is the model that
+# tests/test_console.py runs
+TRAPEZOID = dict(n_points=201, quad_rule="trapezoid-on-grid")
+# grid sizes that the checks at the ends of the float range run at: the
+# default, and that of the end-to-end models in tests/test_console.py
+GRIDS = (401, 201)
 
 
 def write_config(path, **overrides):
@@ -104,6 +112,7 @@ class TestParseConfig:
             "gamma = 0.1",  # duplicate (gamma already in BASE)
             "delta_max = wide",
             "n_points = 80",  # must be odd
+            "delta_max = 1e-300",  # the squared grid spacing underflows
             "quad_rule = simpson",
             "no equals sign here",
         ],
@@ -216,10 +225,11 @@ class TestBadInputs:
     def test_oracle_bad_n_delta_past_the_budget(self, tmp_path, capsys, n_delta):
         # at T = 20 no n_delta fits the budget, but a bad one is a usage error
         # first, as quantize would report it
-        cfg = write_config(tmp_path / "c.cfg", T=20, gamma="0.01")
-        code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", n_delta])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: n_delta must be odd and >= 3, got {n_delta}\n"
+        for overrides in (dict(gamma="0.01"), dict(n_points=201)):
+            cfg = write_config(tmp_path / "c.cfg", T=20, **overrides)
+            code = main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", n_delta])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: n_delta must be odd and >= 3, got {n_delta}\n"
 
     @pytest.mark.parametrize(
         "delta_q",
@@ -231,17 +241,18 @@ class TestBadInputs:
         ],
     )
     def test_oracle_bad_delta_q(self, tmp_path, capsys, delta_q):
-        cfg = write_config(tmp_path / "c.cfg", T=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(
-                ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "9",
-                 "--delta-q", delta_q]
-            )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: delta_q") and err.count("\n") == 1
-        assert not (tmp_path / "o" / "oracle_report.csv").exists()
+        for n_points in GRIDS:
+            cfg = write_config(tmp_path / "c.cfg", T=2, n_points=n_points)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(
+                    ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "9",
+                     "--delta-q", delta_q]
+                )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: delta_q") and err.count("\n") == 1
+            assert not (tmp_path / "o" / "oracle_report.csv").exists()
 
     @pytest.mark.parametrize(
         "text,message",
@@ -377,42 +388,47 @@ class TestBadInputs:
             ["oracle", "--n-delta", "9"],
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_gain_exit_2(self, tmp_path, capsys, command):
         # a^2 overflows a float, and beta_2 with it: infeasible at stage 2
-        cfg = write_config(tmp_path / "c.cfg", a="1e200", T=2)
-        code = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert "infeasible at stage 2" in captured.out + captured.err
+        for grid in ({}, dict(n_points=201), TRAPEZOID):
+            cfg = write_config(tmp_path / "c.cfg", a="1e200", T=2, **grid)
+            code = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            assert "infeasible at stage 2" in captured.out + captured.err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("source", ["builtin:always", "builtin:idle"])
     def test_overflowing_rollout_cost_exit_2(self, tmp_path, capsys, source):
         # a = 1e200 at T = 3 solves nothing here: delta(2) overflows to inf,
         # and on a delivered stage (1 - u*c) * delta**2 is 0 * inf = nan, so
-        # the estimate would be nan or inf; numpy's RuntimeWarning would raise
-        cfg = write_config(tmp_path / "c.cfg", a="1e200", T=3, n_rollouts=1000)
-        out = tmp_path / "o"
-        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--policy-source", source])
-        assert code == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
-        assert not (out / "metrics.csv").exists()
-        assert not (out / "trace.csv").exists()
+        # the estimate would be nan or inf; numpy's RuntimeWarning would raise.
+        # One chunk of rollouts, and the default 100000 in two
+        for overrides in (dict(n_rollouts=1000), dict(n_points=201)):
+            cfg = write_config(tmp_path / "c.cfg", a="1e200", T=3, **overrides)
+            out = tmp_path / "o"
+            code = main(["simulate", "--config", str(cfg), "--out", str(out), "--policy-source", source])
+            assert code == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+            assert not (out / "metrics.csv").exists()
+            assert not (out / "trace.csv").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_gain_solves_at_one_stage(self, tmp_path):
         # beta_1 = gamma for every a, so T = 1 is feasible: the drift centers
         # a*delta square to inf, and the lerp across the all-zero W_0 stays 0;
         # numpy's RuntimeWarning would raise here
-        cfg = write_config(tmp_path / "c.cfg", a="1e200", T=1)
-        out = tmp_path / "o"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        header, rows = read_csv(out / "thresholds.csv")
-        assert "# delta_max = 6.5" in header
-        thr = [float(r["threshold"]) for r in rows if (r["stages_to_go"], r["c"]) == ("1", "1")]
-        assert len(thr) == 1 and 1.0 < thr[0] <= 1.0 + 2 * 6.5 / 400
+        for n_points in GRIDS:
+            cfg = write_config(tmp_path / "c.cfg", a="1e200", T=1, n_points=n_points)
+            out = tmp_path / f"o{n_points}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            header, rows = read_csv(out / "thresholds.csv")
+            assert "# delta_max = 6.5" in header
+            thr = [float(r["threshold"]) for r in rows if (r["stages_to_go"], r["c"]) == ("1", "1")]
+            assert len(thr) == 1 and 1.0 < thr[0] <= 1.0 + 2 * 6.5 / (n_points - 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gain_past_the_float_range_at_one_stage(self, tmp_path, capsys):
@@ -424,11 +440,12 @@ class TestBadInputs:
             ("trapezoid-on-grid", ["solve"], 2),
             ("gauss-hermite-centered", ["oracle", "--n-delta", "9"], 0),
         ]
-        for rule, command, want in runs:
-            cfg = write_config(tmp_path / "c.cfg", a="1.7e308", T=1, quad_rule=rule)
-            out = tmp_path / "o"
-            assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == want
-            assert "Traceback" not in capsys.readouterr().err
+        for n_points in GRIDS:
+            for rule, command, want in runs:
+                cfg = write_config(tmp_path / "c.cfg", a="1.7e308", T=1, quad_rule=rule, n_points=n_points)
+                out = tmp_path / "o"
+                assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == want
+                assert "Traceback" not in capsys.readouterr().err
 
     def test_unwritable_trace_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=2, n_rollouts=100)
@@ -461,19 +478,9 @@ def test_runtime_needs_no_scipy(tmp_path):
         print("codes", codes)
         """
     )
-    proc = _run_fresh(script)
+    proc = _run_fresh([sys.executable, "-c", script])
     assert proc.returncode == 0, proc.stderr
     assert "codes [0, 0, 0, 0, 0]" in proc.stdout, proc.stdout + proc.stderr
-
-
-def _run_fresh(script, **overrides):
-    """Run script in a fresh interpreter that imports this risksched, with
-    the environment variables in overrides set (or unset where None)."""
-    src = os.path.dirname(os.path.dirname(risksched.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.update(overrides)
-    env = {k: v for k, v in env.items() if v is not None}
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_thread_pool_loads_only_for_several_chunks(tmp_path):
@@ -495,7 +502,7 @@ def test_thread_pool_loads_only_for_several_chunks(tmp_path):
         print("code", code, "loaded", loaded)
         """
     )
-    proc = _run_fresh(script)
+    proc = _run_fresh([sys.executable, "-c", script])
     assert proc.returncode == 0, proc.stderr
     assert "code 0 loaded [False, False, True]" in proc.stdout, proc.stdout + proc.stderr
 
@@ -513,7 +520,7 @@ def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
         print("code", code, "loaded", "numpy.ma" in sys.modules)
         """
     )
-    proc = _run_fresh(script)
+    proc = _run_fresh([sys.executable, "-c", script])
     assert proc.returncode == 0, proc.stderr
     assert "code 0 loaded False" in proc.stdout, proc.stdout + proc.stderr
 
@@ -539,20 +546,32 @@ class TestSolve:
         assert np.array_equal(loaded.threshold, expected.threshold)
 
     def test_zero_horizon_solves_on_the_four_sigma_radius(self, tmp_path):
-        # at T = 0 no stage is integrated, so auto_delta_max takes 4 sigma:
-        # nothing is ever transmitted and every value is V_0 = 1, W = 0
-        cfg = write_config(tmp_path / "c.cfg", T=0, n_points=201)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        header, thresholds = read_csv(out / "thresholds.csv")
-        assert "# delta_max = 4.0" in header
-        assert [(r["stages_to_go"], r["c"], r["threshold"]) for r in thresholds] == [
-            ("0", "0", "inf"),
-            ("0", "1", "inf"),
-        ]
-        _, values = read_csv(out / "values.csv")
-        assert len(values) == 2 * 201
-        assert {float(r["w"]) for r in values} == {0.0}
+        # at T = 0 no stage is integrated, so auto_delta_max takes 4 sigma,
+        # rounded to 0.01 and at least 0.01 (4 sigma rounds to 0.0 at sigma2 =
+        # 1e-6): nothing is ever transmitted and every value is V_0 = 1, W = 0
+        for sigma2, radius in (("1.0", "4.0"), ("1e-6", "0.01")):
+            cfg = write_config(tmp_path / "c.cfg", T=0, n_points=201, sigma2=sigma2)
+            out = tmp_path / f"out-{sigma2}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            header, thresholds = read_csv(out / "thresholds.csv")
+            assert f"# delta_max = {radius}" in header
+            assert [(r["stages_to_go"], r["c"], r["threshold"]) for r in thresholds] == [
+                ("0", "0", "inf"),
+                ("0", "1", "inf"),
+            ]
+            _, values = read_csv(out / "values.csv")
+            assert len(values) == 2 * 201
+            assert {float(r["w"]) for r in values} == {0.0}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--axis", "gamma", "--values", "0.05"], ["oracle"]]
+    )
+    def test_zero_horizon_grid_is_never_empty(self, tmp_path, command):
+        # every command that resolves the grid: at sigma2 = 1e-6 and T = 0
+        # the auto radius is 0.01, not 4 sigma rounded to 0.0
+        cfg = write_config(tmp_path / "c.cfg", T=0, sigma2="1e-6", n_rollouts=100)
+        assert main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]]) == 0
 
     def test_feasibility_header_values_are_numbers(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
@@ -571,25 +590,27 @@ class TestSolve:
     def test_feasibility_csv_matches_check(self, tmp_path):
         """check --out and solve write one feasibility.csv table: the same
         column names and data rows (their headers differ in delta_max)."""
-        cfg = write_config(tmp_path / "c.cfg", n_points=81)
-        checked, solved = tmp_path / "check", tmp_path / "solve"
-        assert main(["check", "--config", str(cfg), "--out", str(checked)]) == 0
-        assert main(["solve", "--config", str(cfg), "--out", str(solved), "--no-plot-data"]) == 0
-        tables = []
-        for out in (checked, solved):
-            with open(out / "feasibility.csv", newline="") as fh:
-                tables.append([line for line in fh if not line.startswith("#")])
-        assert tables[0][0] == "t,beta,two_sigma2_beta,ok\r\n"
-        assert len(tables[0]) == 1 + (3 + 1)  # column names, then T + 1 rows
-        assert tables[0] == tables[1]
+        for T, overrides in ((3, dict(n_points=81)), (2, TRAPEZOID)):
+            cfg = write_config(tmp_path / "c.cfg", T=T, **overrides)
+            checked, solved = tmp_path / f"check-{T}", tmp_path / f"solve-{T}"
+            assert main(["check", "--config", str(cfg), "--out", str(checked)]) == 0
+            assert main(["solve", "--config", str(cfg), "--out", str(solved)]) == 0
+            tables = []
+            for out in (checked, solved):
+                with open(out / "feasibility.csv", newline="") as fh:
+                    tables.append([line for line in fh if not line.startswith("#")])
+            assert tables[0][0] == "t,beta,two_sigma2_beta,ok\r\n"
+            assert len(tables[0]) == 1 + (T + 1)  # column names, then T + 1 rows
+            assert tables[0] == tables[1]
 
     @pytest.mark.parametrize(
         "shape, n_rows",
         [
             (dict(T=1, n_points=11, delta_max="3.0"), 2 * 2 * 11),
             (dict(T=3, n_points=2049), _BLOCK_ROWS + 8),  # 2 * 4 * 2049 rows
+            (dict(T=2, n_points=201), 2 * 3 * 201),
         ],
-        ids=["small", "past-block"],
+        ids=["small", "past-block", "two-stage"],
     )
     @pytest.mark.parametrize("rule", ["gauss-hermite-centered", "trapezoid-on-grid"])
     def test_output_bytes(self, tmp_path, rule, shape, n_rows):
@@ -670,16 +691,11 @@ class TestSolve:
 
     def test_underflowing_gain_solves(self, tmp_path, capsys):
         # the Hermite cap's denominator underflows to 0: no cap, as at a = 0
-        cfg = write_config(tmp_path / "c.cfg", a="1e-300", gamma="1e-300", T=2)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
-        assert capsys.readouterr().out.startswith("solved: delta_max=6.5 ")
-
-    def test_plot_data_toggle(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
-        assert not (out / "values.csv").exists()
+        for n_points in GRIDS:
+            cfg = write_config(tmp_path / "c.cfg", a="1e-300", gamma="1e-300", T=2, n_points=n_points)
+            out = tmp_path / f"out{n_points}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
+            assert capsys.readouterr().out.startswith("solved: delta_max=6.5 ")
 
     def test_infeasible_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", gamma="0.6")
@@ -750,15 +766,22 @@ class TestSimulate:
         assert parse_config(again) == parse_config(cfg_path)
 
     def test_threshold_file_source(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", n_points=201, n_rollouts=2000)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        code = main(
-            ["simulate", "--config", str(cfg), "--out", str(out),
-             "--policy-source", "threshold-file",
-             "--threshold-file", str(out / "thresholds.csv"), "--c0", "1"]
-        )
-        assert code == 0
+        # the solved thresholds simulated: T trace rows and a resolved tail
+        runs = [(3, dict(n_points=201, n_rollouts=2000), ["--c0", "1"]), (2, TRAPEZOID, [])]
+        for T, overrides, args in runs:
+            cfg = write_config(tmp_path / "c.cfg", T=T, **overrides)
+            out = tmp_path / f"out{T}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            code = main(
+                ["simulate", "--config", str(cfg), "--out", str(out),
+                 "--policy-source", "threshold-file",
+                 "--threshold-file", str(out / "thresholds.csv"), *args]
+            )
+            assert code == 0
+            _, trace = read_csv(out / "trace.csv")
+            _, metrics = read_csv(out / "metrics.csv")
+            assert len(trace) == T
+            assert [m["tail_ok"] for m in metrics] == ["1"]
 
     def test_threshold_file_source_requires_file(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg")
@@ -851,15 +874,19 @@ class TestOracle:
         assert "the largest n_delta that fits is 5" in err
 
     def test_largest_fitting_n_delta_passes(self, tmp_path, capsys):
-        # 4**10 policies on the 5-state chain; its 9-state refinement chain is
-        # solved by backward induction alone, so it needs no budget of its own
-        cfg = write_config(tmp_path / "c.cfg", T=5)
-        out = tmp_path / "out"
-        assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", "5"]) == 0
-        header, rows = read_csv(out / "oracle_report.csv")
-        assert "# n_enumerated = 1048576" in header
-        assert [r["pass"] for r in rows] == ["1"] * 6
-        assert capsys.readouterr().out.count("PASS") == 6
+        # at T = 5, 4**10 policies on the 5-state chain; its 9-state
+        # refinement chain is solved by backward induction alone, so it needs
+        # no budget of its own.  At T = 1, 1448**2 policies on 1447
+        # magnitudes, whose certified table is evaluated once, not per start
+        runs = [(5, 401, "5", 4**10), (5, 201, "5", 4**10), (1, 201, "2893", 1448**2)]
+        for T, n_points, n_delta, n_enumerated in runs:
+            cfg = write_config(tmp_path / "c.cfg", T=T, n_points=n_points)
+            out = tmp_path / "out"
+            assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", n_delta]) == 0
+            header, rows = read_csv(out / "oracle_report.csv")
+            assert f"# n_enumerated = {n_enumerated}" in header
+            assert [r["pass"] for r in rows] == ["1"] * 6
+            assert capsys.readouterr().out.count("PASS") == 6
 
     def test_budget_message_when_nothing_fits(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", T=20, gamma="0.01")
@@ -876,22 +903,25 @@ class TestOracle:
             raise AssertionError("quantize called past the budget")
 
         monkeypatch.setattr(cli, "quantize", refuse)
-        cfg = write_config(tmp_path / "c.cfg", T=1)
-        code = main(
-            ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "200001"]
-        )
-        assert code == 3
-        assert "the largest n_delta that fits is 2893" in capsys.readouterr().err
+        for n_points in GRIDS:
+            cfg = write_config(tmp_path / "c.cfg", T=1, n_points=n_points)
+            code = main(
+                ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o"), "--n-delta", "200001"]
+            )
+            assert code == 3
+            assert "the largest n_delta that fits is 2893" in capsys.readouterr().err
 
     def test_one_stage_report_header(self, tmp_path, capsys):
         # the threshold family at T = 1, n_delta = 9: 6 cuts per channel
-        cfg = write_config(tmp_path / "c.cfg", T=1)
-        out = tmp_path / "out"
-        assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", "9"]) == 0
-        header, rows = read_csv(out / "oracle_report.csv")
-        assert "# n_enumerated = 36" in header
-        assert not any(h.startswith("# enum_mode") for h in header)
-        assert [r["pass"] for r in rows] == ["1"] * 6
+        for n_points in GRIDS:
+            cfg = write_config(tmp_path / "c.cfg", T=1, n_points=n_points)
+            out = tmp_path / "out"
+            assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", "9"]) == 0
+            header, rows = read_csv(out / "oracle_report.csv")
+            assert "# n_enumerated = 36" in header
+            assert not any(h.startswith("# enum_mode") for h in header)
+            assert [r["pass"] for r in rows] == ["1"] * 6
+            assert capsys.readouterr().out.count("PASS") == 6
 
     def test_evaluation_does_not_scale_with_the_ladder(self, tmp_path, monkeypatch):
         # one chain stage per stage to go, each for enumeration, the coarse
@@ -931,14 +961,15 @@ class TestOracle:
         ],
     )
     def test_overflowing_chain_values_pass(self, tmp_path, capsys, overrides, args):
-        cfg = write_config(tmp_path / "c.cfg", **overrides)
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["oracle", "--config", str(cfg), "--out", str(out), *args]) == 0
-        _, rows = read_csv(out / "oracle_report.csv")
-        assert [r["pass"] for r in rows] == ["1"] * 6
-        assert capsys.readouterr().out.count("PASS") == 6
+        for n_points in GRIDS:
+            cfg = write_config(tmp_path / "c.cfg", n_points=n_points, **overrides)
+            out = tmp_path / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["oracle", "--config", str(cfg), "--out", str(out), *args]) == 0
+            _, rows = read_csv(out / "oracle_report.csv")
+            assert [r["pass"] for r in rows] == ["1"] * 6
+            assert capsys.readouterr().out.count("PASS") == 6
 
 
 def _numpy_on_openblas_x86():
@@ -951,27 +982,38 @@ def _numpy_on_openblas_x86():
     return "openblas" in blas.lower()
 
 
+_NEEDS_OPENBLAS_X86 = pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86_64")
+
+
 class TestSweep:
-    @pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86_64")
     @pytest.mark.parametrize(
-        "overrides",
-        [dict(n_points=201, quad_rule="trapezoid-on-grid"), {}],
-        ids=["trapezoid", "default"],
+        "overrides, variable, value",
+        [
+            pytest.param(TRAPEZOID, "OPENBLAS_CORETYPE", "Prescott", marks=_NEEDS_OPENBLAS_X86, id="trapezoid"),
+            pytest.param({}, "OPENBLAS_CORETYPE", "Prescott", marks=_NEEDS_OPENBLAS_X86, id="default"),
+            pytest.param(TRAPEZOID, "OPENBLAS_NUM_THREADS", "1", id="trapezoid-threads"),
+        ],
     )
-    def test_bytes_do_not_follow_the_blas_kernel(self, tmp_path, overrides):
+    def test_bytes_do_not_follow_the_blas_kernel(self, tmp_path, overrides, variable, value):
         # OPENBLAS_CORETYPE picks the BLAS kernel that OpenBLAS would pick
-        # on another CPU.  A channel mix taken as a matrix product wrote
-        # other rn_value_at_zero bits under each, on both configs: on the
-        # trapezoid one 0.85480353833945 against 0.8548035383394501
+        # on another CPU, and OPENBLAS_NUM_THREADS=1 its one-thread path.  A
+        # channel mix taken as a matrix product wrote other rn_value_at_zero
+        # bits under each CORETYPE, on both configs: on the trapezoid one
+        # 0.85480353833945 against 0.8548035383394501.  The sweep and the
+        # solve must write the same bytes with the variable unset and set
         cfg = write_config(tmp_path / "c.cfg", T=2, **overrides)
         written = []
-        for coretype in (None, "Prescott"):
-            out = tmp_path / f"out-{coretype}"
-            args = ["sweep", "--config", str(cfg), "--out", str(out), "--axis", "gamma", "--values", "0.02,0.05"]
-            script = f"from risksched.cli import main; raise SystemExit(main({args!r}))"
-            proc = _run_fresh(script, OPENBLAS_CORETYPE=coretype)
+        for setting in (None, value):
+            out = tmp_path / f"out-{setting}"
+            sweep, solve = (
+                [command, "--config", str(cfg), "--out", str(out), *args]
+                for command, args in (("sweep", ["--axis", "gamma", "--values", "0.02,0.05"]), ("solve", []))
+            )
+            script = f"from risksched.cli import main; raise SystemExit(main({sweep!r}) or main({solve!r}))"
+            proc = _run_fresh([sys.executable, "-c", script], **{variable: setting})
             assert proc.returncode == 0, proc.stderr
-            written.append((out / "sweep.csv").read_bytes())
+            names = ("sweep.csv", "thresholds.csv", "values.csv", "policy.csv")
+            written.append({name: (out / name).read_bytes() for name in names})
         assert written[0] == written[1]
 
     def test_gamma_axis_rows(self, tmp_path):
