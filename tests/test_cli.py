@@ -545,6 +545,7 @@ class TestSolve:
         loaded = load_threshold_csv(out / "thresholds.csv")
         assert np.array_equal(loaded.threshold, expected.threshold)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_horizon_solves_on_the_four_sigma_radius(self, tmp_path):
         # at T = 0 no stage is integrated, so auto_delta_max takes 4 sigma,
         # rounded to 0.01 and at least 0.01 (4 sigma rounds to 0.0 at sigma2 =
