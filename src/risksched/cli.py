@@ -30,11 +30,9 @@ import numpy as np
 from .model import ModelParams
 from .oracle import (
     EnumerationBudgetError,
-    _backward_induction,
     _check_budget,
-    _evaluate,
-    _rel_gap,
     brute_force_optimal,
+    certify,
     quantize,
 )
 from .policy import (
@@ -152,7 +150,10 @@ def _solve(cfg: Config):
     """(grid, log-value table, policy) of the config: resolve delta_max (auto
     or fixed) and solve the folded MDP, as the value is even in delta."""
     dmax = cfg.delta_max if cfg.delta_max is not None else auto_delta_max(cfg.params, cfg.quad)
-    grid = GridSpec(delta_max=dmax, n_points=cfg.n_points)
+    try:
+        grid = GridSpec(delta_max=dmax, n_points=cfg.n_points)
+    except ValueError as exc:  # only an auto radius: parse_config checked a fixed one
+        raise ConfigError(f"auto delta_max: {exc}") from exc
     return (grid, *value_iterate(cfg.params, grid, cfg.quad, space="folded"))
 
 
@@ -399,53 +400,11 @@ def cmd_oracle(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # an infeasible model exits 2 here: the chain's finite noise atoms keep
-    # every enumerated value finite, so the checks below cannot see it
+    # every enumerated value finite, so certify's checks cannot see it
     _, table, _ = _solve(cfg)
     w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
     result = brute_force_optimal(chain)
-    checks: list[tuple[str, bool, str]] = []
-
-    # a NaN gap (+inf on one side only) fails, as any comparison with NaN does
-    gap = _rel_gap(result.value, result.enum_value)
-    checks.append(("enumeration_matches_backward_induction", gap <= 1e-12, f"rel_gap={gap:.3e}"))
-
-    # the certified table evaluated from every start in one pass
-    eval_gap = _rel_gap(result.value, _evaluate(chain, result.policy[None])[0])
-    checks.append(
-        ("exact_policy_cost_matches_certified_optimum", eval_gap <= 1e-12, f"rel_gap={eval_gap:.3e}")
-    )
-
-    n_bad = int(result.policy[:, :, 0].sum())
-    checks.append(("bad_channel_column_all_idle", n_bad == 0, f"transmit_count={n_bad}"))
-
-    mirrored = result.policy[:, ::-1, :]
-    checks.append(
-        ("optimal_policy_even", bool(np.array_equal(result.policy, mirrored)), "u(delta)=u(-delta)")
-    )
-
-    # with evenness already checked, up-set in |delta| = non-decreasing
-    # actions along the non-negative half of the ladder
-    mid = chain.n_states // 2
-    upset_ok = bool(
-        np.all(np.diff(result.policy[1:, mid:, :].astype(int), axis=1) >= 0)
-    )
-    checks.append(("optimal_policy_threshold_structure", upset_ok, "up-set in |delta|"))
-
-    disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
-    fine_value = _backward_induction(fine)[0][params.horizon]
-    disc_fine = float(np.max(np.abs(np.log(fine_value[fine.n_states // 2]) - w0)))
-    # a discrepancy within rounding counts as none: at T = 1 the solver and
-    # both chains are exact, and only their rounding errors would be compared
-    noise = 4.0 * np.spacing(max(1.0, float(np.max(np.abs(w0)))))
-    kept_coarse, kept_fine = (d if d >= noise else 0.0 for d in (disc_coarse, disc_fine))
-    checks.append(
-        (
-            "refinement_decreases_solver_discrepancy",
-            kept_fine <= kept_coarse,
-            f"coarse={disc_coarse:.3e} fine={disc_fine:.3e}",
-        )
-    )
-
+    checks = certify(chain, result, fine, w0)
     header = _header_lines(
         cfg,
         None,

@@ -17,7 +17,9 @@ that the optimum is an even magnitude-threshold policy, the paper's
 structural result, and that the certified table evaluates back to its own
 value.  The unit tests guard the stage with hand-computed expectations.  A
 value past the float range is +inf: such a policy never wins a minimum, and
-equal +inf entries agree.
+equal +inf entries agree.  certify turns a certified result into the
+`oracle` command's report: those agreements, the optimum's structure, and
+whether a refined chain comes closer to the solver's value.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "quantize",
     "exact_policy_cost",
     "brute_force_optimal",
+    "certify",
     "chain_policy",
     "enumeration_size",
 ]
@@ -424,3 +427,42 @@ def brute_force_optimal(chain: QuantizedChain, mode: str = "threshold") -> Brute
     return BruteForceResult(
         policy=u_dp, value=v_dp[T], enum_value=enum_value, n_enumerated=n_enumerated
     )
+
+
+def certify(
+    chain: QuantizedChain, result: BruteForceResult, fine: QuantizedChain, w0: np.ndarray
+) -> list[tuple[str, bool, str]]:
+    """The oracle report's rows (check, pass, detail), in order.
+
+    result is brute_force_optimal's on chain, fine the refinement of chain,
+    and w0 the solver's log V_T(0, c) for c = 0, 1, which the log-value of
+    each chain at its centre state is compared with.  A NaN gap (+inf on one
+    side only) fails, as any comparison with NaN does.
+    """
+    u, mid = result.policy, chain.n_states // 2
+    gap = _rel_gap(result.value, result.enum_value)
+    # the certified table evaluated from every start in one pass
+    eval_gap = _rel_gap(result.value, _evaluate(chain, u[None])[0])
+    n_bad = int(u[:, :, 0].sum())
+    # with evenness checked, an up-set in |delta| is non-decreasing actions
+    # along the non-negative half of the ladder
+    upset_ok = bool(np.all(np.diff(u[1:, mid:, :].astype(int), axis=1) >= 0))
+    disc_coarse = float(np.max(np.abs(np.log(result.value[mid]) - w0)))
+    fine_value = _backward_induction(fine)[0][chain.params.horizon]
+    disc_fine = float(np.max(np.abs(np.log(fine_value[fine.n_states // 2]) - w0)))
+    # a discrepancy within rounding counts as none: at T = 1 the solver and
+    # both chains are exact, and only their rounding errors would be compared
+    noise = 4.0 * np.spacing(max(1.0, float(np.max(np.abs(w0)))))
+    kept_coarse, kept_fine = (d if d >= noise else 0.0 for d in (disc_coarse, disc_fine))
+    return [
+        ("enumeration_matches_backward_induction", gap <= 1e-12, f"rel_gap={gap:.3e}"),
+        ("exact_policy_cost_matches_certified_optimum", eval_gap <= 1e-12, f"rel_gap={eval_gap:.3e}"),
+        ("bad_channel_column_all_idle", n_bad == 0, f"transmit_count={n_bad}"),
+        ("optimal_policy_even", bool(np.array_equal(u, u[:, ::-1, :])), "u(delta)=u(-delta)"),
+        ("optimal_policy_threshold_structure", upset_ok, "up-set in |delta|"),
+        (
+            "refinement_decreases_solver_discrepancy",
+            kept_fine <= kept_coarse,
+            f"coarse={disc_coarse:.3e} fine={disc_fine:.3e}",
+        ),
+    ]

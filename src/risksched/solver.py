@@ -112,6 +112,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not 0 < self.delta_max < math.inf:
             raise ValueError(f"delta_max must be finite and > 0, got {self.delta_max}")
+        # the stages work in delta^2, which must stay finite on the grid
+        if not self.delta_max * self.delta_max < math.inf:
+            raise ValueError(f"delta_max = {self.delta_max!r} is too large: its square overflows")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError(f"n_points must be odd and >= 3, got {self.n_points}")
         # Hermite interpolates in delta^2, across steps of the squared nodes

@@ -113,6 +113,7 @@ class TestParseConfig:
             "delta_max = wide",
             "n_points = 80",  # must be odd
             "delta_max = 1e-300",  # the squared grid spacing underflows
+            "delta_max = 1.4e154",  # delta_max^2 overflows
             "quad_rule = simpson",
             "no equals sign here",
         ],
@@ -854,6 +855,38 @@ class TestOracle:
         _, rows = read_csv(out / "oracle_report.csv")
         assert [r["check"] for r in rows if r["pass"] != "1"] == []
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "n_delta,refined",
+        [
+            # the 5-state ladder's refinement moves away from the solver
+            ("5", "0,coarse=1.035e-02 fine=1.331e-02"),
+            ("9", "1,coarse=1.035e-02 fine=6.905e-03"),
+        ],
+        ids=["5", "9"],
+    )
+    def test_report_rows(self, tmp_path, capsys, n_delta, refined):
+        # the standard model at T = 2 on the default grid
+        cfg = write_config(tmp_path / "c.cfg", T=2)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out), "--n-delta", n_delta]) == 0
+        rows = [
+            "check,pass,detail",
+            "enumeration_matches_backward_induction,1,rel_gap=0.000e+00",
+            "exact_policy_cost_matches_certified_optimum,1,rel_gap=0.000e+00",
+            "bad_channel_column_all_idle,1,transmit_count=0",
+            "optimal_policy_even,1,u(delta)=u(-delta)",
+            "optimal_policy_threshold_structure,1,up-set in |delta|",
+            f"refinement_decreases_solver_discrepancy,{refined}",
+        ]
+        text = (out / "oracle_report.csv").read_bytes().decode()
+        data = [line for line in text.splitlines(keepends=True) if not line.startswith("#")]
+        assert data == [row + "\r\n" for row in rows]
+        lines = []
+        for row in rows[1:]:
+            name, ok, detail = row.split(",")
+            lines.append(f"{'PASS' if ok == '1' else 'FAIL'} {name} ({detail})")
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_inexact_ladder_step_fits_budget(self, tmp_path, capsys):
         # a 7-state ladder on [-4, 4] has an inexact step; its refinement has

@@ -115,6 +115,25 @@ def test_too_fine_grid_exit_1(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_auto_radius_whose_square_overflows_exit_1(tmp_path):
+    # the auto radius of this feasible model is 2.06e154, whose square
+    # overflows: each command that solves refuses it before any stage runs
+    model = {"sigma2": "1e307", "gamma": "1e-310", "T": "1", "n_points": None, "quad_rule": None}
+    cfg = write_config(tmp_path / "c.cfg", **model)
+    commands = (
+        ["solve"],
+        ["simulate", "--policy-source", "solved"],
+        ["sweep", "--axis", "gamma", "--values", "1e-310"],
+        ["oracle"],
+    )
+    for command in commands:
+        out = tmp_path / command[0]
+        proc = cli(1, *command, "--config", cfg, "--out", out, warnings_as_errors=True)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: auto delta_max"), proc.stderr
+        assert "2.055" in lines[0] and not out.exists()
+
+
 def test_hermite_threshold_and_evenness(tmp_path):
     # transmitting pays exactly when delta^2 > lambda with one stage to go,
     # so threshold(j=1, c=1) lies in (1, 1 + one grid step]; and every

@@ -1,5 +1,6 @@
 """Quantized-chain oracle tests with hand-computable expected values."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -12,7 +13,10 @@ from numpy.testing import assert_allclose
 
 from risksched import (
     EnumerationBudgetError,
+    GridSpec,
     ModelParams,
+    QuadratureSpec,
+    auto_delta_max,
     brute_force_optimal,
     chain_policy,
     exact_policy_cost,
@@ -20,9 +24,18 @@ from risksched import (
     always_transmit_policy,
     check_feasibility,
     quantize,
+    value_iterate,
 )
 from risksched.cli import cmd_oracle, parse_config
-from risksched.oracle import _evaluate, _mix, _stage, _stage_costs, _threshold_cuts, enumeration_size
+from risksched.oracle import (
+    _evaluate,
+    _mix,
+    _stage,
+    _stage_costs,
+    _threshold_cuts,
+    certify,
+    enumeration_size,
+)
 
 
 def mk(**kw):
@@ -369,6 +382,84 @@ class TestBruteForce:
         assert not policy[:, :, 0].any()
         mid = chain.n_states // 2
         assert np.all(np.diff(policy[1:, mid:, :].astype(int), axis=1) >= 0)
+
+
+def _set_actions(result, index, action):
+    """result with its (T + 1, n, 2) action table set to action at index."""
+    policy = result.policy.copy()
+    policy[index] = action
+    return dataclasses.replace(result, policy=policy)
+
+
+class TestCertify:
+    """Each case changes one input of a passing certificate of the standard
+    model at T = 2 and names exactly the report rows (1 to 6) that FAIL."""
+
+    ROWS = [
+        "enumeration_matches_backward_induction",
+        "exact_policy_cost_matches_certified_optimum",
+        "bad_channel_column_all_idle",
+        "optimal_policy_even",
+        "optimal_policy_threshold_structure",
+        "refinement_decreases_solver_discrepancy",
+    ]
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        # what `oracle --n-delta 9` certifies: the chain, its result, its
+        # refinement and the solver's log V_T(0, c) on the default grid
+        p = mk()
+        chain, fine = quantize(p, 9, 3), quantize(p, 17, 5)
+        table, _ = value_iterate(p, GridSpec(auto_delta_max(p), 401), QuadratureSpec(), space="folded")
+        return chain, brute_force_optimal(chain), fine, table.w[p.horizon, :, 0]
+
+    @staticmethod
+    def failing(rows):
+        return [k for k, (_, ok, _) in enumerate(rows, start=1) if not ok]
+
+    def test_unchanged_inputs_pass(self, inputs):
+        rows = certify(*inputs)
+        assert [name for name, _, _ in rows] == self.ROWS
+        assert self.failing(rows) == []
+        assert rows[0][2] == "rel_gap=0.000e+00"
+        assert rows[5][2] == "coarse=1.035e-02 fine=6.905e-03"
+
+    def test_enumeration_off_by_1e_9(self, inputs):
+        chain, result, fine, w0 = inputs
+        result = dataclasses.replace(result, enum_value=result.enum_value * (1 + 1e-9))
+        assert self.failing(certify(chain, result, fine, w0)) == [1]
+
+    def test_bad_channel_transmits(self, inputs):
+        chain, result, fine, w0 = inputs
+        T, n = chain.params.horizon, chain.n_states
+        result = _set_actions(result, np.s_[T, :, 0], 1)
+        rows = certify(chain, result, fine, w0)
+        assert self.failing(rows) == [2, 3]
+        assert rows[2][2] == f"transmit_count={n}"
+
+    def test_one_sided_flip(self, inputs):
+        # the outermost negative state stops transmitting on the good channel
+        chain, result, fine, w0 = inputs
+        T = chain.params.horizon
+        assert result.policy[T, 0, 1] == 1
+        result = _set_actions(result, np.s_[T, 0, 1], 0)
+        assert self.failing(certify(chain, result, fine, w0)) == [2, 4]
+
+    def test_mirrored_flip_breaks_the_up_set(self, inputs):
+        # both outermost states stop transmitting while their inner
+        # neighbours still do: even, but not an up-set in |delta|
+        chain, result, fine, w0 = inputs
+        T = chain.params.horizon
+        assert result.policy[T, [0, 1, -2, -1], 1].tolist() == [1, 1, 1, 1]
+        result = _set_actions(result, np.s_[T, [0, -1], 1], 0)
+        assert self.failing(certify(chain, result, fine, w0)) == [2, 5]
+
+    def test_solver_equal_to_the_coarse_chain(self, inputs):
+        # a solver at the coarse chain's own value leaves it nothing to
+        # improve on, so the refinement can only move away
+        chain, result, fine, w0 = inputs
+        own = np.log(result.value[chain.n_states // 2])
+        assert self.failing(certify(chain, result, fine, own)) == [6]
 
 
 class TestMix:

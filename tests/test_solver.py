@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import functools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -91,11 +92,19 @@ class TestGridSpec:
         assert GridSpec(2.0, 17).spacing == 0.25
 
     @pytest.mark.parametrize(
-        "dmax,n", [(0.0, 11), (-1.0, 11), (math.inf, 11), (math.nan, 11), (2.0, 10), (2.0, 1)]
+        "dmax,n",
+        [(0.0, 11), (-1.0, 11), (math.inf, 11), (math.nan, 11), (2.0, 10), (2.0, 1), (1.4e154, 101)],
     )
     def test_rejects_bad_grids(self, dmax, n):
         with pytest.raises(ValueError):
             GridSpec(dmax, n)
+
+    def test_radius_square_must_be_finite(self):
+        # the largest radius whose square is finite is a grid, the next float is not
+        r = math.sqrt(sys.float_info.max)
+        assert GridSpec(r, 3).spacing == r
+        with pytest.raises(ValueError, match="its square overflows"):
+            GridSpec(math.nextafter(r, math.inf), 3)
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):
