@@ -94,8 +94,8 @@ _KEYS = {
 def parse_config(path: str | Path) -> Config:
     raw = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")  # skips a byte-order mark
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -218,6 +218,7 @@ def _write_csv(path: Path, header_lines: list[str], columns: dict | list, blocks
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+@np.errstate(all="ignore")  # 2 sigma2 beta past the float range is inf, a violation
 def _feasibility(params: ModelParams) -> tuple:
     """The beta recursion of params, run once, in the one form every command
     reports it: (report, feasibility.csv columns, one line per stage)."""
@@ -299,7 +300,7 @@ def load_threshold_csv(path: str | Path) -> ThresholdSchedule:
     try:
         with open(path, newline="") as fh:
             lines = [line for line in fh if not line.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read threshold file {path}: {exc}") from exc
     reader = csv.reader(lines)
     header = next(reader, [])

@@ -17,9 +17,10 @@ that the optimum is an even magnitude-threshold policy, the paper's
 structural result, and that the certified table evaluates back to its own
 value.  The unit tests guard the stage with hand-computed expectations.  A
 value past the float range is +inf: such a policy never wins a minimum, and
-equal +inf entries agree.  certify turns a certified result into the
-`oracle` command's report: those agreements, the optimum's structure, and
-whether a refined chain comes closer to the solver's value.
+equal +inf entries agree (quantize, _stage, _rel_gap and _mix, which the
+tests enter, tell numpy not to warn).  certify turns a certified result into
+the `oracle` command's report: those agreements, the optimum's structure,
+and whether a refined chain comes closer to the solver's value.
 """
 
 from __future__ import annotations
@@ -189,12 +190,11 @@ def _stage_costs(chain: QuantizedChain) -> tuple[np.ndarray, np.ndarray]:
     """exp-costs exp(gamma*d) for u=0 and u=1, each (n_states, 2); +inf
     past the float range."""
     p = chain.params
-    with np.errstate(over="ignore"):
-        z = np.square(chain.delta_states)
-        e0 = np.exp(p.gamma * z)[:, None] * np.ones((1, 2))
-        e1 = np.empty_like(e0)
-        e1[:, 0] = np.exp(p.gamma * (p.lam + z))
-        e1[:, 1] = np.exp(p.gamma * p.lam)
+    z = np.square(chain.delta_states)
+    e0 = np.exp(p.gamma * z)[:, None] * np.ones((1, 2))
+    e1 = np.empty_like(e0)
+    e1[:, 0] = np.exp(p.gamma * (p.lam + z))
+    e1[:, 1] = np.exp(p.gamma * p.lam)
     return e0, e1
 
 
@@ -226,6 +226,7 @@ def _mix(x: np.ndarray, row: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(mixed), np.inf, mixed)
 
 
+@np.errstate(all="ignore")
 def _stage(chain: QuantizedChain, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One multiplicative Bellman stage: (idle, transmit) exp-values from g.
 
@@ -237,17 +238,16 @@ def _stage(chain: QuantizedChain, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     A value past the float range is +inf.
     """
     e0, e1 = _stage_costs(chain)
-    with np.errstate(over="ignore"):
-        drift = _expect(g, chain.drift_to, chain.noise_probs)  # E[g(next) | i, no delivery]
-        reset = _expect(g, chain.reset_to, chain.noise_probs)  # E[g(next) | delivery]
-        idle = np.empty_like(drift)
-        for c in (0, 1):
-            idle[..., c] = _mix(drift, chain.channel[c])
-        del drift
-        transmit = np.empty_like(idle)
-        np.multiply(e1[:, 0], idle[..., 0], out=transmit[..., 0])
-        np.multiply(e1[:, 1], _mix(reset, chain.channel[1])[..., None], out=transmit[..., 1])
-        idle *= e0
+    drift = _expect(g, chain.drift_to, chain.noise_probs)  # E[g(next) | i, no delivery]
+    reset = _expect(g, chain.reset_to, chain.noise_probs)  # E[g(next) | delivery]
+    idle = np.empty_like(drift)
+    for c in (0, 1):
+        idle[..., c] = _mix(drift, chain.channel[c])
+    del drift
+    transmit = np.empty_like(idle)
+    np.multiply(e1[:, 0], idle[..., 0], out=transmit[..., 0])
+    np.multiply(e1[:, 1], _mix(reset, chain.channel[1])[..., None], out=transmit[..., 1])
+    idle *= e0
     return idle, transmit
 
 

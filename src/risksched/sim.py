@@ -37,7 +37,11 @@ delivery mask u*c once and writes both the stage cost and the next error
 into the block's buffers.  model.stage_cost and model.step_error state the
 same arithmetic, bit for bit, and the tests hold the loop to them.  A chunk
 whose totals are not all finite (the error overflowed a float) raises
-FloatingPointError.
+FloatingPointError.  Other values past the float range are inf or NaN
+(x_hat at a subnormal gain, var_cost where the spread of S leaves it), and
+rollout and _chunk_figures tell numpy not to warn by an np.errstate
+decorator, _chunk_figures as pool threads do not see the caller's.  The
+merge adds Python floats and calls _logsumexp, which holds its own rule.
 
 Decision functions follow the package convention (delta, c, stages_to_go),
 must accept equal-length arrays for delta and c, and return 0 or 1 per row.
@@ -174,6 +178,7 @@ def _closed_loop(params: ModelParams, policy, delta0: float, path, w):
         np.add(delta, w[t], out=delta)
 
 
+@np.errstate(all="ignore")
 def rollout(
     params: ModelParams,
     policy,
@@ -227,16 +232,14 @@ def _simulate_chunk(
     return total
 
 
+@np.errstate(all="ignore")
 def _chunk_figures(
     params: ModelParams, policy, seed: int, delta0: float, c0, k_top: int, chunk: int, m: int
 ):
     """(m, mean, M2, log-sum-exps of gamma*S and 2*gamma*S, top k_top of
     gamma*S, unordered) of the totals S of one chunk.  Raises
     FloatingPointError if a total is not finite."""
-    # an overflowing error gives inf costs, and inf * 0 NaN ones on delivery:
-    # the chunk is refused below instead of warned about stage by stage
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = _simulate_chunk(params, policy, m, _generator(seed, chunk), delta0, c0)
+    s = _simulate_chunk(params, policy, m, _generator(seed, chunk), delta0, c0)
     if not np.isfinite(s).all():
         raise FloatingPointError(f"a rollout's total cost overflows a float (chunk {chunk})")
     mean = float(s.mean())

@@ -56,6 +56,12 @@ integrates to -inf.  The risk-neutral stage is the same product on v_t,
 with no log.  Neither rule nor the channel mix calls BLAS, whose kernel
 follows the CPU; Hermite's abscissae come from hermgauss, which calls
 LAPACK.
+
+A value past the float range is inf or NaN, judged by the checks after it
+(a +inf beta is a violation; _factors' None, the guard, _iterate's check),
+so check_feasibility, _BellmanStage.__init__, q_values and _integrate tell
+numpy not to warn by an np.errstate decorator; _rows, which the tests
+enter, and _logsumexp, which sim calls, hold their own.
 """
 
 from __future__ import annotations
@@ -233,6 +239,7 @@ def _check_space(space: str) -> None:
         raise ValueError(f"space must be 'original' or 'folded', got {space!r}")
 
 
+@np.errstate(all="ignore")
 def check_feasibility(params: ModelParams) -> FeasibilityReport:
     """Run beta_{t+1} = gamma + a^2 beta_t / (1 - 2 sigma2 beta_t), beta_0 = 0.
 
@@ -376,11 +383,6 @@ def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (y - y[::-1]), 0.5 * (wt + wt[::-1])
 
 
-def _log_channel(params: ModelParams) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(params.channel_matrix())
-
-
 def _hermite_stencil(
     params: ModelParams, grid: GridSpec, n_nodes: int, space: str, center: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,8 +410,7 @@ def _hermite_stencil(
         j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
         z0 = zpos[j - 1]
         # capped where x^2 overflows: a lerp across a zero slope stays 0, not NaN
-        with np.errstate(over="ignore"):
-            th[:, cols] = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
+        th[:, cols] = np.minimum((x * x - z0) / (zpos[j] - z0), np.finfo(float).max)
         lo[:, cols] = j - 1 + (np.where(x < 0, 0, len(pos)) if space == "original" else 0)
     log_weight = np.log(wt) - 0.5 * math.log(math.pi)
     return lo, th, log_weight[:, None]
@@ -477,9 +478,8 @@ def _log_dd(x):
     """log x as a double-double: np.log and one Newton step, lo = x exp(-hi)
     - 1, which holds what rounding hi to a float lost.  lo = 0 where x is 0
     or not finite."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        hi = np.log(x)
-        lo = x * np.exp(-hi) - 1.0
+    hi = np.log(x)
+    lo = x * np.exp(-hi) - 1.0
     lo[~np.isfinite(lo)] = 0.0
     return hi, lo
 
@@ -513,6 +513,7 @@ class _BellmanStage:
     factored kernel built here.
     """
 
+    @np.errstate(all="ignore")
     def __init__(
         self,
         params: ModelParams,
@@ -530,14 +531,13 @@ class _BellmanStage:
         self.trapezoid = quad.rule == RULE_TRAPEZOID
         self.nodes = grid.nodes_for(space)
         self.z = np.square(self.nodes)
-        self.logp = _log_channel(params)
+        self.logp = np.log(params.channel_matrix())
         self.cost_scale = 1.0 if risk_neutral else params.gamma
         # Unnormalized kernels scale every expectation by sqrt(2 pi sigma2).
         self.stage_shift = 0.0 if normalized else 0.5 * math.log(2.0 * math.pi * params.sigma2)
         # Kernel means of the idle step, and the node a delivery starts from;
         # a mean past the float range is inf, whose kernel lies off the grid.
-        with np.errstate(over="ignore"):
-            self.centers = params.a * self.nodes
+        self.centers = params.a * self.nodes
         self.zero = 0 if space == "folded" else grid.n_points // 2
         if self.trapezoid:
             self.stencil = self._factors()
@@ -572,15 +572,14 @@ class _BellmanStage:
         k = np.arange(-half, half + 1)
         m2 = np.square(np.arange(-self.zero - half, 2 * half + 1), dtype=float)  # i + k
         log_weight = np.log(self._weights())
-        with np.errstate(over="ignore", invalid="ignore"):
-            # c = h^2 / 2 sigma2: the quotient, and the remainder's
-            d, hh = np.float64(2.0 * p.sigma2), _two_prod(h, h)
-            q = hh[0] / d
-            qd = _two_prod(q, d)
-            c = (q, ((hh[0] - qd[0]) - qd[1] + hh[1]) / d)
-            slope = _dd_mul(_two_sum(np.float64(1.0), -alpha), c)  # (1 - alpha) c
-            log_g = _dd_mul(_dd_mul((alpha, 0.0), c), (-m2, 0.0))
-            col = _dd_add((log_weight, 0.0), _dd_mul(slope, (-np.square(k, dtype=float), 0.0)))
+        # c = h^2 / 2 sigma2: the quotient, and the remainder's
+        d, hh = np.float64(2.0 * p.sigma2), _two_prod(h, h)
+        q = hh[0] / d
+        qd = _two_prod(q, d)
+        c = (q, ((hh[0] - qd[0]) - qd[1] + hh[1]) / d)
+        slope = _dd_mul(_two_sum(np.float64(1.0), -alpha), c)  # (1 - alpha) c
+        log_g = _dd_mul(_dd_mul((alpha, 0.0), c), (-m2, 0.0))
+        col = _dd_add((log_weight, 0.0), _dd_mul(slope, (-np.square(k, dtype=float), 0.0)))
         if not all(np.isfinite(part).all() for part in (*log_g, *col)):
             return None
         g = _dd_exp(log_g)
@@ -588,8 +587,7 @@ class _BellmanStage:
         mass = self._scaled_product(g, col, np.zeros((2, len(k))))[1][0]
         thin = ~(mass >= _PRODUCT_FLOOR)
         if self.risk_neutral:
-            with np.errstate(divide="ignore"):
-                row = 1.0 / mass
+            row = 1.0 / mass
             row[thin] = np.nan
             return g, row, _dd_exp(col)
         log_mass = _log_dd(mass)
@@ -600,13 +598,12 @@ class _BellmanStage:
         the exponent's max per next channel, 0 where that is not finite, so
         every term lies in [0, 1].  The exponent is a double-double, so only
         the sums are rounded."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = _dd_add((w_t, 0.0), col)
-            s = np.max(u[0], axis=1, keepdims=True)
-            s[~np.isfinite(s)] = 0.0
-            u = _dd_add(u, (-s, 0.0))
-            u[1][~np.isfinite(u[1])] = 0.0  # an infinite exponent is exact
-            return s, self._product(g, _dd_exp(u))
+        u = _dd_add((w_t, 0.0), col)
+        s = np.max(u[0], axis=1, keepdims=True)
+        s[~np.isfinite(s)] = 0.0
+        u = _dd_add(u, (-s, 0.0))
+        u[1][~np.isfinite(u[1])] = 0.0  # an infinite exponent is exact
+        return s, self._product(g, _dd_exp(u))
 
     def _product(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
         """G y for each row of y, a (c, n_points) table over the full grid:
@@ -648,6 +645,7 @@ class _BellmanStage:
         w[[0, -1]] = 0.5
         return w
 
+    @np.errstate(all="ignore")
     def _rows(self, w_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Trapezoid expectations of w_t, a (c, n_points) table over the full
         grid, at the centers of rows, (c, len(rows)), each from its kernel's
@@ -671,27 +669,26 @@ class _BellmanStage:
         c = self.grid.spacing**2 / (2.0 * self.params.sigma2)
         out = np.empty((len(w_t), len(rows)))
         step = max(1, _BLOCK_TERMS // len(nodes))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            center, err = _two_prod(np.float64(a), rows - float(self.zero))
-            err[~np.isfinite(err)] = 0.0
-            for first in range(0, len(rows), step):
-                block = slice(first, first + step)
-                dist = (nodes - center[block, None]) - err[block, None]
-                log_weight = log_w - c * (dist * dist)
-                if self.risk_neutral:
-                    # shifted by the row's max, as _log_sum shifts, which
-                    # keeps the weights' ratios: unshifted, a kernel many
-                    # sigmas from every node underflows to 0 / 0.  A weight
-                    # below the float range is 0, as in a whole kernel.
-                    peak = np.max(log_weight, axis=1, keepdims=True)
-                    peak[~np.isfinite(peak)] = 0.0
-                    weight = _dd_exp((log_weight - peak, scale[1]))
-                    out[:, block] = np.einsum("ik,ck->ci", weight, w_t) / np.sum(weight, axis=1)
-                    continue
-                mass = _log_sum(log_weight)
-                table = _log_sum(w_t[:, None, :] + log_weight)
-                value = _dd_value(_dd_add(table, (-mass[0], -mass[1])))
-                out[:, block] = np.where(mass[0] == -np.inf, -np.inf, value)
+        center, err = _two_prod(np.float64(a), rows - float(self.zero))
+        err[~np.isfinite(err)] = 0.0
+        for first in range(0, len(rows), step):
+            block = slice(first, first + step)
+            dist = (nodes - center[block, None]) - err[block, None]
+            log_weight = log_w - c * (dist * dist)
+            if self.risk_neutral:
+                # shifted by the row's max, as _log_sum shifts, which keeps
+                # the weights' ratios: unshifted, a kernel many sigmas from
+                # every node underflows to 0 / 0.  A weight below the float
+                # range is 0, as in a whole kernel.
+                peak = np.max(log_weight, axis=1, keepdims=True)
+                peak[~np.isfinite(peak)] = 0.0
+                weight = _dd_exp((log_weight - peak, scale[1]))
+                out[:, block] = np.einsum("ik,ck->ci", weight, w_t) / np.sum(weight, axis=1)
+                continue
+            mass = _log_sum(log_weight)
+            table = _log_sum(w_t[:, None, :] + log_weight)
+            value = _dd_value(_dd_add(table, (-mass[0], -mass[1])))
+            out[:, block] = np.where(mass[0] == -np.inf, -np.inf, value)
         return out
 
     def _trapezoid(self, w_t: np.ndarray) -> np.ndarray:
@@ -718,14 +715,14 @@ class _BellmanStage:
             bad = ~np.all(np.isfinite(per_next), axis=0)
         else:
             s, prod = self._scaled_product(g, col, w_t)
-            with np.errstate(invalid="ignore"):
-                per_next = _dd_value(_dd_add(_dd_add(_log_dd(prod), row), (s, 0.0)))
+            per_next = _dd_value(_dd_add(_dd_add(_log_dd(prod), row), (s, 0.0)))
             bad = ~np.all((prod >= _PRODUCT_FLOOR) & np.isfinite(per_next), axis=0)
         rows = np.flatnonzero(bad)
         if len(rows):
             per_next[:, rows] = self._rows(w_t, rows)
         return per_next
 
+    @np.errstate(all="ignore")
     def _integrate(self, w_t: np.ndarray) -> np.ndarray:
         """Expected next-stage value of the idle step from every node.
 
@@ -765,14 +762,12 @@ class _BellmanStage:
             return P[:, :1] * per_next[0] + P[:, 1:] * per_next[1]
         return _logsumexp(self.logp[:, :, None] + per_next[None, :, :], axis=1)
 
+    @np.errstate(all="ignore")
     def q_values(self, w_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(q_idle, q_transmit) at the grid nodes, each (2, n_nodes) over channel c."""
         p = self.params
         w_t = np.asarray(w_t, dtype=float)
-        # Overflow here means the expectation diverged; it surfaces as a
-        # non-finite entry that _iterate turns into InfeasibleModelError.
-        with np.errstate(over="ignore", invalid="ignore"):
-            drift = self._integrate(w_t)
+        drift = self._integrate(w_t)
         price = self.cost_scale * p.lam
         q0 = self.cost_scale * self.z[None, :] + drift + self.stage_shift
         q1 = np.empty_like(q0)

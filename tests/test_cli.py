@@ -143,6 +143,20 @@ class TestParseConfig:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as an editor saves it: the mark sits on the first key
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("".join(f"{k} = {v}\n" for k, v in BASE.items()))
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(bom) == parse_config(plain)
+
+    def test_undecodable_file_is_refused(self, tmp_path):
+        path = write_config(tmp_path / "c.cfg")
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config file .*utf-8"):
+            parse_config(path)
+
 
 class TestCheck:
     def test_feasible_exit_0(self, tmp_path, capsys):
@@ -293,6 +307,18 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
+
+    def test_undecodable_threshold_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", n_rollouts=100)
+        thr = tmp_path / "thresholds.csv"
+        thr.write_bytes(_THR_HEAD.encode() + b"0,3,0,caf\xe9\n")
+        code = main(
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--policy-source", "threshold-file", "--threshold-file", str(thr)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", ["one-row", "drop", "duplicate", "untouched"])
     def test_threshold_file_names_every_pair_once(self, tmp_path, capsys, edit):

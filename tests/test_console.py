@@ -170,3 +170,61 @@ def test_simulate_bytes_do_not_follow_the_core_count(tmp_path, base, overrides):
         cli(0, "simulate", "--config", cfg, "--out", tmp_path / out, cpu=cpu)
     for name in ("metrics.csv", "trace.csv"):
         assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("base", [MODEL, HERMITE], ids=["trapezoid", "hermite"])
+def test_risk_neutral_table_past_the_float_range_exit_2(tmp_path, base):
+    # delta^2 at the outer nodes is 1.69e308: a sweep point's risk-neutral
+    # table overflows at its second stage, where the log-domain table of
+    # `solve` stays finite
+    cfg = write_config(tmp_path / "c.cfg", base=base, n_points="101", delta_max="1.3e154")
+    for axis, value in (("gamma", "0.05"), ("lambda", "1.0")):
+        out = tmp_path / axis
+        args = ["sweep", "--axis", axis, "--values", value, "--config", cfg, "--out", out]
+        proc = cli(2, *args, warnings_as_errors=True)
+        assert f"{axis} = {value}: value table overflowed at stage 2" in proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+    proc = cli(0, "solve", "--config", cfg, "--out", tmp_path / "solve", warnings_as_errors=True)
+    assert "Warning" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("n_rollouts", ["2000", "70000"])
+def test_spread_of_the_cost_past_the_float_range(tmp_path, n_rollouts):
+    # sigma2 = 1e200: S ~ 1e200, whose spread leaves the float range, while
+    # gamma * S ~ 0.1 keeps the risk objective finite
+    model = {"sigma2": "1e200", "gamma": "1e-201", "n_rollouts": n_rollouts}
+    cfg = write_config(tmp_path / "c.cfg", base=HERMITE, n_points=None, **model)
+    for source in ("solved", "builtin:idle"):
+        out = tmp_path / source.replace(":", "-")
+        args = ["simulate", "--policy-source", source, "--config", cfg, "--out", out]
+        proc = cli(0, *args, warnings_as_errors=True)
+        assert "Warning" not in proc.stderr, proc.stderr
+        _, rows = read_csv(out / "metrics.csv")
+        assert rows[0]["var_cost"] == "inf"
+
+
+def test_subnormal_gain_simulates(tmp_path):
+    # x_hat = (x - delta0) / a is past the float range at a = 1e-310
+    cfg = write_config(tmp_path / "c.cfg", base=HERMITE, a="1e-310", n_points=None)
+    out = tmp_path / "o"
+    proc = cli(0, "simulate", "--config", cfg, "--out", out, warnings_as_errors=True)
+    assert "Warning" not in proc.stderr, proc.stderr
+    _, rows = read_csv(out / "trace.csv")
+    assert rows[0]["x_hat"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "model, stage",
+    [
+        # a^2 beta_2 = 1e308 * 1e8 overflows: beta_3 is +inf
+        ({"a": "1e154", "sigma2": "1e-10", "gamma": "1e-300", "T": "3"}, 3),
+        # beta_1 = 1e10 is finite, and 2 sigma2 beta_1 = 2e310 is not
+        ({"sigma2": "1e300", "gamma": "1e10"}, 1),
+    ],
+    ids=["beta", "two-sigma2-beta"],
+)
+def test_feasibility_past_the_float_range_exit_2(tmp_path, model, stage):
+    cfg = write_config(tmp_path / "c.cfg", **model)
+    proc = cli(2, "check", "--config", cfg, warnings_as_errors=True)
+    assert proc.stdout.endswith(f"feasible: no — infeasible at stage {stage}\n")
+    assert "Warning" not in proc.stderr, proc.stderr

@@ -90,6 +90,13 @@ class TestRollout:
         assert tr.x[0] == 2.5
         assert tr.delta[0] == 2.5
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_gain(self):
+        # x_hat(-1) = (x(0) - delta0) / a is past the float range at a = 1e-310
+        tr = rollout(mk(a=1e-310), idle_policy(), seed=0, delta0=0.5)
+        assert np.isinf(tr.x_hat[0])
+        assert tr.delta[0] == 0.5
+
     def test_c0_pinning(self):
         assert rollout(mk(), idle_policy(), seed=1, c0=0).c[0] == 0
         assert rollout(mk(), idle_policy(), seed=1, c0=1).c[0] == 1
@@ -162,6 +169,15 @@ class TestRiskEstimate:
         # delta(2) ~ 1e200 * w: its square is inf, and 0 * inf = nan where delivered
         with pytest.raises(FloatingPointError, match="overflow"):
             estimate_risk_objective(mk(a=1e200), policy, 100, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2000, CHUNK_SIZE + 4464], ids=["one-chunk", "two-chunks"])
+    def test_spread_past_the_float_range(self, n):
+        # sigma2 = 1e200: S ~ 1e200, so the sum of squared deviations is inf,
+        # while gamma * S ~ 0.1 keeps the risk objective finite
+        est = estimate_risk_objective(mk(sigma2=1e200, gamma=1e-201, horizon=2), idle_policy(), n, seed=0)
+        assert est.var_cost == math.inf
+        assert math.isfinite(est.log_estimate) and math.isfinite(est.mean_cost)
 
     def test_pinned_at_twenty_stages(self):
         # the mc-rollouts model over two full chunks and a partial one; the

@@ -39,7 +39,6 @@ from risksched.solver import (
     _dd_exp,
     _hermite_nodes,
     _iterate,
-    _log_channel,
     _logsumexp,
 )
 
@@ -152,6 +151,14 @@ class TestFeasibility:
         assert rep.first_violation_stage == 1
         assert rep.beta[1] == 0.6
         assert np.all(np.isnan(rep.beta[2:]))
+
+    def test_beta_past_the_float_range_warns_of_nothing(self):
+        # a^2 beta_2 = 1e308 * 1e8 overflows: beta_3 is +inf, a violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_feasibility(mk(a=1e154, sigma2=1e-10, gamma=1e-300))
+        assert rep.beta[3] == math.inf
+        assert rep.first_violation_stage == 3
 
     @pytest.mark.parametrize("T", [1, 2])
     def test_overflowing_gain(self, T):
@@ -287,9 +294,7 @@ class TestQValues:
         # gamma * delta^2 overflows at stage 1.  value_iterate refuses this
         # model up front, so the shared recursion is driven directly.
         stage = _BellmanStage(mk(gamma=1e308), GridSpec(6.0, 121), HERMITE, "original", True)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            InfeasibleModelError, match="value table overflowed at stage 1"
-        ) as err:
+        with pytest.raises(InfeasibleModelError, match="value table overflowed at stage 1") as err:
             _iterate(stage, None)
         assert err.value.stage == 1
 
@@ -1133,7 +1138,7 @@ class TestLogSumExp:
 
     def test_zero_transition_log_channel(self):
         # p01 = 0 puts -inf log-probabilities into the Bellman reduction.
-        logp = _log_channel(mk(p01=0.0))
+        logp = _BellmanStage(mk(p01=0.0), GridSpec(6.0, 11), HERMITE, "folded", True).logp
         assert np.isneginf(logp[0, 1])
         terms = np.random.default_rng(4).normal(0.0, 5.0, size=(2, 9, 16))
         for c in (0, 1):
@@ -1236,6 +1241,22 @@ class TestRiskNeutral:
         exact = P[:, 0] * p.sigma2 + P[:, 1] * e_min
         assert_allclose(orig.v[2, :, mid], exact, rtol=0, atol=tol)
         assert_allclose(fold.v[2, :, 0], exact, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("quad", [HERMITE, TRAPEZOID], ids=["hermite", "trapezoid"])
+    @pytest.mark.parametrize("space", ["original", "folded"])
+    def test_table_past_the_float_range_warns_of_nothing(self, quad, space):
+        # the outer nodes' delta^2 is 1.69e308, and the second stage adds a
+        # drift of that size to it: the additive table overflows, where the
+        # log-domain one, scaled by gamma, stays finite
+        p = mk(horizon=2)
+        grid = GridSpec(1.3e154, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleModelError, match="value table overflowed at stage 2") as err:
+                risk_neutral_value_iterate(p, grid, quad, space)
+            table, _ = value_iterate(p, grid, quad, space)
+        assert err.value.stage == 2
+        assert np.all(np.isfinite(table.w))
 
     @pytest.mark.parametrize("space", ["original", "folded"])
     def test_kernel_narrower_than_a_grid_step(self, space):
