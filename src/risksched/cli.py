@@ -9,9 +9,11 @@ comma-separated rows ('\r\n') whose floats are written by repr, so they
 read back exactly, and every other cell by str.  Every command that solves
 goes through _solve, which solves the folded MDP (the value is even in
 delta); solve writes policy.csv and values.csv on the full grid one
-(stages_to_go, c) group at a time, mirroring the text of each folded table
-row, so they are exactly even.  Exit codes: 0 ok,
-1 usage/config error, 2 infeasible parameters, 3 enumeration budget
+(stages_to_go, c) group at a time: the delta column is formatted once per
+command, each folded table row once per run of equal values, and each
+folded node's value text is joined once and mirrored, so the files are
+exactly even; a group's text is one join.  Exit codes: 0 ok, 1
+usage/config error, 2 infeasible parameters, 3 enumeration budget
 exceeded.
 """
 
@@ -165,24 +167,49 @@ def _header_lines(cfg: Config, grid: GridSpec | None, extra: dict | None = None)
     return [f"# {k} = {_cells([v])[0]}" for k, v in items.items()]
 
 
-def _cells(column) -> np.ndarray:
-    """Cells of one column, as an object array of str: tolist() turns numpy
-    scalars into Python ones (repr of a numpy float is "np.float64(...)"), and
-    str of a Python float is its repr, an exact round trip.  Flags come as ints.
+def _cells(column) -> list[str]:
+    """Cells of one column, as a list of str: tolist() turns numpy scalars
+    into Python ones (repr of a numpy float is "np.float64(...)"), and repr
+    of a Python float is an exact round trip.  Flags come as ints.
 
-    A numeric column (bool, int, uint or float) is formatted once per distinct
-    value, a float one per distinct bit pattern, so -0.0 and NaN keep their
-    text: a table row mirrored onto the full grid holds each value twice.  Any
-    other column is formatted cell by cell.
+    A numeric column (bool, int, uint or float) is formatted once per run of
+    equal values, a float one per run of equal bit patterns, so -0.0 and NaN
+    keep their text: an action row holds a few long runs.  Any other column
+    is formatted cell by cell, by str.
     """
     a = np.asarray(column)
     if a.dtype.kind not in "biuf":
-        return np.array(list(map(str, a.tolist())), dtype=object)
-    is_float = a.dtype.kind == "f"
-    keys, inverse = np.unique(a.view(f"u{a.itemsize}") if is_float else a, return_inverse=True)
-    values = keys.view(a.dtype) if is_float else keys
-    text = np.array(list(map(str, values.tolist())), dtype=object)
-    return text[inverse]
+        return list(map(str, a.tolist()))
+    bits = a.view(f"u{a.itemsize}") if a.dtype.kind == "f" else a
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    text = list(map(repr, a[starts].tolist()))
+    if len(text) == len(a):
+        return text
+    return np.repeat(np.array(text, dtype=object), np.diff(starts, append=len(a))).tolist()
+
+
+def _rows(block: list) -> str:
+    """The text of a block of rows.  Each entry of block is a column: a list
+    of cells, or a str that every row repeats.  Cells are joined by ',' and
+    rows end in '\r\n', by one "".join of a list whose strided slices hold
+    the columns and the constant text between them, which outruns a join
+    per row."""
+    slots = [""]  # constant text and columns, alternating
+    for k, col in enumerate(block):
+        if isinstance(col, str):
+            slots[-1] += col
+        else:
+            slots += [col, ""]
+        slots[-1] += "," if k + 1 < len(block) else "\r\n"
+    if slots[0] == "":
+        del slots[0]
+    n = next(len(slot) for slot in slots if not isinstance(slot, str))
+    pieces = [None] * (n * len(slots))
+    for k, slot in enumerate(slots):
+        pieces[k :: len(slots)] = [slot] * n if isinstance(slot, str) else slot
+    return "".join(pieces)
 
 
 # Rows formatted at a time from whole columns.  A cell's text takes about
@@ -193,13 +220,14 @@ _BLOCK_ROWS = 1 << 14
 
 def _write_csv(path: Path, header_lines: list[str], columns: dict | list, blocks=None) -> None:
     """The one CSV writer: '#' header lines, the column names, then rows
-    whose cells are joined by ',' and ended by '\r\n'.  columns maps each
-    name to a sequence or array of equal length, formatted by _cells in
-    blocks of _BLOCK_ROWS rows; or, with blocks, columns holds the names
-    alone and blocks yields lists of text columns, one per name.  No cell
-    is quoted: the text cells the commands write (column names, oracle
-    check names and details, policy_source, axis) hold no ',', '"' or line
-    break."""
+    whose cells are joined by ',' and ended by '\r\n', a block of rows at a
+    time by _rows.  columns maps each name to a sequence or array of equal
+    length, formatted by _cells in blocks of _BLOCK_ROWS rows; or, with
+    blocks, columns holds the names alone and blocks yields _rows' blocks,
+    whose rows hold one cell per name (an entry's text may hold several
+    cells, joined by ',').  No cell is quoted: the text cells the commands
+    write (column names, oracle check names and details, policy_source,
+    axis) hold no ',', '"' or line break."""
     if blocks is None:
         arrays = [np.asarray(col) for col in columns.values()]
         n_rows = max(len(a) for a in arrays)
@@ -213,7 +241,7 @@ def _write_csv(path: Path, header_lines: list[str], columns: dict | list, blocks
             fh.writelines(line + "\n" for line in header_lines)
             fh.write(",".join(columns) + "\r\n")
             for block in blocks:
-                fh.write("\r\n".join(map(",".join, zip(*block, strict=True))) + "\r\n")
+                fh.write(_rows(block))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -271,16 +299,17 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
     _write_csv(out / "feasibility.csv", _header_lines(cfg, grid, trunc_items), columns)
 
     # one row per (stages_to_go, c, node) of the full grid, in C order, one
-    # block per (stages_to_go, c): the text of each folded row is mirrored
-    # onto the grid, so every written table is even
-    n = grid.n_points
+    # block per (stages_to_go, c): each folded row's text is joined once and
+    # mirrored onto the grid, as GridSpec.unfold mirrors, so every written
+    # table is even
     delta = _cells(grid.nodes())
 
     def blocks(*tables):
         for j in range(T + 1):
             for c in (0, 1):
-                rows = (grid.unfold(_cells(t[j, c])) for t in tables)
-                yield [[str(j)] * n, [str(c)] * n, delta, *rows]
+                cols = [_cells(t[j, c]) for t in tables]
+                text = cols[0] if len(cols) == 1 else list(map(",".join, zip(*cols)))
+                yield [str(j), str(c), delta, text[:0:-1] + text]
 
     index = ["stages_to_go", "c", "delta"]
     policy = blocks(pol.u_star, pol.q_margin)

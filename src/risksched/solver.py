@@ -25,10 +25,14 @@ an original one as its two halves, stacked once per stage.  Its stage is
 a gather, a lerp and one log-sum-exp, laid out abscissa-major, (n_nodes,
 n_centers): each reduction over the 64 terms then adds whole rows of
 centers, where a reduction over a short last axis spent its time on
-memory layout.  The stencil is built,
-and the stage taken, over blocks of centers, so a solve holds one block's
-gathers, not the whole grid's; each center's terms keep their memory
-order, so the tables are those of the whole-grid stage to the bit.
+memory layout.  The stencil is built, and the stage taken, over blocks of
+centers, so a solve holds one block's gathers, not the whole grid's; each
+center's terms are added in the same order, so the tables are those of
+the whole-grid stage to the bit.  A block gathers channel-major from the
+table and from its copy one node out, into work buffers the stage
+allocates once: blocks of fresh 256 kB arrays went back to the OS as
+each was freed, so a fresh process faulted their pages in block after
+block.  The abscissae come from hermgauss once per process (_hermgauss).
 
 The trapezoid rule reads the table's own nodes, taken at x_k = k h, and
 scales each kernel row to mass 1 on the grid: what a kernel puts past
@@ -66,6 +70,7 @@ enter, and _logsumexp, which sim calls, hold their own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -313,7 +318,7 @@ def _hermite_cap(params: ModelParams, beta: np.ndarray, n_nodes: int) -> float:
     """
     bstar = float(np.max(beta[: params.horizon], initial=0.0))
     alpha = 2.0 * params.sigma2 * bstar
-    y_max = float(np.polynomial.hermite.hermgauss(n_nodes)[0].max())
+    y_max = float(_hermgauss(n_nodes)[0].max())
     s_y = 1.0 / math.sqrt(2.0 * (1.0 - alpha))
     margin = 0.9 * y_max - 6.0 * s_y
     # No peak shift where a or beta* is 0, nor where their product underflows.
@@ -377,9 +382,19 @@ def _logsumexp(a: np.ndarray, axis, _overwrite: bool = False) -> np.ndarray:
         return np.log(np.sum(e, axis=axis)) + np.squeeze(mx, axis=axis)
 
 
+@functools.cache
+def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """hermgauss(n), read-only: its eigvalsh runs once per process and n,
+    where auto_delta_max, truncation_report and the stencil each need it."""
+    rule = np.polynomial.hermite.hermgauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite abscissas and weights, symmetrized so y[::-1] == -y bitwise."""
-    y, wt = np.polynomial.hermite.hermgauss(n)
+    y, wt = _hermgauss(n)
     return 0.5 * (y - y[::-1]), 0.5 * (wt + wt[::-1])
 
 
@@ -404,8 +419,7 @@ def _hermite_stencil(
     zpos = pos * pos
     lo = np.empty((n_nodes, len(center)), dtype=np.int32)
     th = np.empty(lo.shape)
-    for start in range(0, len(center), _CENTER_BLOCK):
-        cols = slice(start, start + _CENTER_BLOCK)
+    for cols in _center_blocks(len(center)):
         x = center[None, cols] + offset
         j = np.clip(np.searchsorted(pos, np.abs(x), side="right"), 1, len(pos) - 1)
         z0 = zpos[j - 1]
@@ -428,6 +442,17 @@ _BLOCK_TERMS = 2**15
 # Centers of a Hermite stencil built, or of a Hermite stage integrated, at a
 # time: a block's (2, n_nodes, 256) gathers take 256 kB each at 64 nodes.
 _CENTER_BLOCK = 256
+
+
+def _center_blocks(n: int) -> list[slice]:
+    """Slices of _CENTER_BLOCK centers over n centers.  A last block one
+    center wide joins the block before it: its gathers would make the
+    reduction axis contiguous, which numpy sums pairwise, not in order."""
+    starts = list(range(0, n, _CENTER_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
 
 # Smallest trusted entry of a trapezoid product, 2^-970.  Its terms lie in
 # [0, 1], and what a product loses to underflow, a few subnormal ulps per
@@ -544,6 +569,17 @@ class _BellmanStage:
             return
         lo, th, log_weight = _hermite_stencil(params, grid, quad.n_nodes, space, self.centers)
         self.stencil = (lo, th, np.exp(log_weight) if risk_neutral else log_weight)
+        # The stage's work arrays, flat and sized for the widest block, so
+        # every solve stage reuses them: a block's indices, its two gathers
+        # and its 1 - th.
+        self.blocks = _center_blocks(len(self.centers))
+        size = quad.n_nodes * max(b.stop - b.start for b in self.blocks)
+        self.work = (
+            np.empty(size, dtype=np.intp),
+            np.empty(2 * size),
+            np.empty(2 * size),
+            np.empty(size),
+        )
 
     def _factors(self) -> tuple | None:
         """(g, row, col): the normalized trapezoid kernel K = D_r G D_c of the
@@ -736,24 +772,37 @@ class _BellmanStage:
             per_next = self._trapezoid(w_t)
         else:
             # Hermite, over blocks of centers: (2, n_terms, n_block) over c+,
-            # terms on axis 1, so each reduction runs over whole rows of
-            # centers.  Gathering rows of the transposed table keeps c+
-            # innermost in memory, where a center-major fancy index also puts
-            # it; numpy sums in memory order, so both layouts, and every block
-            # size, sum each center's terms in one order, to the bit.
+            # channel-major and contiguous, gathered from the table by
+            # |delta| and from its copy one node out.  The terms lie on axis
+            # 1, so each reduction adds whole rows of centers, one term after
+            # the next, as the center-major layout adds them (_center_blocks
+            # leaves no block one center wide).  The block's arrays are views
+            # of the stage's work buffers: fresh 256 kB arrays went back to
+            # the OS when freed, and the next block faulted them in again.
             lo, th, weight = self.stencil
             mid = self.zero  # W by |delta|, as _hermite_stencil reads it
-            table = (w_t if self.space == "folded" else np.hstack((w_t[:, mid::-1], w_t[:, mid:]))).T
+            table = w_t if self.space == "folded" else np.hstack((w_t[:, mid::-1], w_t[:, mid:]))
+            upper = np.ascontiguousarray(table[:, 1:])
+            index, low, high, rest = self.work
             per_next = np.empty((2, len(self.centers)))
-            for start in range(0, len(self.centers), _CENTER_BLOCK):
-                cols = slice(start, start + _CENTER_BLOCK)
-                vals = np.take(table, lo[:, cols], axis=0).transpose(2, 0, 1)
-                vals *= 1.0 - th[:, cols]
-                vals += np.take(table, lo[:, cols] + 1, axis=0).transpose(2, 0, 1) * th[:, cols]
+            for cols in self.blocks:
+                shape = (lo.shape[0], cols.stop - cols.start)
+                size = shape[0] * shape[1]
+                # lo as intp, which take needs, once for both gathers
+                idx = index[:size].reshape(shape)
+                np.copyto(idx, lo[:, cols])
+                # under mode="raise" take fills a buffer of its own and
+                # copies it to out; the indices are in range
+                vals = low[: 2 * size].reshape(2, *shape)
+                hi = high[: 2 * size].reshape(2, *shape)
+                np.take(table, idx, axis=1, out=vals, mode="clip")
+                np.take(upper, idx, axis=1, out=hi, mode="clip")
+                vals *= np.subtract(1.0, th[:, cols], out=rest[:size].reshape(shape))
+                hi *= th[:, cols]
+                vals += hi
                 if self.risk_neutral:
                     per_next[:, cols] = np.einsum("ki,cki->ci", weight, vals)
                 else:
-                    # The gather is a fresh array: it takes the weights in place.
                     vals += weight
                     per_next[:, cols] = _logsumexp(vals, 1, _overwrite=True)
         if self.risk_neutral:

@@ -14,6 +14,7 @@ import pytest
 
 from risksched import (
     GridSpec,
+    LogValueTable,
     PolicyTable,
     always_transmit_policy,
     extract_thresholds,
@@ -1199,6 +1200,67 @@ class TestWriteCsv:
             "mixed": [[None, 1.5, "solved", 2][k % 4] for k in range(self.N_ROWS)],
         }
         self.assert_same_bytes(tmp_path, columns)
+
+    @staticmethod
+    def assert_solve_tables(out, cfg, grid, table, pol):
+        """policy.csv and values.csv as reference_csv writes the folded tables
+        mirrored onto the full grid, one row per (stages_to_go, c, node)."""
+        n_blocks = 2 * (pol.horizon + 1)
+        index = {
+            "stages_to_go": np.repeat(np.arange(pol.horizon + 1), 2 * grid.n_points),
+            "c": np.tile(np.repeat([0, 1], grid.n_points), pol.horizon + 1),
+            "delta": np.tile(grid.nodes(), n_blocks),
+        }
+        header = _header_lines(cfg, grid)
+        tables = {
+            "policy.csv": {"u": pol.u_star, "q_margin": pol.q_margin},
+            "values.csv": {"w": table.w},
+        }
+        for name, columns in tables.items():
+            full = {key: grid.unfold(a).ravel() for key, a in columns.items()}
+            reference_csv(out / f"want-{name}", header, {**index, **full})
+            assert (out / name).read_bytes() == (out / f"want-{name}").read_bytes(), name
+
+    @pytest.mark.parametrize("n_points", [3, 5, 21])
+    def test_solve_tables(self, tmp_path, n_points):
+        cfg = parse_config(write_config(tmp_path / "c.cfg", T=2, n_points=n_points))
+        assert cmd_solve(cfg, tmp_path, plot_data=True) == 0
+        grid = GridSpec(auto_delta_max(cfg.params, cfg.quad), n_points)
+        table, pol = value_iterate(cfg.params, grid, cfg.quad, space="folded")
+        self.assert_solve_tables(tmp_path, cfg, grid, table, pol)
+
+    @pytest.mark.parametrize("n_points", [3, 5, 7, 11, 41])
+    def test_hand_built_solve_tables(self, tmp_path, monkeypatch, n_points):
+        """Folded tables of special floats in runs of equal bits, the first
+        run of each row starting at delta = 0 so that its mirror crosses the
+        grid's center, and actions that are up-sets, as extract_thresholds
+        needs: all idle, all transmit, or a threshold in between."""
+        T = 3
+        grid = GridSpec(3.0, n_points)
+        m = grid.n_folded
+        rng = np.random.default_rng(n_points)
+        specials = np.array(
+            [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2, 1.0]
+        )
+
+        def runs(shape):
+            rows = []
+            for _ in range(math.prod(shape[:-1])):
+                lengths = rng.integers(1, 4, m)
+                rows.append(np.repeat(rng.choice(specials, m), lengths)[:m])
+            return np.reshape(rows, shape)
+
+        shape = (T + 1, 2, m)
+        first = rng.integers(0, m + 1, shape[:-1])  # m: never transmit
+        u_star = (np.arange(m) >= first[..., None]).astype(np.int8)
+        u_star[0] = 0
+        u_star[1, 1] = 1  # a run of ones across the center
+        pol = PolicyTable(u_star=u_star, q_margin=runs(shape), grid=grid, space="folded")
+        table = LogValueTable(w=runs(shape), grid=grid, space="folded")
+        monkeypatch.setattr(cli, "_solve", lambda cfg: (grid, table, pol))
+        cfg = parse_config(write_config(tmp_path / "c.cfg", T=T, n_points=n_points, delta_max="3.0"))
+        assert cmd_solve(cfg, tmp_path, plot_data=True) == 0
+        self.assert_solve_tables(tmp_path, cfg, grid, table, pol)
 
 
 class TestParser:

@@ -568,6 +568,49 @@ class TestHermiteBlocks:
                 assert g.tobytes() == w.tobytes(), name
 
 
+class TestHermiteRule:
+    def test_rule_is_computed_once_and_read_only(self, monkeypatch):
+        """The auto radius, the truncation report and the stencil share one
+        hermgauss(n) per process, bit for bit, in arrays no caller can write."""
+        rule = solver._hermgauss(HERMITE.n_nodes)
+        for got, want in zip(rule, np.polynomial.hermite.hermgauss(HERMITE.n_nodes)):
+            assert got.tobytes() == want.tobytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hermgauss ran again")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+        p = mk()
+        grid = GridSpec(auto_delta_max(p, HERMITE), 101)
+        truncation_report(p, grid, HERMITE)
+        value_iterate(p, grid, HERMITE, space="folded")
+        assert solver._hermgauss(HERMITE.n_nodes) is rule
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+@pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
+def test_hermite_stage_peak_allocation(risk_neutral):
+    # a warm stage on the folded solve-fine grid (T = 20, n_points = 4001)
+    # gathers into the stage's own work arrays, so its peak is the (2, 2001)
+    # tables it returns and their reductions: 287 KiB (log) and 158 KiB
+    # (risk-neutral).  Fresh arrays per block of 256 centers made it 868 KiB,
+    # and one fresh 256 KiB gather per block makes it 576 KiB.
+    p = mk(a=0.8, gamma=0.02, horizon=20)
+    grid = GridSpec(auto_delta_max(p, HERMITE), 4001)
+    stage = _BellmanStage(p, grid, HERMITE, "folded", True, risk_neutral)
+    w_t = np.stack([0.04 * stage.nodes**2, 0.3 + 0.05 * stage.nodes**2])
+    stage.q_values(w_t)
+    tracemalloc.start()
+    try:
+        stage.q_values(w_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 384 * 2**10
+
+
 class TestTrapezoidProduct:
     """The factored product stage reproduces the normalized log-sum-exp
     trapezoid stage.
