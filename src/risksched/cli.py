@@ -327,7 +327,7 @@ def load_threshold_csv(path: str | Path) -> ThresholdSchedule:
     pair with j = 0..T must appear exactly once.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             lines = [line for line in fh if not line.startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read threshold file {path}: {exc}") from exc

@@ -122,17 +122,17 @@ def threshold_policy(schedule: ThresholdSchedule):
     return rule
 
 
-def idle_policy():
+def _constant_policy(u: int):
     def rule(delta, c, t: int):
-        out = np.zeros(np.broadcast(np.asarray(delta), np.asarray(c)).shape, dtype=np.int8)
-        return out if out.ndim else 0
+        out = np.full(np.broadcast(np.asarray(delta), np.asarray(c)).shape, u, dtype=np.int8)
+        return out if out.ndim else u
 
     return rule
+
+
+def idle_policy():
+    return _constant_policy(0)
 
 
 def always_transmit_policy():
-    def rule(delta, c, t: int):
-        out = np.ones(np.broadcast(np.asarray(delta), np.asarray(c)).shape, dtype=np.int8)
-        return out if out.ndim else 1
-
-    return rule
+    return _constant_policy(1)

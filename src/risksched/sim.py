@@ -19,13 +19,13 @@ across the fixed chunk size.
 Chunks run on a pool of one thread per CPU the process may use (a single
 chunk runs on the calling thread).  Each chunk reduces its own totals to a
 few figures, and the calling thread merges them in chunk order, so every
-result is bit-identical whatever the number of workers.  A chunk draws all
-its noise normals first, in Philox fills of ROW_BLOCK rollouts, into one
-array per step block of STEP_ROWS rollouts; it then draws its channel
-uniforms, again a fill at a time, as it comes to each step block, and frees
-the block's normals once the block is stepped.  So each extra worker holds
-about one chunk's normals more (CHUNK_SIZE * T doubles, 10.5 MB at T = 20),
-and one step block's channel path and stage buffers.
+result is bit-identical whatever the number of workers.  A chunk draws its
+noise a step block of STEP_ROWS rollouts at a time, as it comes to the
+block: one Philox fill of the block's normals, then one of its channel
+uniforms, both into one reused buffer, the normals scaled from it into one
+reused stage-major noise buffer.  So each extra worker holds one step
+block's fill, noise, channel path and stage buffers, and the chunk's totals
+(a 7.5 MiB tracemalloc peak at T = 20).
 
 A step block is stepped stage-major: its normals are kept as a (T, rows)
 array, so stage t reads one contiguous row.  The channel's next state does
@@ -70,16 +70,15 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
-# Rollouts per Philox fill: each chunk draws its normals, then its channel
-# uniforms, into one reused (ROW_BLOCK, T) buffer, ROW_BLOCK rows at a time.
-ROW_BLOCK = 1 << 12
-# Rollouts stepped together inside a chunk, a multiple of ROW_BLOCK.  A stage
-# makes the same dozen numpy calls at any block size, so larger blocks spend
-# less of it in Python, holding the GIL the other workers wait for, but hold
-# a larger channel path and larger stage buffers.  `bench/run.py --workload
+# Rollouts stepped together inside a chunk, each drawn by one Philox fill of
+# normals and one of channel uniforms.  A stage makes the same dozen numpy
+# calls at any block size, so larger blocks spend less of it in Python,
+# holding the GIL the other workers wait for, but hold a larger fill, noise
+# buffer, channel path and stage buffers.  `bench/run.py --workload
 # mc-rollouts` on a shared 2-vCPU x86_64 VM (30 s runs, seeds 304-306, the
-# four builds in rotation): median wall_s and peak_rss_mb; then the range of
-# ru_maxrss of its `simulate` in 4 fresh processes each.
+# four builds in rotation), when a chunk drew all its normals in fills of
+# 4096 rows before its first uniform: median wall_s and peak_rss_mb; then
+# the range of ru_maxrss of its `simulate` in 4 fresh processes each.
 #   np.where stages, 4096 rows  1.495 s  62.56 MB  62.33-62.61 MB
 #   STEP_ROWS = 4096            1.391 s  63.13 MB  62.48-62.86 MB
 #   STEP_ROWS = 8192            1.315 s  63.09 MB  62.70-62.87 MB
@@ -112,38 +111,26 @@ def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
     most STEP_ROWS rollouts, both stage-major (T, rows): the path is int8,
     row t holding c(t).
 
-    Stream order: the m c(0) uniforms (consumed even when c0 is pinned), the
-    normals of every block, then each block's uniforms as that block is
-    taken.  Each fill continues the stream, so the values are those of one
-    (m, T) normal fill followed by one (m, T) uniform fill.  Every fill of
-    ROW_BLOCK rows goes row-major into one reused buffer: the normals are
-    scaled from it into their step block's own array, and the uniforms are
-    stepped from it into the block's channel path (and checked there)
-    before the block is yielded.  The path is a view of one buffer, which
-    the next block overwrites: step a block before taking the next.
+    Stream order: the m c(0) uniforms (consumed even when c0 is pinned),
+    then, block by block, one (rows, T) fill of normals and one of channel
+    uniforms.  Both fills go row-major into one reused buffer: the normals
+    are scaled from it into one reused stage-major noise buffer, and the
+    uniforms are stepped from it into the block's channel path (and checked
+    there) before the block is yielded.  w is a view of that noise buffer,
+    which the next block overwrites: step a block before taking the next.
     """
     T = params.horizon
     good = g.random(m) < params.stationary_good_prob()
     c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
-    starts = range(0, m, STEP_ROWS)
-    fill = np.empty((min(ROW_BLOCK, m), T))  # one row-major fill, reused
-    path = np.empty((T, min(STEP_ROWS, m)), dtype=np.int8)  # reused, as is fill
-    w = []
-    for s in starts:
-        block = np.empty((T, min(STEP_ROWS, m - s)))
-        for f in range(0, block.shape[1], ROW_BLOCK):
-            rows = fill[: min(ROW_BLOCK, block.shape[1] - f)]
-            g.standard_normal(out=rows)
-            np.multiply(rows.T, params.sigma, out=block[:, f : f + len(rows)])
-        block += 0.0  # g.normal(0.0, sigma) is 0.0 + sigma * z, which maps a -0.0 draw to 0.0
-        w.append(block)
-    for s in starts:
-        block = w.pop(0)  # freed once its block is stepped
-        for f in range(0, block.shape[1], ROW_BLOCK):
-            rows = fill[: min(ROW_BLOCK, block.shape[1] - f)]
-            g.random(out=rows)
-            path[:, f : f + len(rows)] = _channel_path(c[s + f : s + f + len(rows)], rows.T, params)
-        yield path[:, : block.shape[1]], block
+    fill = np.empty((min(STEP_ROWS, m), T))  # one row-major fill, reused
+    noise = np.empty((T, len(fill)))  # stage-major, reused
+    for s in range(0, m, STEP_ROWS):
+        rows, w = fill[: m - s], noise[:, : m - s]  # the last block may be shorter
+        g.standard_normal(out=rows)
+        np.multiply(rows.T, params.sigma, out=w)
+        w += 0.0  # g.normal(0.0, sigma) is 0.0 + sigma * z, which maps a -0.0 draw to 0.0
+        g.random(out=rows)
+        yield _channel_path(c[s : s + len(rows)], rows.T, params), w
 
 
 def _closed_loop(params: ModelParams, policy, delta0: float, path, w):

@@ -347,6 +347,28 @@ class TestBadInputs:
         else:
             assert_error_exit_1(code, capsys)
 
+    def test_threshold_file_byte_order_mark_is_skipped(self, tmp_path):
+        # as a spreadsheet saves it: the mark sits on the first column the
+        # file needs (wall_stage dropped, so stages_to_go leads the header)
+        cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0", n_rollouts=100)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
+        plain = out / "thresholds.csv"
+        bom = tmp_path / "bom.csv"
+        rows = [line.split(",", 1)[1] for line in plain.read_text().splitlines(keepends=True) if line[0] != "#"]
+        assert rows[0] == "stages_to_go,c,threshold\n"
+        bom.write_bytes(b"\xef\xbb\xbf" + "".join(rows).encode())
+        metrics = []
+        for thr in (plain, bom):
+            sim_out = tmp_path / thr.stem
+            code = main(
+                ["simulate", "--config", str(cfg), "--out", str(sim_out),
+                 "--policy-source", "threshold-file", "--threshold-file", str(thr)]
+            )
+            assert code == 0
+            metrics.append((sim_out / "metrics.csv").read_text())
+        assert metrics[0] == metrics[1]
+
     @pytest.mark.parametrize("command", [["check"], ["solve"]])
     def test_out_names_existing_file(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")

@@ -3,6 +3,7 @@ anchors, and the heavy-tail diagnostic."""
 
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from risksched import (
 )
 from risksched import sim
 from risksched.model import _channel_path
-from risksched.sim import CHUNK_SIZE, ROW_BLOCK, STEP_ROWS
+from risksched.sim import CHUNK_SIZE, STEP_ROWS
 from risksched.solver import _logsumexp
 
 
@@ -31,6 +32,13 @@ def mk(**kw):
     base = dict(a=0.9, sigma2=1.0, lam=1.0, gamma=0.05, horizon=3, p01=0.3, p10=0.2)
     base.update(kw)
     return ModelParams(**base)
+
+
+# the mc-rollouts model, under thresholds that rise with the stages to go
+MC_MODEL = ModelParams(a=0.8, sigma2=1.0, lam=1.0, gamma=0.02, horizon=20, p01=0.3, p10=0.2)
+MC_POLICY = threshold_policy(
+    ThresholdSchedule(np.array([[np.inf, np.inf]] + [[np.inf, 1.0 + 0.05 * j] for j in range(1, 21)]))
+)
 
 
 class TestRollout:
@@ -181,13 +189,12 @@ class TestRiskEstimate:
 
     def test_pinned_at_twenty_stages(self):
         # the mc-rollouts model over two full chunks and a partial one; the
-        # floats were taken from a loop that stepped the channel stage by stage
-        p = ModelParams(a=0.8, sigma2=1.0, lam=1.0, gamma=0.02, horizon=20, p01=0.3, p10=0.2)
-        thr = np.array([[np.inf, np.inf]] + [[np.inf, 1.0 + 0.05 * j] for j in range(1, 21)])
-        est = estimate_risk_objective(p, threshold_policy(ThresholdSchedule(thr)), 2 * CHUNK_SIZE + 3, seed=7)
+        # floats were taken from _public_reference_chunk, which steps the
+        # channel stage by stage, and _two_pass_reference's merge
+        est = estimate_risk_objective(MC_MODEL, MC_POLICY, 2 * CHUNK_SIZE + 3, seed=7)
         assert repr(tuple(est)) == (
-            "(0.5015433291263314, 0.0016679346483924667, 131075, 0.01227213594711723, True, "
-            "22.440844721592256, 188.96782638331555)"
+            "(0.49853439783891673, 0.0015296947423884214, 131075, 0.011277873223894846, True, "
+            "22.360136759753996, 186.19659320175114)"
         )
 
 
@@ -369,13 +376,12 @@ class TestClosedLoop:
     @pytest.mark.parametrize("bad", [1.0, math.nan])
     def test_uniforms_are_checked_before_the_first_stage(self, bad):
         # the one bad uniform steps c(T-1) to c(T) in the step block's last
-        # row, which the block's last fill draws
+        # row, the last draw of the block's one uniform fill
         p = mk(horizon=6)
-        fills = STEP_ROWS // ROW_BLOCK
 
         class LastDrawBad:
             def __init__(self):
-                self.g, self.fills = np.random.default_rng(4), 0
+                self.g = np.random.default_rng(4)
 
             def standard_normal(self, out):
                 return self.g.standard_normal(out=out)
@@ -383,9 +389,7 @@ class TestClosedLoop:
             def random(self, size=None, out=None):
                 draws = self.g.random(size, out=out)
                 if out is not None:
-                    self.fills += 1
-                    if self.fills == fills:
-                        out[-1, -1] = bad
+                    out[-1, -1] = bad
                 return draws
 
         calls = []
@@ -400,34 +404,37 @@ class TestClosedLoop:
 
 
 def _public_reference_chunk(params, policy, m, g, delta0, c0):
-    """_simulate_chunk from the public model functions only: one (m, T) fill
-    of the normals and one of the channel uniforms, then every rollout
-    stepped a stage at a time with step_error, step_channel and stage_cost."""
+    """_simulate_chunk from the public model functions only: after the m
+    c(0) uniforms, one (rows, T) fill of the normals and one of the channel
+    uniforms per step block of STEP_ROWS rollouts, then every rollout of the
+    block stepped a stage at a time with step_error, step_channel and
+    stage_cost."""
     T = params.horizon
     good = g.random(m) < params.stationary_good_prob()
-    c = np.full(m, c0) if c0 is not None else good.astype(int)
-    w = g.normal(0.0, params.sigma, size=(m, T))
-    u_chan = g.random(size=(m, T))
-    delta = np.full(m, float(delta0))
+    c_start = np.full(m, c0) if c0 is not None else good.astype(int)
     total = np.zeros(m)
-    for t in range(T):
-        u = policy(delta, c, T - t)
-        total += stage_cost(delta, c, u, params)
-        delta = step_error(delta, w[:, t], u, c, params)
-        c = step_channel(c, u_chan[:, t], params)
+    for s in range(0, m, STEP_ROWS):
+        rows = min(STEP_ROWS, m - s)
+        w = g.normal(0.0, params.sigma, size=(rows, T))
+        u_chan = g.random(size=(rows, T))
+        c, delta, block = c_start[s : s + rows], np.full(rows, float(delta0)), total[s : s + rows]
+        for t in range(T):
+            u = policy(delta, c, T - t)
+            block += stage_cost(delta, c, u, params)
+            delta = step_error(delta, w[:, t], u, c, params)
+            c = step_channel(c, u_chan[:, t], params)
     return total
 
 
 class TestChunks:
-    """Fills and step blocks inside a chunk, and chunks on a thread pool."""
+    """Step blocks inside a chunk, and chunks on a thread pool."""
 
     @pytest.mark.parametrize(
         "policy", [idle_policy(), always_transmit_policy(), THRESHOLD], ids=["idle", "always", "threshold"]
     )
     @pytest.mark.parametrize("c0", [None, 0, 1])
-    @pytest.mark.parametrize(
-        "m", [1, ROW_BLOCK - 1, ROW_BLOCK + 1, STEP_ROWS - 1, STEP_ROWS + 1, CHUNK_SIZE - 1, CHUNK_SIZE]
-    )
+    # 4095 and 4097: short single blocks, odd, on either side of a power of two
+    @pytest.mark.parametrize("m", [1, 4095, 4097, STEP_ROWS - 1, STEP_ROWS + 1, CHUNK_SIZE - 1, CHUNK_SIZE])
     def test_row_blocks_draw_what_one_fill_draws(self, policy, c0, m):
         p = mk(horizon=6)
         g, g_ref = sim._generator(5, 3), sim._generator(5, 3)
@@ -435,6 +442,21 @@ class TestChunks:
         want = _public_reference_chunk(p, policy, m, g_ref, 0.75, c0)
         assert total.tobytes() == want.tobytes()
         assert g.random(4).tolist() == g_ref.random(4).tolist()  # same stream position
+
+    def test_chunk_peak_allocation(self):
+        # a warm full chunk of the mc-rollouts model (T = 20) holds one step
+        # block's fill, noise, channel path and stage buffers, and the chunk's
+        # totals: a peak of 7.46 MiB.  Drawing every normal of the chunk
+        # before its first uniform held its 10 MiB of scaled normals: 12.24 MiB.
+        args = (MC_MODEL, MC_POLICY, 7, 0.0, None, 65, 0, CHUNK_SIZE)  # k_top = 65 of a full chunk
+        sim._chunk_figures(*args)
+        tracemalloc.start()
+        try:
+            sim._chunk_figures(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
 
     @pytest.mark.filterwarnings("ignore:risk estimate is tail-dominated")
     def test_estimate_does_not_depend_on_worker_count(self, monkeypatch):
