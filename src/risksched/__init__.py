@@ -8,6 +8,8 @@ and verifies them against closed-form, exact-enumeration, and Monte Carlo
 oracles.
 """
 
+import importlib
+
 from .model import (
     ModelParams,
     SimTrace,
@@ -42,20 +44,29 @@ from .policy import (
     idle_policy,
     threshold_policy,
 )
-from .oracle import (
-    BruteForceResult,
-    EnumerationBudgetError,
-    OracleMismatchError,
-    QuantizedChain,
-    brute_force_optimal,
-    chain_policy,
-    exact_policy_cost,
-    quantize,
-)
-from .sim import (
-    RiskEstimate,
-    estimate_risk_objective,
-    rollout,
-)
+
+# oracle's and sim's names load their module on first use (PEP 562), so a
+# command that needs neither does not compile or import them.
+_LAZY = {
+    "oracle": (
+        "BruteForceResult",
+        "EnumerationBudgetError",
+        "OracleMismatchError",
+        "QuantizedChain",
+        "brute_force_optimal",
+        "chain_policy",
+        "exact_policy_cost",
+        "quantize",
+    ),
+    "sim": ("RiskEstimate", "estimate_risk_objective", "rollout"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

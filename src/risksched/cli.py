@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib
 import math
 import operator
 import sys
@@ -30,13 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelParams
-from .oracle import (
-    EnumerationBudgetError,
-    _check_budget,
-    brute_force_optimal,
-    certify,
-    quantize,
-)
 from .policy import (
     NonThresholdPolicyError,
     ThresholdSchedule,
@@ -45,7 +39,6 @@ from .policy import (
     idle_policy,
     threshold_policy,
 )
-from .sim import estimate_risk_objective, rollout
 from .solver import (
     GridSpec,
     InfeasibleModelError,
@@ -58,6 +51,23 @@ from .solver import (
 )
 
 __all__ = ["main", "parse_config", "ConfigError", "load_threshold_csv"]
+
+# The oracle and sim names the commands call.  Each module is imported by
+# the one command that uses it, so check, solve and sweep do not compile or
+# load them.  The commands look these names up as attributes of this module,
+# so a name replaced here is the one called, as for every other name the
+# module imports (bench/traced_cli.py times the commands so).
+_DEFERRED = {
+    "oracle": ("EnumerationBudgetError", "_check_budget", "brute_force_optimal", "certify", "quantize"),
+    "sim": ("estimate_risk_objective", "rollout"),
+}
+
+
+def __getattr__(name: str):  # PEP 562: the _DEFERRED names, from their module
+    for module, names in _DEFERRED.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -381,8 +391,9 @@ def _policy_from_source(cfg: Config, source: str, threshold_file: str | None):
 def cmd_simulate(
     cfg: Config, out: Path, source: str, threshold_file: str | None, delta0: float, c0: int | None
 ) -> int:
+    this = sys.modules[__name__]  # sim's names, through __getattr__
     policy, grid = _policy_from_source(cfg, source, threshold_file)
-    est = estimate_risk_objective(cfg.params, policy, cfg.n_rollouts, cfg.seed, delta0, c0)
+    est = this.estimate_risk_objective(cfg.params, policy, cfg.n_rollouts, cfg.seed, delta0, c0)
     header = _header_lines(
         cfg, grid, {"policy_source": source, "delta0": delta0, "c0": "stationary" if c0 is None else c0}
     )
@@ -397,7 +408,7 @@ def cmd_simulate(
         "tail_ok": int(est.tail_ok),
     }
     _write_csv(out / "metrics.csv", header, {k: [v] for k, v in metrics.items()})
-    trace = rollout(cfg.params, policy, cfg.seed, delta0, c0)
+    trace = this.rollout(cfg.params, policy, cfg.seed, delta0, c0)
     _write_csv(
         out / "trace.csv",
         header,
@@ -421,20 +432,24 @@ def cmd_simulate(
 def cmd_oracle(
     cfg: Config, out: Path, n_delta: int, noise_points: int, delta_q: float | None
 ) -> int:
+    this = sys.modules[__name__]  # oracle's names, through __getattr__
     params = cfg.params
     try:
         # from n_delta and T alone, so a bad or oversized n_delta builds no chain
-        _check_budget(n_delta, params.horizon)
-        chain = quantize(params, n_delta, noise_points, delta_q)
-        fine = quantize(params, 2 * n_delta - 1, 5, delta_q)
+        this._check_budget(n_delta, params.horizon)
+        chain = this.quantize(params, n_delta, noise_points, delta_q)
+        fine = this.quantize(params, 2 * n_delta - 1, 5, delta_q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except this.EnumerationBudgetError as exc:  # exit 3, here as only oracle knows the class
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     # an infeasible model exits 2 here: the chain's finite noise atoms keep
     # every enumerated value finite, so certify's checks cannot see it
     _, table, _ = _solve(cfg)
     w0 = table.w[params.horizon, :, 0]  # log V_T(0, c) for c = 0, 1
-    result = brute_force_optimal(chain)
-    checks = certify(chain, result, fine, w0)
+    result = this.brute_force_optimal(chain)
+    checks = this.certify(chain, result, fine, w0)
     header = _header_lines(
         cfg,
         None,
@@ -562,14 +577,14 @@ def _build_parser() -> _Parser:
 # paper's structural result rules out, so a numerical fault) is a config
 # error, and so is a grid too large to allocate (numpy raises a MemoryError
 # subclass, so codes are looked up by isinstance); Monte Carlo costs that
-# overflow exit as an infeasible model does
+# overflow exit as an infeasible model does.  cmd_oracle gives the oracle's
+# budget error its exit 3 itself, as this table cannot name it unloaded.
 _EXIT_CODES = {
     ConfigError: 1,
     NonThresholdPolicyError: 1,
     MemoryError: 1,
     InfeasibleModelError: 2,
     FloatingPointError: 2,
-    EnumerationBudgetError: 3,
 }
 
 

@@ -119,13 +119,14 @@ def _check_uniforms(draw: np.ndarray) -> None:
         raise ValueError("uniform_draw must lie in [0, 1)")
 
 
-def _channel_rule(draw, params: ModelParams):
+def _channel_rule(draw, params: ModelParams, from_bad=None, flip=None):
     """The transition rule as two bool arrays (from_bad, flip): the next
     state is from_bad ^ (c & flip).  from_bad (draw < p01) is the next state
     from c=0, and flip marks the draws whose next state from c=1
-    (draw >= p10) differs from it."""
-    from_bad = draw < params.p01
-    return from_bad, (draw >= params.p10) ^ from_bad
+    (draw >= p10) differs from it.  Both are written into the given arrays,
+    if any."""
+    from_bad = np.less(draw, params.p01, out=from_bad)
+    return from_bad, np.bitwise_xor(np.greater_equal(draw, params.p10, out=flip), from_bad, out=flip)
 
 
 def step_channel(c, uniform_draw, params: ModelParams):
@@ -145,23 +146,28 @@ def step_channel(c, uniform_draw, params: ModelParams):
     return out if out.ndim else int(out)
 
 
-def _channel_path(c0, uniform_draws, params: ModelParams) -> np.ndarray:
-    """The channel states c(0..T-1) of len(c0) rollouts, as a stage-major
-    (T, len(c0)) int8 array: row 0 is c0 (0 or 1), and row t+1 is
-    step_channel(row t, uniform_draws[t], params).
+def _channel_path(c0, pieces, params: ModelParams, path: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """The channel states c(0..T-1) of len(c0) rollouts, written into path,
+    a stage-major (T, len(c0)) bool array, and returned as its int8 view:
+    row 0 is c0 (0 or 1), and row t+1 is step_channel(row t, u[t], params)
+    for the rollouts' (T, len(c0)) uniform draws u.  flip is a work array
+    of path's shape.
 
-    uniform_draws is (T, len(c0)) in any memory layout: it is checked and
-    compared whole, and only the two bool results are made stage-major.
-    Every draw is checked, the last row's too, although the c(T) it steps to
-    is not kept.
+    pieces yields u a few columns at a time, as (T, k) arrays in any memory
+    layout: each piece is checked and its rule written into path and flip
+    before the next is taken, so the pieces may share one buffer.  Every
+    draw is checked, the last row's too, although the c(T) it steps to is
+    not kept.  Then the path is stepped in place.
     """
-    _check_uniforms(uniform_draws)
-    from_bad, flip = map(np.ascontiguousarray, _channel_rule(uniform_draws, params))
-    path = np.empty(uniform_draws.shape, dtype=bool)
+    start = 0
+    for draws in pieces:
+        _check_uniforms(draws)
+        cols = slice(start, start + draws.shape[1])
+        _channel_rule(draws[:-1], params, path[1:, cols], flip[:-1, cols])
+        start = cols.stop
     path[:1] = c0
     for t in range(1, len(path)):
-        np.bitwise_and(path[t - 1], flip[t - 1], out=path[t])
-        path[t] ^= from_bad[t - 1]
+        path[t] ^= np.bitwise_and(path[t - 1], flip[t - 1], out=flip[t - 1])
     return path.view(np.int8)
 
 

@@ -21,20 +21,22 @@ chunk runs on the calling thread).  Each chunk reduces its own totals to a
 few figures, and the calling thread merges them in chunk order, so every
 result is bit-identical whatever the number of workers.  A chunk draws its
 noise a step block of STEP_ROWS rollouts at a time, as it comes to the
-block: one Philox fill of the block's normals, then one of its channel
-uniforms, both into one reused buffer, the normals scaled from it into one
-reused stage-major noise buffer.  So each extra worker holds one step
-block's fill, noise, channel path and stage buffers, and the chunk's totals
-(a 7.5 MiB tracemalloc peak at T = 20).
+block: the block's normals, then its channel uniforms, each FILL_ROWS
+rollouts at a time through one reused Philox fill.  Each normal piece is
+scaled straight into one reused stage-major noise buffer, and each uniform
+piece turned straight into one reused channel path.  So each extra worker
+holds one step block's noise, channel path and stage buffers, one small
+fill, and the chunk's totals (a 4.8 MiB tracemalloc peak at T = 20, 2.5
+MiB of it the noise buffer).
 
 A step block is stepped stage-major: its normals are kept as a (T, rows)
 array, so stage t reads one contiguous row.  The channel's next state does
 not depend on the sensor's action, so the block's whole channel path, an
 int8 (T, rows) array, is computed from its uniforms before the first
-decision, and every uniform is checked once, there.  Each stage then makes
-one decision and one fused pass of in-place ufuncs, which forms the
-delivery mask u*c once and writes both the stage cost and the next error
-into the block's buffers.  model.stage_cost and model.step_error state the
+decision, and every uniform piece is checked once, there.  Each stage
+then makes one decision and one fused pass of in-place ufuncs, which forms
+the delivery mask u*c once and writes both the stage cost and the next
+error into the block's buffers.  model.stage_cost and model.step_error state the
 same arithmetic, bit for bit, and the tests hold the loop to them.  A chunk
 whose totals are not all finite (the error overflowed a float) raises
 FloatingPointError.  Other values past the float range are inf or NaN
@@ -70,20 +72,32 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
-# Rollouts stepped together inside a chunk, each drawn by one Philox fill of
-# normals and one of channel uniforms.  A stage makes the same dozen numpy
-# calls at any block size, so larger blocks spend less of it in Python,
-# holding the GIL the other workers wait for, but hold a larger fill, noise
-# buffer, channel path and stage buffers.  `bench/run.py --workload
+# Rollouts stepped together inside a chunk.  A stage makes the same dozen
+# numpy calls at any block size, so larger blocks spend less of it in
+# Python, holding the GIL the other workers wait for, but hold a larger
+# noise buffer, channel path and stage buffers.  `bench/run.py --workload
 # mc-rollouts` on a shared 2-vCPU x86_64 VM (30 s runs, seeds 304-306, the
-# four builds in rotation), when a chunk drew all its normals in fills of
-# 4096 rows before its first uniform: median wall_s and peak_rss_mb; then
-# the range of ru_maxrss of its `simulate` in 4 fresh processes each.
+# four builds in rotation), under an older draw order, which drew all of a
+# chunk's normals in fills of 4096 rows before its first uniform: median
+# wall_s and peak_rss_mb; then the range of ru_maxrss of its `simulate` in
+# 4 fresh processes each.
 #   np.where stages, 4096 rows  1.495 s  62.56 MB  62.33-62.61 MB
 #   STEP_ROWS = 4096            1.391 s  63.13 MB  62.48-62.86 MB
 #   STEP_ROWS = 8192            1.315 s  63.09 MB  62.70-62.87 MB
 #   STEP_ROWS = 16384           1.207 s  63.65 MB  63.43-64.75 MB
 STEP_ROWS = 1 << 14
+# Rollouts per Philox fill: a block's normals and uniforms are each drawn
+# in pieces of FILL_ROWS rows through one reused (FILL_ROWS, T) buffer.
+# Fresh `simulate --policy-source solved` on the mc-rollouts config, same
+# VM, 18 runs per build in rotation (two sets of 8 and 10): range of
+# ru_maxrss (MiB) and minor faults (medians of the two sets).  Wall time
+# did not separate the builds above the host's noise.
+#   one fill per block (before)  54.73-55.52  33.4-33.7k
+#   FILL_ROWS =  512             48.55-49.14  10.6k
+#   FILL_ROWS = 1024             48.61-49.12  10.6-10.7k
+#   FILL_ROWS = 2048             48.99-49.68  10.7-10.8k
+#   FILL_ROWS = 4096             49.07-50.03  17.7-18.8k
+FILL_ROWS = 1 << 10
 
 # Share of the estimated mean the top 0.1% of samples may carry before the
 # estimate is flagged as tail-dominated.
@@ -106,31 +120,47 @@ def _generator(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _fills(draw, fill: np.ndarray, n: int):
+    """Draw an (n, T) array by draw(out=...) into the reused row-major
+    (rows, T) buffer fill, len(fill) rows at a time, and yield each piece
+    stage-major: a (T, k) view of fill, overwritten by the next piece.  The
+    pieces hold what one (n, T) fill would: consecutive fills continue the
+    stream."""
+    for start in range(0, n, len(fill)):
+        piece = fill[: n - start]
+        draw(out=piece)
+        yield piece.T
+
+
 def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
     """Yield (channel path, noises w) of m rollouts in step blocks of at
     most STEP_ROWS rollouts, both stage-major (T, rows): the path is int8,
     row t holding c(t).
 
     Stream order: the m c(0) uniforms (consumed even when c0 is pinned),
-    then, block by block, one (rows, T) fill of normals and one of channel
-    uniforms.  Both fills go row-major into one reused buffer: the normals
-    are scaled from it into one reused stage-major noise buffer, and the
-    uniforms are stepped from it into the block's channel path (and checked
-    there) before the block is yielded.  w is a view of that noise buffer,
-    which the next block overwrites: step a block before taking the next.
+    then, block by block, the block's (rows, T) normals and then its
+    (rows, T) channel uniforms, each drawn row-major FILL_ROWS rows at a
+    time into one reused fill.  Each normal piece is scaled straight into
+    one reused stage-major noise buffer, and each uniform piece is checked
+    and turned straight into one reused channel path before the block is
+    yielded.  The path and w are views of those buffers, which the next
+    block overwrites: step a block before taking the next.
     """
     T = params.horizon
     good = g.random(m) < params.stationary_good_prob()
     c = np.full(m, c0, dtype=np.int8) if c0 is not None else good.astype(np.int8)
-    fill = np.empty((min(STEP_ROWS, m), T))  # one row-major fill, reused
-    noise = np.empty((T, len(fill)))  # stage-major, reused
+    n = min(STEP_ROWS, m)
+    fill = np.empty((min(FILL_ROWS, n), T))  # row-major, reused
+    noise = np.empty((T, n))  # stage-major, reused
+    path, flip = np.empty((2, T, n), dtype=bool)  # the channel path and its work rows
     for s in range(0, m, STEP_ROWS):
-        rows, w = fill[: m - s], noise[:, : m - s]  # the last block may be shorter
-        g.standard_normal(out=rows)
-        np.multiply(rows.T, params.sigma, out=w)
+        rows = min(STEP_ROWS, m - s)  # the last block may be shorter
+        w = noise[:, :rows]
+        for start, z in zip(range(0, rows, len(fill)), _fills(g.standard_normal, fill, rows)):
+            np.multiply(z, params.sigma, out=w[:, start : start + z.shape[1]])
         w += 0.0  # g.normal(0.0, sigma) is 0.0 + sigma * z, which maps a -0.0 draw to 0.0
-        g.random(out=rows)
-        yield _channel_path(c[s : s + len(rows)], rows.T, params), w
+        uniforms = _fills(g.random, fill, rows)
+        yield _channel_path(c[s : s + rows], uniforms, params, path[:, :rows], flip[:, :rows]), w
 
 
 def _closed_loop(params: ModelParams, policy, delta0: float, path, w):

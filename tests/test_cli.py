@@ -557,6 +557,36 @@ def test_thread_pool_loads_only_for_several_chunks(tmp_path):
     assert "code 0 loaded [False, False, True]" in proc.stdout, proc.stdout + proc.stderr
 
 
+def test_oracle_and_sim_load_only_for_their_commands(tmp_path):
+    """Importing the CLI, and check, solve and sweep, neither compile nor
+    load the oracle and sim modules; oracle and simulate load their own."""
+    cfg = write_config(tmp_path / "c.cfg", T=2, n_points=81, n_rollouts=1000)
+    script = textwrap.dedent(
+        f"""
+        import risksched.cli, sys
+        cfg, out = {str(cfg)!r}, {str(tmp_path / "out")!r}
+        def loaded():
+            return [name in sys.modules for name in ("risksched.oracle", "risksched.sim")]
+        seen = [loaded()]
+        commands = [
+            ["check"],
+            ["solve"],
+            ["sweep", "--axis", "gamma", "--values", "0.02,0.05"],
+            ["simulate", "--policy-source", "builtin:idle"],
+            ["oracle", "--n-delta", "5"],
+        ]
+        for c in commands:
+            assert risksched.cli.main([c[0], "--config", cfg, "--out", out, *c[1:]]) == 0
+            seen.append(loaded())
+        print("loaded", seen)
+        """
+    )
+    proc = _run_fresh([sys.executable, "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    want = [[False, False]] * 4 + [[False, True], [True, True]]
+    assert f"loaded {want}" in proc.stdout, proc.stdout + proc.stderr
+
+
 def test_oracle_leaves_numpy_ma_unloaded(tmp_path):
     """np.unique imports numpy.ma on its first call, about 15 ms that the
     oracle's threshold cuts do without: on the verify benchmark's config,

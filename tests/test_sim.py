@@ -24,7 +24,7 @@ from risksched import (
 )
 from risksched import sim
 from risksched.model import _channel_path
-from risksched.sim import CHUNK_SIZE, STEP_ROWS
+from risksched.sim import CHUNK_SIZE, FILL_ROWS, STEP_ROWS
 from risksched.solver import _logsumexp
 
 
@@ -322,7 +322,7 @@ class TestClosedLoop:
         g = np.random.default_rng(3)
         c = (g.random(m) < 0.6).astype(np.int8)
         w = g.normal(0.0, p.sigma, size=(p.horizon, m))  # stage-major
-        path = _channel_path(c, g.random(size=(p.horizon, m)), p)
+        path = _channel_path(c, [g.random(size=(p.horizon, m))], p, *np.empty((2, p.horizon, m), dtype=bool))
 
         def stages(path, w):  # copied: the loop overwrites its buffers stage by stage
             return [[np.copy(a) for a in stage] for stage in sim._closed_loop(p, THRESHOLD, 0.75, path, w)]
@@ -373,15 +373,22 @@ class TestClosedLoop:
         for seed in range(10):
             rollout(mk(a=a, horizon=6), policy, seed, delta0=0.75)
 
-    @pytest.mark.parametrize("bad", [1.0, math.nan])
-    def test_uniforms_are_checked_before_the_first_stage(self, bad):
-        # the one bad uniform steps c(T-1) to c(T) in the step block's last
-        # row, the last draw of the block's one uniform fill
+    @pytest.mark.parametrize(
+        "bad, pieces",
+        [(1.0, "every"), (math.nan, "every"), (1.0, "last"), (math.nan, "last")],
+        ids=["1.0", "nan", "last-1.0", "last-nan"],
+    )
+    def test_uniforms_are_checked_before_the_first_stage(self, bad, pieces):
+        # the one bad uniform of a piece steps c(T-1) to c(T) in its last
+        # row, the last draw of the piece: in every uniform piece of the
+        # step block, or only in the block's last, so that a check skipped
+        # on later pieces lets it through
         p = mk(horizon=6)
 
         class LastDrawBad:
             def __init__(self):
                 self.g = np.random.default_rng(4)
+                self.uniform_rows = 0
 
             def standard_normal(self, out):
                 return self.g.standard_normal(out=out)
@@ -389,7 +396,9 @@ class TestClosedLoop:
             def random(self, size=None, out=None):
                 draws = self.g.random(size, out=out)
                 if out is not None:
-                    out[-1, -1] = bad
+                    self.uniform_rows += len(out)
+                    if pieces == "every" or self.uniform_rows == STEP_ROWS:
+                        out[-1, -1] = bad
                 return draws
 
         calls = []
@@ -433,8 +442,14 @@ class TestChunks:
         "policy", [idle_policy(), always_transmit_policy(), THRESHOLD], ids=["idle", "always", "threshold"]
     )
     @pytest.mark.parametrize("c0", [None, 0, 1])
-    # 4095 and 4097: short single blocks, odd, on either side of a power of two
-    @pytest.mark.parametrize("m", [1, 4095, 4097, STEP_ROWS - 1, STEP_ROWS + 1, CHUNK_SIZE - 1, CHUNK_SIZE])
+    # 4095 and 4097: short single blocks, odd, on either side of a power of
+    # two; FILL_ROWS - 1 and + 1: one short piece, and a full piece then one
+    # row; STEP_ROWS + FILL_ROWS + 1: the latter in a block after a full one
+    @pytest.mark.parametrize(
+        "m",
+        [1, 4095, 4097, STEP_ROWS - 1, STEP_ROWS + 1, CHUNK_SIZE - 1, CHUNK_SIZE]
+        + [FILL_ROWS - 1, FILL_ROWS + 1, STEP_ROWS + FILL_ROWS + 1],
+    )
     def test_row_blocks_draw_what_one_fill_draws(self, policy, c0, m):
         p = mk(horizon=6)
         g, g_ref = sim._generator(5, 3), sim._generator(5, 3)
@@ -445,9 +460,10 @@ class TestChunks:
 
     def test_chunk_peak_allocation(self):
         # a warm full chunk of the mc-rollouts model (T = 20) holds one step
-        # block's fill, noise, channel path and stage buffers, and the chunk's
-        # totals: a peak of 7.46 MiB.  Drawing every normal of the chunk
-        # before its first uniform held its 10 MiB of scaled normals: 12.24 MiB.
+        # block's noise buffer (2.5 MiB), a FILL_ROWS-row fill, the block's
+        # channel path and stage buffers, and the chunk's totals: a peak of
+        # 4.83 MiB.  A fill of the whole block, scaled into the noise
+        # buffer, and the path's fresh bool temporaries peaked at 7.46 MiB.
         args = (MC_MODEL, MC_POLICY, 7, 0.0, None, 65, 0, CHUNK_SIZE)  # k_top = 65 of a full chunk
         sim._chunk_figures(*args)
         tracemalloc.start()
@@ -456,7 +472,7 @@ class TestChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 2**20
+        assert peak <= 6 * 2**20
 
     @pytest.mark.filterwarnings("ignore:risk estimate is tail-dominated")
     def test_estimate_does_not_depend_on_worker_count(self, monkeypatch):
