@@ -6,7 +6,9 @@ lambda per attempt to push its measurement through a two-state Markov
 estimator keeps x_hat; the scheduling-relevant state is the innovation-style
 error delta = x - a*x_hat_prev together with the channel state c.
 
-Everything here is a pure function; all randomness lives in callers.
+Everything here is a one-step rule and a pure function (_channel_rule
+writes into the arrays a caller passes it, if any); all randomness, and
+every loop over stages, lives in callers.
 """
 
 from __future__ import annotations
@@ -135,40 +137,15 @@ def step_channel(c, uniform_draw, params: ModelParams):
     From c=0 the chain moves to 1 iff draw < p01; from c=1 it moves to 0 iff
     draw < p10.  Draws that are NaN or outside [0, 1) raise ValueError.  The
     result is an integer array (never bool: callers index tables with it),
-    or a Python int for scalar input.  sim steps its rollouts with
-    _channel_path instead; this one-stage rule is the reference the tests
-    hold that path to, bit for bit.
+    or a Python int for scalar input.  sim._draws writes _channel_rule into
+    whole step blocks instead; this one-stage rule is the reference the
+    tests hold those channel paths to, bit for bit.
     """
     draw = np.asarray(uniform_draw)
     _check_uniforms(draw)
     from_bad, flip = _channel_rule(draw, params)
     out = (from_bad ^ ((np.asarray(c) == 1) & flip)).astype(np.int_)
     return out if out.ndim else int(out)
-
-
-def _channel_path(c0, pieces, params: ModelParams, path: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    """The channel states c(0..T-1) of len(c0) rollouts, written into path,
-    a stage-major (T, len(c0)) bool array, and returned as its int8 view:
-    row 0 is c0 (0 or 1), and row t+1 is step_channel(row t, u[t], params)
-    for the rollouts' (T, len(c0)) uniform draws u.  flip is a work array
-    of path's shape.
-
-    pieces yields u a few columns at a time, as (T, k) arrays in any memory
-    layout: each piece is checked and its rule written into path and flip
-    before the next is taken, so the pieces may share one buffer.  Every
-    draw is checked, the last row's too, although the c(T) it steps to is
-    not kept.  Then the path is stepped in place.
-    """
-    start = 0
-    for draws in pieces:
-        _check_uniforms(draws)
-        cols = slice(start, start + draws.shape[1])
-        _channel_rule(draws[:-1], params, path[1:, cols], flip[:-1, cols])
-        start = cols.stop
-    path[:1] = c0
-    for t in range(1, len(path)):
-        path[t] ^= np.bitwise_and(path[t - 1], flip[t - 1], out=flip[t - 1])
-    return path.view(np.int8)
 
 
 def update_estimate(x_hat_prev, x, u, c, params: ModelParams):

@@ -19,24 +19,25 @@ across the fixed chunk size.
 Chunks run on a pool of one thread per CPU the process may use (a single
 chunk runs on the calling thread).  Each chunk reduces its own totals to a
 few figures, and the calling thread merges them in chunk order, so every
-result is bit-identical whatever the number of workers.  A chunk draws its
-noise a step block of STEP_ROWS rollouts at a time, as it comes to the
-block: the block's normals, then its channel uniforms, each FILL_ROWS
-rollouts at a time through one reused Philox fill.  Each normal piece is
-scaled straight into one reused stage-major noise buffer, and each uniform
-piece turned straight into one reused channel path.  So each extra worker
-holds one step block's noise, channel path and stage buffers, one small
-fill, and the chunk's totals (a 4.8 MiB tracemalloc peak at T = 20, 2.5
-MiB of it the noise buffer).
+result is bit-identical whatever the number of workers.  _draws draws a
+chunk's noise a step block of STEP_ROWS rollouts at a time, as it comes to
+the block: the block's normals, then its channel uniforms, each FILL_ROWS
+rollouts at a time through one reused Philox fill.  It scales each normal
+piece straight into one reused stage-major noise buffer, and writes each
+uniform piece's channel rule straight into one reused path.  So each extra
+worker holds one step block's noise, channel path and stage buffers, one
+small fill, and the chunk's totals (a 4.8 MiB tracemalloc peak at T = 20,
+2.5 MiB of it the noise buffer).
 
 A step block is stepped stage-major: its normals are kept as a (T, rows)
 array, so stage t reads one contiguous row.  The channel's next state does
 not depend on the sensor's action, so the block's whole channel path, an
-int8 (T, rows) array, is computed from its uniforms before the first
-decision, and every uniform piece is checked once, there.  Each stage
-then makes one decision and one fused pass of in-place ufuncs, which forms
-the delivery mask u*c once and writes both the stage cost and the next
-error into the block's buffers.  model.stage_cost and model.step_error state the
+int8 (T, rows) array, is stepped in place from its uniforms before the
+first decision, and every uniform is checked once, there; model keeps the
+one-step rule, and step_channel is its reference.  Each stage then makes
+one decision and one fused pass of in-place ufuncs, which forms the
+delivery mask u*c once and writes both the stage cost and the next error
+into the block's buffers.  model.stage_cost and model.step_error state the
 same arithmetic, bit for bit, and the tests hold the loop to them.  A chunk
 whose totals are not all finite (the error overflowed a float) raises
 FloatingPointError.  Other values past the float range are inf or NaN
@@ -61,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, SimTrace, _channel_path, step_source, update_estimate
+from .model import ModelParams, SimTrace, _channel_rule, _check_uniforms, step_source, update_estimate
 from .solver import _logsumexp
 
 __all__ = [
@@ -120,18 +121,6 @@ def _generator(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _fills(draw, fill: np.ndarray, n: int):
-    """Draw an (n, T) array by draw(out=...) into the reused row-major
-    (rows, T) buffer fill, len(fill) rows at a time, and yield each piece
-    stage-major: a (T, k) view of fill, overwritten by the next piece.  The
-    pieces hold what one (n, T) fill would: consecutive fills continue the
-    stream."""
-    for start in range(0, n, len(fill)):
-        piece = fill[: n - start]
-        draw(out=piece)
-        yield piece.T
-
-
 def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
     """Yield (channel path, noises w) of m rollouts in step blocks of at
     most STEP_ROWS rollouts, both stage-major (T, rows): the path is int8,
@@ -140,11 +129,14 @@ def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
     Stream order: the m c(0) uniforms (consumed even when c0 is pinned),
     then, block by block, the block's (rows, T) normals and then its
     (rows, T) channel uniforms, each drawn row-major FILL_ROWS rows at a
-    time into one reused fill.  Each normal piece is scaled straight into
-    one reused stage-major noise buffer, and each uniform piece is checked
-    and turned straight into one reused channel path before the block is
-    yielded.  The path and w are views of those buffers, which the next
-    block overwrites: step a block before taking the next.
+    time into one reused fill; consecutive fills continue the stream, so
+    the pieces hold what one (rows, T) draw would.  Each normal piece is
+    scaled straight into one reused stage-major noise buffer.  Each uniform
+    piece is checked, the last stage's too although the c(T) it steps to is
+    not kept, and its one-step rule written into one reused bool path and
+    flip array; then the path is stepped in place, row t+1 being
+    step_channel(row t, u[t]).  The path and w are views of those buffers,
+    which the next block overwrites: step a block before taking the next.
     """
     T = params.horizon
     good = g.random(m) < params.stationary_good_prob()
@@ -152,15 +144,23 @@ def _draws(params: ModelParams, g: np.random.Generator, m: int, c0):
     n = min(STEP_ROWS, m)
     fill = np.empty((min(FILL_ROWS, n), T))  # row-major, reused
     noise = np.empty((T, n))  # stage-major, reused
-    path, flip = np.empty((2, T, n), dtype=bool)  # the channel path and its work rows
+    states, flips = np.empty((2, T, n), dtype=bool)  # the channel path and its work rows, reused
     for s in range(0, m, STEP_ROWS):
         rows = min(STEP_ROWS, m - s)  # the last block may be shorter
-        w = noise[:, :rows]
-        for start, z in zip(range(0, rows, len(fill)), _fills(g.standard_normal, fill, rows)):
-            np.multiply(z, params.sigma, out=w[:, start : start + z.shape[1]])
+        w, path, flip = noise[:, :rows], states[:, :rows], flips[:, :rows]
+        for start in range(0, rows, len(fill)):
+            z = g.standard_normal(out=fill[: rows - start])
+            np.multiply(z.T, params.sigma, out=w[:, start : start + len(z)])
         w += 0.0  # g.normal(0.0, sigma) is 0.0 + sigma * z, which maps a -0.0 draw to 0.0
-        uniforms = _fills(g.random, fill, rows)
-        yield _channel_path(c[s : s + rows], uniforms, params, path[:, :rows], flip[:, :rows]), w
+        for start in range(0, rows, len(fill)):
+            u = g.random(out=fill[: rows - start])
+            _check_uniforms(u)
+            cols = slice(start, start + len(u))
+            _channel_rule(u.T[:-1], params, path[1:, cols], flip[:-1, cols])
+        path[:1] = c[s : s + rows]  # [:1], not [0]: at T = 0 the path has no row
+        for t in range(1, T):
+            path[t] ^= np.bitwise_and(path[t - 1], flip[t - 1], out=flip[t - 1])
+        yield path.view(np.int8), w
 
 
 def _closed_loop(params: ModelParams, policy, delta0: float, path, w):

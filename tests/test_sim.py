@@ -23,7 +23,6 @@ from risksched import (
     threshold_policy,
 )
 from risksched import sim
-from risksched.model import _channel_path
 from risksched.sim import CHUNK_SIZE, FILL_ROWS, STEP_ROWS
 from risksched.solver import _logsumexp
 
@@ -322,7 +321,10 @@ class TestClosedLoop:
         g = np.random.default_rng(3)
         c = (g.random(m) < 0.6).astype(np.int8)
         w = g.normal(0.0, p.sigma, size=(p.horizon, m))  # stage-major
-        path = _channel_path(c, [g.random(size=(p.horizon, m))], p, *np.empty((2, p.horizon, m), dtype=bool))
+        path = [c]  # built by the one-step reference
+        for u in g.random(size=(p.horizon - 1, m)):
+            path.append(step_channel(path[-1], u, p))
+        path = np.array(path, dtype=np.int8)
 
         def stages(path, w):  # copied: the loop overwrites its buffers stage by stage
             return [[np.copy(a) for a in stage] for stage in sim._closed_loop(p, THRESHOLD, 0.75, path, w)]
