@@ -290,11 +290,16 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
     schedule = extract_thresholds(pol, grid)
     T = cfg.params.horizon
 
+    # exact proof that the grid misses the policy: with j >= 1 stages to go
+    # the good channel transmits at |delta| <= sqrt(lambda) (exactly there
+    # at j = 1), so a radius below it, or a threshold of inf, cannot hold it
+    lam_root = math.sqrt(cfg.params.lam)
+    radius_ok = T == 0 or (grid.delta_max >= lam_root and np.isfinite(schedule.threshold[1:, 1]).all())
     j = np.arange(T, -1, -1).repeat(2)
     c = np.tile([0, 1], T + 1)
     _write_csv(
         out / "thresholds.csv",
-        header,
+        _header_lines(cfg, grid, {"radius_ok": int(radius_ok)}),
         {"wall_stage": T - j, "stages_to_go": j, "c": c, "threshold": schedule.threshold[j, c]},
     )
 
@@ -305,6 +310,7 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
         "tilted_std": trunc.tilted_std,
         "coverage_tail": trunc.coverage_tail,
         "gh_cap_active": int(trunc.gh_cap_active),
+        "radius_ok": int(radius_ok),
     }
     _write_csv(out / "feasibility.csv", _header_lines(cfg, grid, trunc_items), columns)
 
@@ -327,6 +333,12 @@ def cmd_solve(cfg: Config, out: Path, plot_data: bool) -> int:
     if plot_data:
         _write_csv(out / "values.csv", header, [*index, "w"], blocks(table.w))
     print(f"solved: delta_max={grid.delta_max} thresholds -> {out / 'thresholds.csv'}")
+    if not radius_ok:
+        if grid.delta_max < lam_root:
+            why = f"delta_max = {grid.delta_max} lies below sqrt(lambda) = {lam_root:.6g}"
+        else:
+            why = f"a good-channel threshold reads inf on delta_max = {grid.delta_max}"
+        print(f"warning: radius_ok = 0: {why}, so the grid misses the policy; widen delta_max", file=sys.stderr)
     return 0
 
 

@@ -385,17 +385,13 @@ def _logsumexp(a: np.ndarray, axis, _overwrite: bool = False) -> np.ndarray:
 @functools.cache
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """hermgauss(n), read-only: its eigvalsh runs once per process and n,
-    where auto_delta_max, truncation_report and the stencil each need it."""
+    where auto_delta_max, truncation_report and the stencil each need it.
+    hermgauss symmetrizes its rule, so y[::-1] == -y and w[::-1] == w
+    bitwise."""
     rule = np.polynomial.hermite.hermgauss(n)
     for a in rule:
         a.flags.writeable = False
     return rule
-
-
-def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite abscissas and weights, symmetrized so y[::-1] == -y bitwise."""
-    y, wt = _hermgauss(n)
-    return 0.5 * (y - y[::-1]), 0.5 * (wt + wt[::-1])
 
 
 def _hermite_stencil(
@@ -413,7 +409,7 @@ def _hermite_stencil(
     written in blocks of centers, so the build holds them and one block's
     temporaries.
     """
-    y, wt = _hermite_nodes(n_nodes)
+    y, wt = _hermgauss(n_nodes)
     offset = math.sqrt(2.0) * params.sigma * y[:, None]
     pos = grid.folded_nodes()
     zpos = pos * pos

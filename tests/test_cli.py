@@ -658,15 +658,65 @@ class TestSolve:
         cfg = write_config(tmp_path / "c.cfg", n_points=81, delta_max="6.0")
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
-        config_lines, _ = read_csv(out / "thresholds.csv")
+        config_lines, _ = read_csv(out / "policy.csv")
+        assert read_csv(out / "thresholds.csv")[0] == [*config_lines, "# radius_ok = 1"]
         header, _ = read_csv(out / "feasibility.csv")
         assert header[: len(config_lines)] == config_lines
         extra = [line.split(" = ") for line in header[len(config_lines) :]]
         assert [key for key, _ in extra] == [
-            "# feasible", "# tilted_std", "# coverage_tail", "# gh_cap_active",
+            "# feasible", "# tilted_std", "# coverage_tail", "# gh_cap_active", "# radius_ok",
         ]
         for _, value in extra:
             float(value)
+
+    @pytest.mark.parametrize(
+        "overrides, why",
+        [
+            # the standard model on a radius below sqrt(lambda) = 1
+            (dict(T=2, n_points=101, delta_max="0.5"), "lies below sqrt(lambda) = 1,"),
+            # the edge model on its auto radius, 3.8 < sqrt(lambda) = 4.96
+            (
+                {
+                    "a": "-0.33686922558697885", "sigma2": "0.29214669567611157",
+                    "lambda": "24.60803520400247", "gamma": "0.12722817941849635", "T": 2,
+                    "p01": "0.6516677125946231", "p10": "0.5273456112315459",
+                },
+                "lies below sqrt(lambda) = 4.96065,",
+            ),
+            # at R = sqrt(lambda) the j = 1 threshold ties and idles: inf
+            (dict(T=2, n_points=101, delta_max="1.0"), "a good-channel threshold reads inf"),
+        ],
+        ids=["below-sqrt-lambda", "edge-model-auto", "at-sqrt-lambda"],
+    )
+    def test_radius_that_misses_the_policy_warns(self, tmp_path, capsys, overrides, why):
+        cfg = write_config(tmp_path / "c.cfg", **overrides)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: radius_ok = 0: ") and why in err[0]
+        for name in ("thresholds.csv", "feasibility.csv"):
+            assert read_csv(out / name)[0][-1] == "# radius_ok = 0"
+        rows = read_csv(out / "thresholds.csv")[1]
+        assert any(r["threshold"] == "inf" for r in rows if r["c"] == "1" and r["stages_to_go"] != "0")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(a=0.9, gamma=0.05, T=2, n_points=401),  # startup
+            dict(a=0.8, gamma=0.02, T=20, n_points=4001),  # solve-fine
+            dict(a=0.8, gamma=0.02, T=20, n_points=401),  # mc-rollouts
+            dict(a=0.9, gamma=0.05, T=2, n_points=2001, quad_rule="trapezoid-on-grid"),  # verify
+            dict(T=0, sigma2="1e-6"),  # no decision: auto radius 0.01 < sqrt(lambda)
+        ],
+        ids=["startup", "solve-fine", "mc-rollouts", "verify", "zero-horizon"],
+    )
+    def test_radius_ok_on_the_workloads(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.cfg", **overrides)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--no-plot-data"]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("thresholds.csv", "feasibility.csv"):
+            assert read_csv(out / name)[0][-1] == "# radius_ok = 1"
 
     def test_feasibility_csv_matches_check(self, tmp_path):
         """check --out and solve write one feasibility.csv table: the same

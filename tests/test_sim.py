@@ -446,14 +446,24 @@ class TestChunks:
     @pytest.mark.parametrize("c0", [None, 0, 1])
     # 4095 and 4097: short single blocks, odd, on either side of a power of
     # two; FILL_ROWS - 1 and + 1: one short piece, and a full piece then one
-    # row; STEP_ROWS + FILL_ROWS + 1: the latter in a block after a full one
+    # row; STEP_ROWS + FILL_ROWS + 1: the latter in a block after a full one.
+    # At T = 0 and 1 the path is stepped through no stage, and at T = 0 it
+    # has no row to hold c(0).
     @pytest.mark.parametrize(
-        "m",
-        [1, 4095, 4097, STEP_ROWS - 1, STEP_ROWS + 1, CHUNK_SIZE - 1, CHUNK_SIZE]
-        + [FILL_ROWS - 1, FILL_ROWS + 1, STEP_ROWS + FILL_ROWS + 1],
+        "horizon, m",
+        [
+            pytest.param(6, m, id=str(m))
+            for m in [1, 4095, 4097, STEP_ROWS - 1, STEP_ROWS + 1, CHUNK_SIZE - 1, CHUNK_SIZE]
+            + [FILL_ROWS - 1, FILL_ROWS + 1, STEP_ROWS + FILL_ROWS + 1]
+        ]
+        + [
+            pytest.param(horizon, m, id=f"T{horizon}-{m}")
+            for horizon in (0, 1)
+            for m in (1, FILL_ROWS + 1, STEP_ROWS + 1)
+        ],
     )
-    def test_row_blocks_draw_what_one_fill_draws(self, policy, c0, m):
-        p = mk(horizon=6)
+    def test_row_blocks_draw_what_one_fill_draws(self, policy, c0, horizon, m):
+        p = mk(horizon=horizon)
         g, g_ref = sim._generator(5, 3), sim._generator(5, 3)
         total = sim._simulate_chunk(p, policy, m, g, 0.75, c0)
         want = _public_reference_chunk(p, policy, m, g_ref, 0.75, c0)

@@ -37,7 +37,6 @@ from risksched.solver import (
     _PRODUCT_FLOOR,
     _BellmanStage,
     _dd_exp,
-    _hermite_nodes,
     _iterate,
     _logsumexp,
 )
@@ -501,7 +500,7 @@ class TestHermiteBlocks:
     def whole_grid_stencil(stage, n_nodes):
         p, grid = stage.params, stage.grid
         mid = grid.n_points // 2
-        y, wt = _hermite_nodes(n_nodes)
+        y, wt = solver._hermgauss(n_nodes)
         x = stage.centers[None, :] + math.sqrt(2.0) * p.sigma * y[:, None]
         pos = grid.folded_nodes()
         zpos = pos * pos
@@ -588,6 +587,15 @@ class TestHermiteRule:
         for a in rule:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+
+
+    @pytest.mark.parametrize("n", [1, 8, 63, HERMITE.n_nodes, 151])
+    def test_rule_is_exactly_symmetric(self, n):
+        """The stencil reads hermgauss's rule as it stands: its abscissae are
+        odd and its weights even, bit for bit."""
+        y, wt = solver._hermgauss(n)
+        assert (0.0 - y[::-1]).tobytes() == y.tobytes()  # 0.0 - y, not -y: a middle node is +0.0
+        assert wt[::-1].tobytes() == wt.tobytes()
 
 
 @pytest.mark.parametrize("risk_neutral", [False, True], ids=["log", "risk-neutral"])
